@@ -155,7 +155,7 @@ usage(std::FILE *to, int exitCode)
         "                  or --manifest; table/json/csv reports are\n"
         "                  suppressed — merge the shards instead)\n"
         "  --cores A,B     restrict the fabric scenarios' core-count\n"
-        "                  sweep (each >= 1; 1 = the single-core\n"
+        "                  sweep (each 1..1024; 1 = the single-core\n"
         "                  paper pipeline)\n"
         "  --topology T    restrict the fabric topology sweep:\n"
         "                  ring, mesh2d (comma-separated)\n"
@@ -170,11 +170,14 @@ usage(std::FILE *to, int exitCode)
         "  --interval-ticks K\n"
         "                  sample per-interval meters every K ticks\n"
         "                  (IPC, per-domain energy, FIFO occupancy);\n"
-        "                  records gain an \"intervals\" time-series\n"
+        "                  records gain an \"intervals\" time-series;\n"
+        "                  K must be >= the nominal clock period\n"
+        "                  (1000 ticks)\n"
         "  --warmup-insts K\n"
         "                  split every single-core run into K warmup\n"
         "                  instructions plus (insts - K) measured\n"
-        "                  ones (K must be < --insts); runs sharing\n"
+        "                  ones (K must be < --insts; fabric runs\n"
+        "                  have no warmup split); runs sharing\n"
         "                  a warmup stem reuse one memoized warm\n"
         "                  snapshot instead of re-simulating it\n"
         "  --snapshot-dir PATH\n"
@@ -315,23 +318,68 @@ commaListValue(const char *flag, const char *text)
     return items;
 }
 
-/** Parse the --cores value: comma-separated core counts >= 1. */
+/** Parse the --cores value: comma-separated core counts in
+ *  1..FabricConfig::maxCores. */
 std::vector<unsigned>
 coreListValue(const char *text)
 {
     std::vector<unsigned> cores;
     for (const std::string &item : commaListValue("--cores", text)) {
         const unsigned n = unsignedValue("--cores", item.c_str());
-        if (n == 0) {
+        if (n == 0 || n > FabricConfig::maxCores) {
             std::fprintf(stderr,
-                         "galsbench: --cores values must be >= 1, "
-                         "got '%s'\n",
-                         text);
+                         "galsbench: --cores values must be in "
+                         "1..%u, got '%s'\n",
+                         FabricConfig::maxCores, text);
             usage(stderr, 2);
         }
         cores.push_back(n);
     }
     return cores;
+}
+
+/** Parse the --interval-ticks value: a period shorter than the
+ *  nominal clock period samples the same cycle repeatedly, and the
+ *  output grows as 1/K (K = 1 writes hundreds of MB per run). */
+std::uint64_t
+intervalTicksValue(const char *text)
+{
+    const std::uint64_t k = numericValue("--interval-ticks", text);
+    if (k < defaults::nominalPeriod) {
+        std::fprintf(stderr,
+                     "galsbench: --interval-ticks must be >= the "
+                     "nominal clock period (%llu ticks), got '%s'\n",
+                     static_cast<unsigned long long>(
+                         defaults::nominalPeriod),
+                     text);
+        usage(stderr, 2);
+    }
+    return k;
+}
+
+/** --warmup-insts splits single-core runs only (a fabric has no warm
+ *  snapshots): reject a sweep whose grids hold a fabric run instead of
+ *  archiving a warmup those runs never did. */
+void
+checkWarmupScope(const std::vector<const Scenario *> &scenarios,
+                 const SweepOptions &opts)
+{
+    if (opts.warmupInstructions == 0)
+        return;
+    for (const Scenario *s : scenarios) {
+        if (!s->makeRuns)
+            continue;
+        for (const RunConfig &cfg : s->makeRuns(opts)) {
+            if (cfg.fabric.active()) {
+                std::fprintf(stderr,
+                             "galsbench: --warmup-insts applies to "
+                             "single-core runs only; scenario '%s' "
+                             "runs a %u-core fabric\n",
+                             s->name.c_str(), cfg.fabric.cores);
+                usage(stderr, 2);
+            }
+        }
+    }
 }
 
 /** Parse the --topology value: comma-separated topology names. */
@@ -586,14 +634,8 @@ dispatchMain(int argc, char **argv, const ScenarioRegistry &registry)
             opts.sweep.traffics =
                 trafficListValue(argValue(argc, argv, i));
         } else if (!std::strcmp(arg, "--interval-ticks")) {
-            opts.sweep.intervalTicks = numericValue(
-                "--interval-ticks", argValue(argc, argv, i));
-            if (opts.sweep.intervalTicks == 0) {
-                std::fprintf(stderr,
-                             "galsbench: --interval-ticks must be "
-                             "> 0\n");
-                return 2;
-            }
+            opts.sweep.intervalTicks =
+                intervalTicksValue(argValue(argc, argv, i));
         } else if (!std::strcmp(arg, "--warmup-insts")) {
             opts.sweep.warmupInstructions = numericValue(
                 "--warmup-insts", argValue(argc, argv, i));
@@ -709,6 +751,13 @@ dispatchMain(int argc, char **argv, const ScenarioRegistry &registry)
         std::fprintf(stderr,
                      "galsbench: dispatch needs --scenario/--all\n");
         return 2;
+    }
+    {
+        std::vector<const Scenario *> known;
+        for (const std::string &name : opts.scenarios)
+            if (const Scenario *s = registry.find(name))
+                known.push_back(s);
+        checkWarmupScope(known, opts.sweep);
     }
     if (opts.outputPath.empty()) {
         std::fprintf(stderr,
@@ -965,15 +1014,9 @@ main(int argc, char **argv)
                 trafficListValue(argValue(argc, argv, i));
             sweepFlags.push_back("--traffic");
         } else if (!std::strcmp(arg, "--interval-ticks")) {
-            opts.intervalTicks = numericValue(
-                "--interval-ticks", argValue(argc, argv, i));
+            opts.intervalTicks =
+                intervalTicksValue(argValue(argc, argv, i));
             sweepFlags.push_back("--interval-ticks");
-            if (opts.intervalTicks == 0) {
-                std::fprintf(stderr,
-                             "galsbench: --interval-ticks must be "
-                             "> 0\n");
-                return 2;
-            }
         } else if (!std::strcmp(arg, "--warmup-insts")) {
             opts.warmupInstructions = numericValue(
                 "--warmup-insts", argValue(argc, argv, i));
@@ -1234,6 +1277,7 @@ main(int argc, char **argv)
         }
         scenarios.push_back(scenario);
     }
+    checkWarmupScope(scenarios, opts);
 
     if (opts.shard.active() && outputPath.empty() &&
         manifestPath.empty()) {

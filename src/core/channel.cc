@@ -15,29 +15,4 @@ ChannelBase::ChannelBase(std::string name, ChannelMode mode,
     gals_assert(syncEdges_ > 0, "channel '", name_, "': zero sync edges");
 }
 
-Tick
-ChannelBase::visibleAt(Tick t) const
-{
-    if (mode_ == ChannelMode::syncLatch) {
-        // Plain pipeline latch: readable at the next consumer edge.
-        return consumer_.nextEdgeAfter(t);
-    }
-    // Empty-flag two-flop synchronizer: the consumer can use the item
-    // at the syncEdges-th consumer edge strictly after the push.
-    const Tick first = consumer_.nextEdgeAfter(t);
-    return first + static_cast<Tick>(syncEdges_ - 1) * consumer_.period();
-}
-
-Tick
-ChannelBase::freeVisibleAt(Tick t) const
-{
-    if (mode_ == ChannelMode::syncLatch) {
-        // Synchronous queue: the slot is reusable immediately (stages
-        // are ticked consumer-first within a cycle).
-        return t;
-    }
-    const Tick first = producer_.nextEdgeAfter(t);
-    return first + static_cast<Tick>(syncEdges_ - 1) * producer_.period();
-}
-
 } // namespace gals

@@ -38,11 +38,11 @@
 #define CORE_CHANNEL_HH
 
 #include <algorithm>
-#include <deque>
 #include <memory>
 #include <new>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "sim/clock_domain.hh"
 #include "sim/event_queue.hh"
@@ -114,9 +114,34 @@ class ChannelBase
 
   protected:
     /** Visibility time of an item pushed at @p t. */
-    Tick visibleAt(Tick t) const;
+    Tick
+    visibleAt(Tick t) const
+    {
+        if (mode_ == ChannelMode::syncLatch) {
+            // Plain pipeline latch: readable at the next consumer edge.
+            return consumer_.nextEdgeAfter(t);
+        }
+        // Empty-flag two-flop synchronizer: the consumer can use the
+        // item at the syncEdges-th consumer edge strictly after the
+        // push.
+        const Tick first = consumer_.nextEdgeAfter(t);
+        return first +
+               static_cast<Tick>(syncEdges_ - 1) * consumer_.period();
+    }
+
     /** Time the producer observes a slot freed by a pop at @p t. */
-    Tick freeVisibleAt(Tick t) const;
+    Tick
+    freeVisibleAt(Tick t) const
+    {
+        if (mode_ == ChannelMode::syncLatch) {
+            // Synchronous queue: the slot is reusable immediately
+            // (stages are ticked consumer-first within a cycle).
+            return t;
+        }
+        const Tick first = producer_.nextEdgeAfter(t);
+        return first +
+               static_cast<Tick>(syncEdges_ - 1) * producer_.period();
+    }
 
     std::string name_;
     ChannelMode mode_;
@@ -167,10 +192,11 @@ class Channel : public ChannelBase
     full() const
     {
         const Tick now = producer_.eventQueue().now();
-        std::size_t unobserved_frees = 0;
-        for (const Tick t : freeVisible_)
-            if (t > now)
-                ++unobserved_frees;
+        const auto unobserved = std::upper_bound(
+            freeVisible_.begin() + static_cast<std::ptrdiff_t>(freeHead_),
+            freeVisible_.end(), now);
+        const auto unobserved_frees =
+            static_cast<std::size_t>(freeVisible_.end() - unobserved);
         return size_ + unobserved_frees >= capacity_;
     }
 
@@ -248,7 +274,7 @@ class Channel : public ChannelBase
         totalResidency_ += now - n->pushTick;
         n->destroyItem();
         free_.pushFront(n);
-        freeVisible_.push_back(freeVisibleAt(now));
+        recordFree(freeVisibleAt(now));
     }
 
     /** Number of items physically inside (visible or not). */
@@ -273,7 +299,7 @@ class Channel : public ChannelBase
                 --size_;
                 n->destroyItem();
                 free_.pushFront(n);
-                freeVisible_.push_back(freeVisibleAt(now));
+                recordFree(freeVisibleAt(now));
                 ++removed;
             }
             n = next;
@@ -293,7 +319,12 @@ class Channel : public ChannelBase
         }
         size_ = 0;
         freeVisible_.clear();
+        freeHead_ = 0;
     }
+
+    /** Entries stored in the pending-free list, including observed
+     *  ones not yet compacted away (bounded; exposed for tests). */
+    std::size_t pendingFreeFootprint() const { return freeVisible_.size(); }
 
   private:
     /**
@@ -329,11 +360,39 @@ class Channel : public ChannelBase
         return n;
     }
 
+    /** Insert a slot release at its sorted position: almost always
+     *  the back, but a producer whose period shrank (DVFS) can see a
+     *  later pop release earlier. */
+    void
+    recordFree(Tick t)
+    {
+        if (freeVisible_.size() == freeHead_ || freeVisible_.back() <= t)
+            freeVisible_.push_back(t);
+        else
+            freeVisible_.insert(
+                std::upper_bound(freeVisible_.begin() +
+                                     static_cast<std::ptrdiff_t>(freeHead_),
+                                 freeVisible_.end(), t),
+                t);
+    }
+
+    /** Drop the releases the producer has observed by @p now; the
+     *  observed prefix is compacted once it outweighs the rest. */
     void
     pruneFrees(Tick now)
     {
-        while (!freeVisible_.empty() && freeVisible_.front() <= now)
-            freeVisible_.pop_front();
+        while (freeHead_ < freeVisible_.size() &&
+               freeVisible_[freeHead_] <= now)
+            ++freeHead_;
+        if (freeHead_ == freeVisible_.size()) {
+            freeVisible_.clear();
+            freeHead_ = 0;
+        } else if (freeHead_ >= 16 && 2 * freeHead_ >= freeVisible_.size()) {
+            freeVisible_.erase(freeVisible_.begin(),
+                               freeVisible_.begin() +
+                                   static_cast<std::ptrdiff_t>(freeHead_));
+            freeHead_ = 0;
+        }
     }
 
     std::unique_ptr<Node[]> pool_; ///< capacity() nodes, fixed for life
@@ -341,9 +400,11 @@ class Channel : public ChannelBase
     NodeList queue_;               ///< FIFO order, oldest at head
     std::size_t size_ = 0;
 
-    /** Pop-time slot releases not yet observed by the producer;
-     *  sorted (pops happen in time order), pruned on push. */
-    std::deque<Tick> freeVisible_;
+    /** Pop-time slot releases, sorted; those before freeHead_ are
+     *  observed by the producer (pruned on push), the rest are not
+     *  yet. */
+    std::vector<Tick> freeVisible_;
+    std::size_t freeHead_ = 0;
 };
 
 } // namespace gals

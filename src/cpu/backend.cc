@@ -1,5 +1,8 @@
 #include "cpu/backend.hh"
 
+#include <algorithm>
+#include <functional>
+
 #include "cpu/stage_util.hh"
 #include "sim/logging.hh"
 
@@ -112,7 +115,6 @@ void
 ExecDomain::localWakeup(PhysRegId reg, std::uint32_t epoch)
 {
     scoreboard_.observe(reg, epoch);
-    iq_.wakeup(reg, epoch);
     energy_.chargeAccess(queueUnit());
 }
 
@@ -172,9 +174,11 @@ ExecDomain::execLatencyCycles(const DynInstPtr &inst)
 void
 ExecDomain::processCompletions(Tick now)
 {
-    while (!completions_.empty() && completions_.top().when <= now) {
-        DynInstPtr inst = completions_.top().inst;
-        completions_.pop();
+    while (!completions_.empty() && completions_.front().when <= now) {
+        std::pop_heap(completions_.begin(), completions_.end(),
+                      std::greater<Completion>());
+        const DynInstPtr inst = std::move(completions_.back().inst);
+        completions_.pop_back();
 
         if (inst->squashed)
             continue;
@@ -214,10 +218,10 @@ ExecDomain::insertDispatched(Tick now)
         if (kind_ == ExecKind::memCluster && lsq_.full())
             break;
         DynInstPtr inst = popInst(dispatchIn_, now);
-        iq_.insert(inst);
-        energy_.chargeAccess(queueUnit());
         if (kind_ == ExecKind::memCluster)
             lsq_.insert(inst);
+        iq_.insert(std::move(inst));
+        energy_.chargeAccess(queueUnit());
     }
 }
 
@@ -237,12 +241,9 @@ ExecDomain::issue(Tick now)
         return true;
     };
 
-    const auto selected = iq_.selectIssue(issueWidth(), fu_ok);
-    for (const DynInstPtr &inst : selected) {
+    for (DynInstPtr &inst : iq_.selectIssue(issueWidth(), fu_ok)) {
         const unsigned lat = execLatencyCycles(inst);
         inst->issueTick = now;
-        const Tick done = now + static_cast<Tick>(lat) * domain_.period();
-        completions_.push(Completion{done, inst});
         ++issued_;
 
         // Operand reads and the execution itself.
@@ -262,6 +263,11 @@ ExecDomain::issue(Tick now)
             energy_.chargeAccess(Unit::lsq);
             break;
         }
+
+        const Tick done = now + static_cast<Tick>(lat) * domain_.period();
+        completions_.push_back(Completion{done, std::move(inst)});
+        std::push_heap(completions_.begin(), completions_.end(),
+                       std::greater<Completion>());
     }
 }
 

@@ -14,7 +14,6 @@
 #ifndef CPU_BACKEND_HH
 #define CPU_BACKEND_HH
 
-#include <queue>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -117,7 +116,9 @@ class ExecDomain : public ClockDomain::Ticker
     FuPool fu_;
     Lsq lsq_;
 
-    /** In-flight executions ordered by completion time. */
+    /** In-flight executions: a min-heap on completion time, kept with
+     *  std::push_heap/pop_heap (what std::priority_queue does) so the
+     *  instruction can be moved out of the top. */
     struct Completion
     {
         Tick when;
@@ -128,9 +129,7 @@ class ExecDomain : public ClockDomain::Ticker
             return when > o.when;
         }
     };
-    std::priority_queue<Completion, std::vector<Completion>,
-                        std::greater<Completion>>
-        completions_;
+    std::vector<Completion> completions_;
 
     std::uint64_t issued_ = 0;
     std::uint64_t completed_ = 0;

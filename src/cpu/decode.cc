@@ -123,7 +123,8 @@ DecodeCommitUnit::doDecode(Tick now)
         DynInstPtr inst = popInst(fetchIn_, domain_.eventQueue().now());
         inst->decodeTick = domain_.eventQueue().now();
         energy_.chargeAccess(Unit::decodeLogic);
-        decodePipe_.push_back({inst, cycle + cfg_.decodePipeDepth});
+        decodePipe_.push_back(
+            {std::move(inst), cycle + cfg_.decodePipeDepth});
     }
 }
 
@@ -138,17 +139,18 @@ DecodeCommitUnit::doDispatch(Tick now)
             decodePipe_.front().readyCycle > cycle)
             break;
 
-        DynInstPtr inst = decodePipe_.front().inst;
-        if (rob_.full() || !rename_.canRename(*inst)) {
+        DynInstPtr &front = decodePipe_.front().inst;
+        if (rob_.full() || !rename_.canRename(*front)) {
             stalled = true;
             break;
         }
-        Channel<DynInstPtr> &q = queueFor(*inst);
+        Channel<DynInstPtr> &q = queueFor(*front);
         if (q.full()) {
             stalled = true;
             break;
         }
 
+        DynInstPtr inst = std::move(front);
         decodePipe_.pop_front();
 
         rename_.rename(*inst);
@@ -159,7 +161,7 @@ DecodeCommitUnit::doDispatch(Tick now)
         inst->dispatchTick = now;
         rob_.insert(inst);
         energy_.chargeAccess(Unit::rob);
-        q.push(inst);
+        q.push(std::move(inst));
         ++dispatched_;
     }
 

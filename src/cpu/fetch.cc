@@ -105,8 +105,7 @@ FetchStage::tick()
 
         DynInstPtr inst;
         if (pending_) {
-            inst = pending_;
-            pending_.reset();
+            inst = std::move(pending_);
         } else if (wrongPathMode_) {
             inst = makeInst(gen_.wrongPath(wpPc_), true);
         } else {
@@ -123,7 +122,7 @@ FetchStage::tick()
             energy_.chargeAccess(Unit::l2cache, oc.l2Accesses);
             if (oc.level > 1) {
                 // Miss: hold this instruction until the refill returns.
-                pending_ = inst;
+                pending_ = std::move(inst);
                 stallUntil_ = now + missStallTicks(oc);
                 break;
             }
@@ -164,7 +163,7 @@ FetchStage::tick()
         ++fetched_;
         if (inst->wrongPath)
             ++wrongPathFetched_;
-        out_.push(inst);
+        out_.push(std::move(inst));
 
         if (end_group)
             break;

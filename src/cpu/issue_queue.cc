@@ -1,7 +1,6 @@
 #include "cpu/issue_queue.hh"
 
 #include <algorithm>
-#include <utility>
 
 #include "sim/logging.hh"
 
@@ -13,66 +12,29 @@ IssueQueue::IssueQueue(std::string name, unsigned capacity,
     : name_(std::move(name)), capacity_(capacity), view_(view)
 {
     gals_assert(capacity_ > 0, "issue queue '", name_, "': no capacity");
+    entries_.reserve(capacity_);
+    insts_.resize(capacity_);
+    freeSlots_.reserve(capacity_);
+    for (unsigned i = capacity_; i-- > 0;)
+        freeSlots_.push_back(i);
 }
 
 void
-IssueQueue::refreshReady(Entry &e) const
-{
-    e.allReady = true;
-    for (unsigned i = 0; i < e.inst->numSrcs; ++i) {
-        if (!e.ready[i]) {
-            e.ready[i] =
-                view_.ready(e.inst->physSrcs[i], e.inst->srcEpochs[i]);
-        }
-        e.allReady = e.allReady && e.ready[i];
-    }
-}
-
-void
-IssueQueue::insert(const DynInstPtr &inst)
+IssueQueue::insert(DynInstPtr inst)
 {
     gals_assert(!full(), "insert into full issue queue '", name_, "'");
     Entry e;
-    e.inst = inst;
-    for (unsigned i = 0; i < DynInst::maxSrcs; ++i)
-        e.ready[i] = i >= inst->numSrcs;
-    refreshReady(e);
-    entries_.push_back(std::move(e));
-}
-
-void
-IssueQueue::wakeup(PhysRegId reg, std::uint32_t epoch)
-{
-    for (auto &e : entries_) {
-        for (unsigned i = 0; i < e.inst->numSrcs; ++i) {
-            ++wakeupMatches_;
-            if (!e.ready[i] && e.inst->physSrcs[i] == reg &&
-                e.inst->srcEpochs[i] <= epoch)
-                e.ready[i] = true;
-        }
+    e.slot = freeSlots_.back();
+    freeSlots_.pop_back();
+    e.seq = inst->seq;
+    e.pending = inst->numSrcs;
+    for (unsigned i = 0; i < inst->numSrcs; ++i) {
+        e.physSrcs[i] = inst->physSrcs[i];
+        e.srcEpochs[i] = inst->srcEpochs[i];
     }
-}
-
-std::vector<DynInstPtr>
-IssueQueue::selectIssue(
-    unsigned width,
-    const std::function<bool(const DynInst &)> &fuAvailable)
-{
-    std::vector<DynInstPtr> issued;
-    if (width == 0)
-        return issued;
-
-    for (auto it = entries_.begin();
-         it != entries_.end() && issued.size() < width;) {
-        refreshReady(*it);
-        if (it->allReady && fuAvailable(*it->inst)) {
-            issued.push_back(it->inst);
-            it = entries_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    return issued;
+    insts_[e.slot] = std::move(inst);
+    poll(e);
+    entries_.push_back(e);
 }
 
 unsigned
@@ -80,8 +42,12 @@ IssueQueue::squashAfter(InstSeqNum afterSeq)
 {
     const auto old_size = entries_.size();
     entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
-                                  [afterSeq](const Entry &e) {
-                                      return e.inst->seq > afterSeq;
+                                  [this, afterSeq](const Entry &e) {
+                                      if (e.seq <= afterSeq)
+                                          return false;
+                                      insts_[e.slot].reset();
+                                      freeSlots_.push_back(e.slot);
+                                      return true;
                                   }),
                    entries_.end());
     return static_cast<unsigned>(old_size - entries_.size());

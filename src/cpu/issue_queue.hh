@@ -8,8 +8,8 @@
 #ifndef CPU_ISSUE_QUEUE_HH
 #define CPU_ISSUE_QUEUE_HH
 
-#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cpu/scoreboard.hh"
@@ -19,7 +19,10 @@ namespace gals
 {
 
 /**
- * Age-ordered issue queue with per-operand ready bits.
+ * Age-ordered issue queue. Readiness has one source: the domain's
+ * scoreboard view, polled at selection. Scoreboard epochs only grow,
+ * so an operand once seen ready stays ready and is dropped from the
+ * entry's pending list.
  */
 class IssueQueue
 {
@@ -35,44 +38,74 @@ class IssueQueue
     }
     unsigned capacity() const { return capacity_; }
 
-    /** Insert at dispatch; readiness snapshot from the scoreboard. */
-    void insert(const DynInstPtr &inst);
-
-    /** A wakeup arrived: refresh matching operands' ready bits. */
-    void wakeup(PhysRegId reg, std::uint32_t epoch);
+    /** Insert at dispatch (program order). */
+    void insert(DynInstPtr inst);
 
     /**
      * Select up to @p width ready instructions, oldest first, subject
-     * to @p fuAvailable (checked and consumed per candidate). Selected
-     * entries are removed from the queue.
+     * to @p fuAvailable (checked and consumed per ready candidate).
+     * Selected entries are removed from the queue and returned in a
+     * buffer the queue reuses: it stays valid until the next call, and
+     * the caller may move the pointers out of it.
      */
-    std::vector<DynInstPtr>
-    selectIssue(unsigned width,
-                const std::function<bool(const DynInst &)> &fuAvailable);
+    template <typename FuAvailable>
+    std::vector<DynInstPtr> &
+    selectIssue(unsigned width, FuAvailable &&fuAvailable)
+    {
+        issued_.clear();
+        std::size_t keep = 0;
+        for (std::size_t i = 0; i < entries_.size(); ++i) {
+            Entry &e = entries_[i];
+            if (issued_.size() < width && poll(e) &&
+                fuAvailable(*insts_[e.slot])) {
+                issued_.push_back(std::move(insts_[e.slot]));
+                freeSlots_.push_back(e.slot);
+                continue;
+            }
+            if (keep != i)
+                entries_[keep] = e;
+            ++keep;
+        }
+        entries_.resize(keep);
+        return issued_;
+    }
 
     /** Remove all entries younger than @p afterSeq. @return count. */
     unsigned squashAfter(InstSeqNum afterSeq);
 
-    /** Number of wakeup-match operations (power accounting). */
-    std::uint64_t wakeupMatches() const { return wakeupMatches_; }
-
     const std::string &name() const { return name_; }
 
   private:
+    /** What the poll reads, copied from the instruction, which waits
+     *  in insts_[slot]: waiting entries are checked without touching
+     *  the DynInst, and the age-order compaction moves plain data. */
     struct Entry
     {
-        DynInstPtr inst;
-        bool ready[DynInst::maxSrcs];
-        bool allReady;
+        unsigned slot;
+        InstSeqNum seq;
+        unsigned pending; ///< srcs [0, pending) not yet seen ready
+        PhysRegId physSrcs[DynInst::maxSrcs];
+        std::uint32_t srcEpochs[DynInst::maxSrcs];
     };
 
-    void refreshReady(Entry &e) const;
+    /** Drop operands the view now shows ready, last first, stopping
+     *  at one still waiting; true when none remain. */
+    bool
+    poll(Entry &e) const
+    {
+        while (e.pending > 0 && view_.ready(e.physSrcs[e.pending - 1],
+                                            e.srcEpochs[e.pending - 1]))
+            --e.pending;
+        return e.pending == 0;
+    }
 
     std::string name_;
     unsigned capacity_;
     const Scoreboard &view_;
-    std::vector<Entry> entries_; ///< kept in age order
-    std::uint64_t wakeupMatches_ = 0;
+    std::vector<Entry> entries_;     ///< kept in age order
+    std::vector<DynInstPtr> insts_;  ///< capacity_ stable slots
+    std::vector<unsigned> freeSlots_;
+    std::vector<DynInstPtr> issued_; ///< selectIssue's result buffer
 };
 
 } // namespace gals

@@ -8,7 +8,8 @@
 #ifndef CPU_LSQ_HH
 #define CPU_LSQ_HH
 
-#include <deque>
+#include <cstdint>
+#include <vector>
 
 #include "isa/dyn_inst.hh"
 
@@ -16,7 +17,9 @@ namespace gals
 {
 
 /**
- * Unified LSQ (capacity shared between loads and stores).
+ * Unified LSQ (capacity shared between loads and stores), in program
+ * order. Entries cache what the searches compare, so only a candidate
+ * store's completion flag is read from its DynInst.
  */
 class Lsq
 {
@@ -48,8 +51,20 @@ class Lsq
     std::uint64_t forwarded() const { return forwarded_; }
 
   private:
+    struct Entry
+    {
+        InstSeqNum seq;
+        std::uint64_t line; ///< memAddr's 32B line
+        bool store;
+        DynInstPtr inst;
+    };
+
+    /** Remove the entry for @p seq, which must be a store iff
+     *  @p store. */
+    void remove(InstSeqNum seq, bool store);
+
     unsigned capacity_;
-    std::deque<DynInstPtr> q_;
+    std::vector<Entry> q_;
     mutable std::uint64_t forwarded_ = 0;
 };
 

@@ -8,8 +8,8 @@
 #ifndef CPU_ROB_HH
 #define CPU_ROB_HH
 
-#include <deque>
-#include <functional>
+#include <memory>
+#include <utility>
 
 #include "isa/dyn_inst.hh"
 
@@ -17,16 +17,19 @@ namespace gals
 {
 
 /**
- * The reorder buffer (domain 2 in the GALS machine).
+ * The reorder buffer (domain 2 in the GALS machine): a fixed ring of
+ * capacity() slots. Sequence numbers ascend from head to tail, and a
+ * parallel ring of them lets markCompleted() find an instruction
+ * without touching the others.
  */
 class Rob
 {
   public:
     explicit Rob(unsigned capacity);
 
-    bool full() const { return q_.size() >= capacity_; }
-    bool empty() const { return q_.empty(); }
-    unsigned size() const { return static_cast<unsigned>(q_.size()); }
+    bool full() const { return size_ >= capacity_; }
+    bool empty() const { return size_ == 0; }
+    unsigned size() const { return size_; }
     unsigned capacity() const { return capacity_; }
 
     /** Insert at the tail (program order). */
@@ -43,15 +46,41 @@ class Rob
 
     /**
      * Remove every instruction younger than @p afterSeq, youngest
-     * first, invoking @p onSquash for each (used to release rename
-     * registers). @return number squashed.
+     * first, invoking @p onSquash(DynInst &) for each (used to release
+     * rename registers). @return number squashed.
      */
-    unsigned squashAfter(InstSeqNum afterSeq,
-                         const std::function<void(DynInst &)> &onSquash);
+    template <typename OnSquash>
+    unsigned
+    squashAfter(InstSeqNum afterSeq, OnSquash &&onSquash)
+    {
+        unsigned n = 0;
+        while (size_ > 0) {
+            const unsigned tail = slot(size_ - 1);
+            if (seqs_[tail] <= afterSeq)
+                break;
+            const DynInstPtr inst = std::move(insts_[tail]);
+            --size_;
+            inst->squashed = true;
+            onSquash(*inst);
+            ++n;
+        }
+        return n;
+    }
 
   private:
+    /** Ring index of the @p k-th oldest instruction, k < capacity_. */
+    unsigned
+    slot(unsigned k) const
+    {
+        const unsigned i = head_ + k;
+        return i < capacity_ ? i : i - capacity_;
+    }
+
     unsigned capacity_;
-    std::deque<DynInstPtr> q_;
+    std::unique_ptr<DynInstPtr[]> insts_;
+    std::unique_ptr<InstSeqNum[]> seqs_;
+    unsigned head_ = 0;
+    unsigned size_ = 0;
 };
 
 } // namespace gals

@@ -6,6 +6,8 @@
 #ifndef CPU_STAGE_UTIL_HH
 #define CPU_STAGE_UTIL_HH
 
+#include <utility>
+
 #include "core/channel.hh"
 #include "isa/dyn_inst.hh"
 
@@ -21,7 +23,7 @@ inline DynInstPtr
 popInst(Channel<DynInstPtr> &ch, Tick now)
 {
     const Tick push_tick = ch.frontPushTick();
-    DynInstPtr inst = ch.front();
+    DynInstPtr inst = std::move(ch.front());
     ch.pop();
     if (ch.isAsync()) {
         inst->fifoResidency += now - push_tick;

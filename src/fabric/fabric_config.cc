@@ -120,6 +120,8 @@ FabricConfig::validate() const
 {
     if (cores == 0)
         return "fabric: cores must be >= 1";
+    if (cores > maxCores)
+        return "fabric: cores must be <= " + std::to_string(maxCores);
     if (!active())
         return "";
     if (linkFifoCapacity < 2)

@@ -68,7 +68,11 @@ std::string checkTrafficSpec(const std::string &spec);
  */
 struct FabricConfig
 {
-    /** Number of cores; > 1 engages fabric::runSystem(). */
+    /** Largest supported fabric: uniform traffic alone builds
+     *  cores * (cores - 1) flows, and every core is a Processor. */
+    static constexpr unsigned maxCores = 1024;
+
+    /** Number of cores (1..maxCores); > 1 engages fabric::runSystem(). */
     unsigned cores = 1;
 
     TopologyKind topology = TopologyKind::ring;

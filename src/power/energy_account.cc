@@ -24,7 +24,28 @@ clockUnitOf(DomainId d)
     }
 }
 
-EnergyAccount::EnergyAccount(const PowerModel &model) : model_(model) {}
+EnergyAccount::EnergyAccount(const PowerModel &model) : model_(model)
+{
+    const double idle = model_.tech().idleFraction;
+    unsigned n = 0;
+    for (unsigned d = 0; d < numDomains; ++d) {
+        const auto id = static_cast<DomainId>(d);
+        domainBegin_[d] = static_cast<std::uint8_t>(n);
+        for (unsigned i = 0; i < numUnits; ++i) {
+            const Unit u = static_cast<Unit>(i);
+            if (isClockUnit(u) || u == Unit::fifo || u == Unit::resultBus)
+                continue; // charged per event, not per cycle
+            if (unitDomain(u) != id)
+                continue;
+            const double ea = model_.accessEnergyNj(u);
+            gated_[n++] = {static_cast<std::uint8_t>(i), ea, idle * ea};
+        }
+        const Unit clk = clockUnitOf(id);
+        clockUnit_[d] = static_cast<std::uint8_t>(clk);
+        clockNj_[d] = model_.accessEnergyNj(clk);
+    }
+    domainBegin_[numDomains] = static_cast<std::uint8_t>(n);
+}
 
 void
 EnergyAccount::chargeImmediate(Unit u, std::uint64_t n, double vdd)
@@ -44,27 +65,23 @@ EnergyAccount::chargeEnergyNj(Unit u, double nj, double vdd)
 void
 EnergyAccount::domainCycle(DomainId d, double vdd)
 {
+    const unsigned di = domainIndex(d);
+    gals_assert(di < numDomains, "bad domain id");
     const double scale = model_.tech().energyScale(vdd);
-    const double idle = model_.tech().idleFraction;
 
-    for (unsigned i = 0; i < numUnits; ++i) {
-        const Unit u = static_cast<Unit>(i);
-        if (isClockUnit(u) || u == Unit::fifo || u == Unit::resultBus)
-            continue; // charged per event, not per cycle
-        if (unitDomain(u) != d)
-            continue;
-        const double ea = model_.accessEnergyNj(u);
-        if (cycleAccesses_[i] > 0) {
-            energyNj_[i] += cycleAccesses_[i] * ea * scale;
-            cycleAccesses_[i] = 0;
+    // Same operand order as the per-unit formula (n * ea * scale and
+    // (idle * ea) * scale), so every accumulated sum is bit-exact.
+    for (unsigned k = domainBegin_[di]; k < domainBegin_[di + 1]; ++k) {
+        const GatedUnit &g = gated_[k];
+        std::uint64_t &n = cycleAccesses_[g.unit];
+        if (n > 0) {
+            energyNj_[g.unit] += n * g.accessNj * scale;
+            n = 0;
         } else {
-            energyNj_[i] += idle * ea * scale;
+            energyNj_[g.unit] += g.idleNj * scale;
         }
     }
-
-    const Unit clk = clockUnitOf(d);
-    energyNj_[static_cast<unsigned>(clk)] +=
-        model_.accessEnergyNj(clk) * scale;
+    energyNj_[clockUnit_[di]] += clockNj_[di] * scale;
 }
 
 void

@@ -76,9 +76,26 @@ class EnergyAccount
     void reset();
 
   private:
+    /** One per-cycle gated unit: charged n * accessNj when accessed
+     *  this cycle, idleNj (idleFraction * accessNj) otherwise. */
+    struct GatedUnit
+    {
+        std::uint8_t unit;
+        double accessNj;
+        double idleNj;
+    };
+
     const PowerModel &model_;
     std::array<std::uint64_t, numUnits> cycleAccesses_{};
     std::array<double, numUnits> energyNj_{};
+
+    /** The close-out tables, built once from unitDomain(): the gated
+     *  units of domain d are gated_[domainBegin_[d] .. domainBegin_[d+1])
+     *  in ascending unit order, and its clock grid is clockUnit_[d]. */
+    std::array<GatedUnit, numUnits> gated_{};
+    std::array<std::uint8_t, numDomains + 1> domainBegin_{};
+    std::array<std::uint8_t, numDomains> clockUnit_{};
+    std::array<double, numDomains> clockNj_{};
 };
 
 /** The clock-grid unit of a domain. */

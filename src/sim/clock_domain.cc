@@ -123,26 +123,6 @@ ClockDomain::setPhase(Tick phase)
     phase_ = phase;
 }
 
-Tick
-ClockDomain::nextEdgeAt(Tick t) const
-{
-    // Reference edge: the next one committed to the queue if running,
-    // otherwise extrapolate from the phase.
-    Tick ref;
-    if (edgeEvent_.scheduled())
-        ref = edgeEvent_.when();
-    else if (seenEdge_)
-        ref = lastEdge_ + period_;
-    else
-        ref = phase_;
-
-    if (t <= ref)
-        return ref;
-    const Tick delta = t - ref;
-    const Tick steps = (delta + period_ - 1) / period_;
-    return ref + steps * period_;
-}
-
 void
 ClockDomain::edge()
 {

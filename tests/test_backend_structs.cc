@@ -1,10 +1,14 @@
 /**
  * @file
- * Tests for the backend structures: ROB ordering and squash, issue
- * queue wakeup/selection, LSQ forwarding and the functional unit pool.
+ * Tests for the backend structures: ROB ordering, ring wrap and
+ * squash, issue queue readiness/selection, LSQ forwarding and the
+ * functional unit pool.
  */
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <vector>
 
 #include "cpu/fu_pool.hh"
 #include "cpu/issue_queue.hh"
@@ -92,6 +96,87 @@ TEST(Rob, SquashSetsFlag)
     EXPECT_TRUE(di->squashed);
 }
 
+TEST(Rob, InsertAndPopAcrossRingWrap)
+{
+    // Capacity 4, 3 resident: every round trip wraps the ring.
+    Rob rob(4);
+    InstSeqNum next = 1, oldest = 1;
+    for (int i = 0; i < 3; ++i)
+        rob.insert(makeInst(next++));
+    for (int round = 0; round < 10; ++round) {
+        rob.insert(makeInst(next++));
+        EXPECT_TRUE(rob.full());
+        EXPECT_EQ(rob.head()->seq, oldest);
+        rob.popHead();
+        ++oldest;
+        EXPECT_EQ(rob.size(), 3u);
+    }
+    while (!rob.empty()) {
+        EXPECT_EQ(rob.head()->seq, oldest++);
+        rob.popHead();
+    }
+    EXPECT_EQ(oldest, next);
+}
+
+TEST(Rob, MarkCompletedWithGapsAndUnknownSeqs)
+{
+    // Squashed instructions leave gaps in the resident sequence
+    // numbers; the window also starts mid-ring.
+    Rob rob(8);
+    for (InstSeqNum s = 1; s <= 5; ++s)
+        rob.insert(makeInst(s));
+    for (int i = 0; i < 5; ++i)
+        rob.popHead();
+    const InstSeqNum seqs[] = {10, 12, 13, 20, 31, 32, 40};
+    std::vector<DynInstPtr> insts;
+    for (const InstSeqNum s : seqs) {
+        insts.push_back(makeInst(s));
+        rob.insert(insts.back());
+    }
+    for (const InstSeqNum s : {9u, 11u, 14u, 30u, 41u, 0u})
+        EXPECT_FALSE(rob.markCompleted(s)) << s;
+    for (const DynInstPtr &d : insts)
+        EXPECT_FALSE(d->completed);
+    for (std::size_t i = insts.size(); i-- > 0;) {
+        EXPECT_TRUE(rob.markCompleted(seqs[i]));
+        for (std::size_t j = 0; j < insts.size(); ++j)
+            EXPECT_EQ(insts[j]->completed, j >= i) << i << "/" << j;
+    }
+}
+
+TEST(Rob, MarkCompletedAfterSquashAcrossWrap)
+{
+    Rob rob(4);
+    for (InstSeqNum s = 1; s <= 3; ++s)
+        rob.insert(makeInst(s));
+    rob.popHead();
+    rob.popHead();
+    // Head at slot 2: seqs 3..6 occupy slots 2, 3, 0, 1.
+    auto d4 = makeInst(4), d5 = makeInst(5), d6 = makeInst(6);
+    rob.insert(d4);
+    rob.insert(d5);
+    rob.insert(d6);
+    std::vector<InstSeqNum> squashed;
+    EXPECT_EQ(rob.squashAfter(3, [&squashed](DynInst &d) {
+        squashed.push_back(d.seq);
+    }),
+              3u);
+    EXPECT_EQ(squashed, (std::vector<InstSeqNum>{6, 5, 4}));
+    EXPECT_TRUE(d5->squashed);
+    EXPECT_FALSE(rob.markCompleted(5)); // squashed: gone
+    EXPECT_EQ(rob.size(), 1u);
+    // Refill past the wrap after the squash.
+    auto d7 = makeInst(7), d9 = makeInst(9);
+    rob.insert(d7);
+    rob.insert(d9);
+    EXPECT_FALSE(rob.markCompleted(8));
+    EXPECT_TRUE(rob.markCompleted(9));
+    EXPECT_TRUE(d9->completed);
+    EXPECT_FALSE(d7->completed);
+    EXPECT_TRUE(rob.markCompleted(3));
+    EXPECT_TRUE(rob.head()->completed);
+}
+
 // --------------------------------------------------------- Issue queue
 
 TEST(IssueQueue, ReadyAtInsertIssuesImmediately)
@@ -115,8 +200,11 @@ TEST(IssueQueue, WaitsForWakeup)
     EXPECT_TRUE(iq.selectIssue(4, [](const DynInst &) {
                       return true;
                   }).empty());
+    sb.observe(3, 4); // older epoch: still waiting
+    EXPECT_TRUE(iq.selectIssue(4, [](const DynInst &) {
+                      return true;
+                  }).empty());
     sb.observe(3, 5);
-    iq.wakeup(3, 5);
     EXPECT_EQ(iq.selectIssue(4, [](const DynInst &) {
                     return true;
                 }).size(),
@@ -128,10 +216,50 @@ TEST(IssueQueue, StaleWakeupIgnored)
     Scoreboard sb(16);
     IssueQueue iq("iq", 4, sb);
     iq.insert(makeDep(1, 3, 5));
-    iq.wakeup(3, 4); // older epoch: not enough
+    sb.observe(3, 4); // older epoch: not enough
+    sb.observe(4, 5); // right epoch, other register
     EXPECT_TRUE(iq.selectIssue(4, [](const DynInst &) {
                       return true;
                   }).empty());
+}
+
+TEST(IssueQueue, EveryOperandMustBeReady)
+{
+    Scoreboard sb(16);
+    IssueQueue iq("iq", 4, sb);
+    auto di = makeInst(1);
+    di->numSrcs = 3;
+    for (unsigned i = 0; i < 3; ++i) {
+        di->physSrcs[i] = static_cast<PhysRegId>(i + 1);
+        di->srcEpochs[i] = 2;
+    }
+    iq.insert(di);
+    const auto any = [](const DynInst &) { return true; };
+    sb.observe(3, 2);
+    sb.observe(1, 2);
+    EXPECT_TRUE(iq.selectIssue(4, any).empty());
+    sb.observe(2, 1); // stale epoch of the last operand
+    EXPECT_TRUE(iq.selectIssue(4, any).empty());
+    sb.observe(2, 7); // a later epoch covers the awaited one
+    ASSERT_EQ(iq.selectIssue(4, any).size(), 1u);
+    EXPECT_TRUE(iq.empty());
+}
+
+TEST(IssueQueue, SelectAcceptsStdFunction)
+{
+    Scoreboard sb(16);
+    IssueQueue iq("iq", 4, sb);
+    iq.insert(makeInst(1));
+    iq.insert(makeInst(2));
+    const std::function<bool(const DynInst &)> fu =
+        [](const DynInst &) { return true; };
+    std::vector<InstSeqNum> seqs;
+    for (const DynInstPtr &d : iq.selectIssue(1, fu))
+        seqs.push_back(d->seq);
+    for (const DynInstPtr &d : iq.selectIssue(1, fu))
+        seqs.push_back(d->seq);
+    EXPECT_EQ(seqs, (std::vector<InstSeqNum>{1, 2}));
+    EXPECT_TRUE(iq.selectIssue(1, fu).empty());
 }
 
 TEST(IssueQueue, OldestFirstSelection)

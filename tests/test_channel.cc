@@ -6,11 +6,13 @@
  * slot reuse), asynchronous-FIFO semantics (empty-flag synchronizer
  * latency, delayed full-flag slot release, steady-state streaming
  * throughput), ordering/no-loss properties under parameterized period
- * ratios, and squash behaviour.
+ * ratios, squash behaviour, and the pending-free list (bounded on a
+ * stream that never drains, exact when the producer speeds up).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <tuple>
 
@@ -450,4 +452,70 @@ TEST(SyncChannel, PropertySweepSameClock)
     EXPECT_TRUE(ok);
     EXPECT_EQ(next_push, 500u);
     EXPECT_EQ(expect_pop, 500u);
+}
+
+/** A stream that never drains: the producer outruns the consumer, and
+ *  the consumer pops every one of its (faster) edges, so slot releases
+ *  are always in flight when the next push prunes the observed ones.
+ *  The observed prefix of the pending-free list must still be
+ *  compacted, keeping its footprint bounded over a long run. */
+TEST(AsyncChannel, PendingFreeListStaysBoundedWhenNeverDrained)
+{
+    EventQueue eq;
+    ClockDomain prod(eq, "p", 1000);
+    ClockDomain cons(eq, "c", 500, 211);
+    Channel<std::uint64_t> ch("ch", ChannelMode::asyncFifo, prod, cons,
+                              64, 2);
+    std::uint64_t next_push = 0, popped = 0;
+    std::size_t max_footprint = 0;
+    bool drained = false;
+    prod.addTicker([&] {
+        for (int k = 0; k < 4 && ch.canPush(); ++k)
+            ch.push(next_push++);
+        max_footprint = std::max(max_footprint, ch.pendingFreeFootprint());
+    });
+    cons.addTicker([&] {
+        if (ch.empty()) {
+            drained = drained || popped > 0;
+            return;
+        }
+        ch.pop();
+        ++popped;
+        max_footprint = std::max(max_footprint, ch.pendingFreeFootprint());
+    });
+    prod.start();
+    cons.start();
+    eq.runUntil(1000 * 100000);
+    EXPECT_FALSE(drained);
+    EXPECT_GT(popped, 50000u);
+    EXPECT_LE(max_footprint, 32u);
+}
+
+/** A producer that speeds up (DVFS) can observe a later pop's slot
+ *  release before an earlier one; full() must count exactly the
+ *  releases it has not observed yet. */
+TEST(AsyncChannel, FullFlagWhenProducerPeriodShrinks)
+{
+    Harness h(1000, 1000, 500);
+    Channel<int> ch("ch", ChannelMode::asyncFifo, h.prod, h.cons, 2, 2);
+    h.prod.start();
+    h.cons.start();
+    h.eq.runUntil(0);
+    ch.push(1);
+    ch.push(2);
+    h.eq.runUntil(1500); // both visible at the second consumer edge
+    ASSERT_FALSE(ch.empty());
+    ch.pop(); // released at producer edge 2000 + one period: 3000
+    h.prod.setPeriod(250);
+    ch.pop(); // edge 2000 is committed; + one new period: 2250
+    h.eq.runUntil(2249);
+    EXPECT_TRUE(ch.full());
+    h.eq.runUntil(2250);
+    EXPECT_FALSE(ch.full());
+    ch.push(3);
+    EXPECT_TRUE(ch.full()); // one occupant + the release due at 3000
+    h.eq.runUntil(2999);
+    EXPECT_TRUE(ch.full());
+    h.eq.runUntil(3000);
+    EXPECT_FALSE(ch.full());
 }

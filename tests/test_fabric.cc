@@ -150,6 +150,15 @@ TEST(FabricConfig, Validate)
     fab.traffic = "uniform";
     fab.linkFifoCapacity = 1;
     EXPECT_NE(fab.validate(), "");
+    fab.linkFifoCapacity = 16;
+    fab.traffic = "permutation";
+    fab.cores = FabricConfig::maxCores;
+    EXPECT_EQ(fab.validate(), "");
+    // Above the cap even uniform traffic is refused before its
+    // cores^2 flows are built.
+    fab.traffic = "uniform";
+    fab.cores = 1000000;
+    EXPECT_NE(fab.validate(), "");
 }
 
 TEST(System, SingleCoreIdentity)

@@ -26,6 +26,7 @@
 #include <fcntl.h>
 #include <sys/file.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "bench/register_all.hh"
@@ -878,6 +879,36 @@ TEST_F(DispatchIntegration, ConcurrentDispatchIsLockedOut)
               std::string::npos)
         << diag.str();
     ::close(fd);
+}
+
+/** Flag combinations that cannot do what a manifest would claim are
+ *  usage errors (exit 2) on both the sweep and the dispatch parser:
+ *  a warmup split on a fabric sweep, a fabric beyond the core cap, and
+ *  an interval meter finer than the nominal clock period. */
+TEST(CliUsage, UnsupportedSweepsExitTwoOnBothParsers)
+{
+    const std::string bin = galsbenchBinary();
+    if (bin.empty())
+        GTEST_SKIP() << "galsbench binary not found (set GALSBENCH)";
+    const std::string out = tempPath("cli_usage.jsonl");
+    const std::vector<std::string> cases = {
+        "--scenario fabric_smoke --insts 5000 --warmup-insts 1000",
+        "--scenario fabric_smoke --cores 1000000",
+        "--scenario fabric_smoke --cores 2,1025",
+        "--scenario fig05 --insts 3000 --interval-ticks 1",
+        "--scenario fig05 --insts 3000 --interval-ticks 999",
+    };
+    for (const std::string &args : cases) {
+        for (const char *prefix : {"", "dispatch "}) {
+            const std::string cmd = bin + " " + prefix + args +
+                                    " --output " + out +
+                                    " > /dev/null 2>&1";
+            const int status = std::system(cmd.c_str());
+            ASSERT_TRUE(WIFEXITED(status)) << cmd;
+            EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+        }
+    }
+    EXPECT_FALSE(fs::exists(out));
 }
 
 } // namespace

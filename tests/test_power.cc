@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <cstring>
+
 #include "cpu/core_config.hh"
 #include "power/array_model.hh"
 #include "power/bus_model.hh"
@@ -30,6 +34,38 @@ makeModel()
     CoreConfig core;
     return PowerModel(core, tech, defaultClockHierarchy());
 }
+
+/** The per-unit close-out walk domainCycle() replaced: every unit,
+ *  classified on the fly. Kept as the bit-exactness reference. */
+struct ReferenceAccount
+{
+    const PowerModel &model;
+    std::array<std::uint64_t, numUnits> accesses{};
+    std::array<double, numUnits> energy{};
+
+    void
+    domainCycle(DomainId d, double vdd)
+    {
+        const double scale = model.tech().energyScale(vdd);
+        const double idle = model.tech().idleFraction;
+        for (unsigned i = 0; i < numUnits; ++i) {
+            const Unit u = static_cast<Unit>(i);
+            if (isClockUnit(u) || u == Unit::fifo ||
+                u == Unit::resultBus || unitDomain(u) != d)
+                continue;
+            const double ea = model.accessEnergyNj(u);
+            if (accesses[i] > 0) {
+                energy[i] += accesses[i] * ea * scale;
+                accesses[i] = 0;
+            } else {
+                energy[i] += idle * ea * scale;
+            }
+        }
+        const Unit clk = clockUnitOf(d);
+        energy[static_cast<unsigned>(clk)] +=
+            model.accessEnergyNj(clk) * scale;
+    }
+};
 
 } // namespace
 
@@ -241,4 +277,41 @@ TEST(EnergyAccount, ImmediateChargesBypassGating)
     ea.chargeImmediate(Unit::fifo, 10, tech.vddNominal);
     EXPECT_NEAR(ea.unitEnergyNj(Unit::fifo),
                 10 * pm.accessEnergyNj(Unit::fifo), 1e-9);
+}
+
+TEST(EnergyAccount, DomainCycleBitExactAgainstPerUnitWalk)
+{
+    const PowerModel pm = makeModel();
+    EnergyAccount ea(pm);
+    ReferenceAccount ref{pm};
+    std::uint64_t lcg = 12345;
+    for (int cycle = 0; cycle < 200; ++cycle) {
+        for (unsigned d = 0; d < numDomains; ++d) {
+            for (const double vdd : {1.5, 1.2, 0.9}) {
+                // A pseudo-random mix of the domain's units: about half
+                // active with 1..63 accesses, the rest idle this cycle.
+                const auto id = static_cast<DomainId>(d);
+                for (unsigned i = 0; i < numUnits; ++i) {
+                    lcg = lcg * 6364136223846793005ull +
+                          1442695040888963407ull;
+                    const unsigned n =
+                        (lcg >> 33) % 2 ? (lcg >> 40) % 63 + 1 : 0;
+                    if (n == 0 || unitDomain(static_cast<Unit>(i)) != id)
+                        continue;
+                    ea.chargeAccess(static_cast<Unit>(i), n);
+                    ref.accesses[i] += n;
+                }
+                ea.domainCycle(id, vdd);
+                ref.domainCycle(id, vdd);
+                for (unsigned i = 0; i < numUnits; ++i) {
+                    const Unit u = static_cast<Unit>(i);
+                    const double got = ea.unitEnergyNj(u);
+                    ASSERT_EQ(std::memcmp(&got, &ref.energy[i], sizeof got),
+                              0)
+                        << unitName(u) << " domain " << d << " vdd " << vdd
+                        << " cycle " << cycle;
+                }
+            }
+        }
+    }
 }
