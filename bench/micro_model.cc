@@ -2,22 +2,30 @@
  * @file
  * Pipeline-model microbenchmarks (google-benchmark), linked into
  * galsmicro beside the engine micros: the per-edge energy close-out,
- * issue-queue insert + select driven by scoreboard wakeups, and ROB
- * churn across its ring wrap. They isolate the layers the benchmark's
- * power.share, cpu.iq_share and cpu.rob_share metrics attribute host
- * time to, so a change to one of them shows up here on its own.
+ * issue-queue insert + select driven by scoreboard wakeups, ROB churn
+ * across its ring wrap, rename with commit-time frees, D-side cache
+ * accesses, the workload generator, and one instruction's lifetime
+ * from allocation to retirement. They isolate the layers the
+ * benchmark's power, cpu, cache, workload and isa shares attribute
+ * host time to, so a change to one of them shows up here on its own.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "cache/hierarchy.hh"
+#include "core/channel.hh"
 #include "cpu/core_config.hh"
 #include "cpu/issue_queue.hh"
+#include "cpu/rename.hh"
 #include "cpu/rob.hh"
 #include "cpu/scoreboard.hh"
+#include "isa/dyn_inst_pool.hh"
 #include "power/energy_account.hh"
 #include "power/power_model.hh"
+#include "workload/generator.hh"
+#include "workload/profile.hh"
 
 using namespace gals;
 
@@ -145,5 +153,138 @@ BM_RobChurn(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(retired));
 }
 BENCHMARK(BM_RobChurn);
+
+/** The first @p n instructions of gcc's correct-path stream. */
+std::vector<GenInst>
+gccStream(std::size_t n)
+{
+    StreamGenerator gen(findBenchmark("gcc"), 1);
+    std::vector<GenInst> out;
+    out.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+        out.push_back(gen.next());
+    return out;
+}
+
+/**
+ * Rename in program order with a ROB-sized window: the oldest
+ * instruction commits, freeing its previous mapping, whenever the
+ * window or a free list runs out. Instructions come from gcc's stream
+ * and are recycled round a buffer much larger than the window.
+ */
+void
+BM_RenameChurn(benchmark::State &state)
+{
+    const CoreConfig core;
+    RenameUnit rename(core.numIntPhysRegs, core.numFpPhysRegs);
+    std::vector<DynInst> insts(4096);
+    const std::vector<GenInst> stream = gccStream(insts.size());
+    for (std::size_t i = 0; i < insts.size(); ++i) {
+        DynInst &d = insts[i];
+        d.cls = stream[i].cls;
+        d.numSrcs = stream[i].numSrcs;
+        for (unsigned k = 0; k < d.numSrcs; ++k)
+            d.srcs[k] = stream[i].srcs[k];
+        d.dest = stream[i].dest;
+    }
+    std::uint64_t head = 0, tail = 0;
+    for (auto _ : state) {
+        DynInst &d = insts[tail % insts.size()];
+        while (tail - head >= core.robSize || !rename.canRename(d))
+            rename.commitFree(insts[head++ % insts.size()]);
+        rename.rename(d);
+        benchmark::DoNotOptimize(d.physDest);
+        ++tail;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(tail));
+}
+BENCHMARK(BM_RenameChurn);
+
+/** D-side accesses (L1D, then L2 on a miss) at the addresses of
+ *  gcc's loads and stores, replayed round robin. */
+void
+BM_CacheAccess(benchmark::State &state)
+{
+    CacheHierarchy hier{HierarchyConfig()};
+    std::vector<std::pair<std::uint64_t, bool>> accesses;
+    for (const GenInst &g : gccStream(200000))
+        if (isMemClass(g.cls))
+            accesses.emplace_back(g.memAddr, g.cls == InstClass::store);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const auto &[addr, write] = accesses[i];
+        benchmark::DoNotOptimize(hier.dataAccess(addr, write));
+        i = i + 1 < accesses.size() ? i + 1 : 0;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheAccess);
+
+/** StreamGenerator::next on gcc: one correct-path instruction. */
+void
+BM_StreamNext(benchmark::State &state)
+{
+    StreamGenerator gen(findBenchmark("gcc"), 1);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(gen.next().pc);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StreamNext);
+
+/**
+ * One instruction's lifetime as the pipeline lives it: made, pushed
+ * through a latch channel, inserted into the ROB, and retired 64
+ * instructions later. Each iteration is one clock edge moving four
+ * instructions. Arg 0 allocates with std::make_shared, arg 1 from a
+ * DynInstPool, so the difference is the allocation cost alone.
+ */
+void
+BM_DynInstLifetime(benchmark::State &state)
+{
+    const bool pooled = state.range(0) != 0;
+    constexpr unsigned width = 4;
+    constexpr std::size_t window = 64;
+    DynInstPool pool;
+    EventQueue eq("micro.lifetime");
+    ClockDomain clk(eq, "micro.clk", 1000);
+    Channel<DynInstPtr> ch("micro.ch", ChannelMode::syncLatch, clk, clk,
+                           2 * width);
+    Rob rob(2 * window);
+    InstSeqNum next = 1;
+    std::uint64_t retired = 0;
+
+    // Consumer first, as the pipeline ticks consumers before producers.
+    clk.addTicker(
+        [&] {
+            while (!ch.empty()) {
+                rob.insert(ch.front());
+                ch.pop();
+            }
+            while (rob.size() > window) {
+                rob.popHead();
+                ++retired;
+            }
+        },
+        10);
+    clk.addTicker(
+        [&] {
+            for (unsigned n = 0; n < width && ch.canPush(); ++n) {
+                DynInstPtr inst =
+                    pooled ? pool.make() : std::make_shared<DynInst>();
+                inst->seq = next++;
+                ch.push(std::move(inst));
+            }
+        },
+        20);
+    clk.start();
+    for (auto _ : state)
+        eq.serviceOne();
+    clk.stop();
+    ch.clear();
+    while (!rob.empty())
+        rob.popHead();
+    state.SetItemsProcessed(static_cast<std::int64_t>(retired));
+}
+BENCHMARK(BM_DynInstLifetime)->ArgName("pooled")->Arg(0)->Arg(1);
 
 } // namespace

@@ -187,17 +187,18 @@ class Channel : public ChannelBase
     /**
      * Producer-side full test at the current time: counts occupants
      * plus freed slots whose release has not yet synchronized back.
+     * Time only moves forward, so releases the producer has observed
+     * stay observed: each call advances freeHead_ past them, and the
+     * whole run pays O(1) amortised per release.
      */
     bool
     full() const
     {
         const Tick now = producer_.eventQueue().now();
-        const auto unobserved = std::upper_bound(
-            freeVisible_.begin() + static_cast<std::ptrdiff_t>(freeHead_),
-            freeVisible_.end(), now);
-        const auto unobserved_frees =
-            static_cast<std::size_t>(freeVisible_.end() - unobserved);
-        return size_ + unobserved_frees >= capacity_;
+        while (freeHead_ < freeVisible_.size() &&
+               freeVisible_[freeHead_] <= now)
+            ++freeHead_;
+        return size_ + pendingFrees() >= capacity_;
     }
 
     bool canPush() const { return !full(); }
@@ -231,7 +232,7 @@ class Channel : public ChannelBase
         n->readyTick = ready;
         queue_.pushBack(n);
         ++size_;
-        pruneFrees(now);
+        compactFrees();
     }
 
     /** Consumer-side empty test at the current time. */
@@ -360,13 +361,26 @@ class Channel : public ChannelBase
         return n;
     }
 
-    /** Insert a slot release at its sorted position: almost always
-     *  the back, but a producer whose period shrank (DVFS) can see a
-     *  later pop release earlier. */
+    /** Recorded releases not yet known to be observed. */
+    std::size_t
+    pendingFrees() const
+    {
+        return freeVisible_.size() - freeHead_;
+    }
+
+    /**
+     * Insert a slot release at its sorted position: almost always the
+     * back, but a producer whose period shrank (DVFS) can see a later
+     * pop release earlier. A release is always later than now, so it
+     * lands after every observed one and freeHead_ stays valid. A
+     * latch frees its slot at once (t == now) and records nothing.
+     */
     void
     recordFree(Tick t)
     {
-        if (freeVisible_.size() == freeHead_ || freeVisible_.back() <= t)
+        if (mode_ == ChannelMode::syncLatch)
+            return;
+        if (pendingFrees() == 0 || freeVisible_.back() <= t)
             freeVisible_.push_back(t);
         else
             freeVisible_.insert(
@@ -376,15 +390,12 @@ class Channel : public ChannelBase
                 t);
     }
 
-    /** Drop the releases the producer has observed by @p now; the
-     *  observed prefix is compacted once it outweighs the rest. */
+    /** Drop the observed prefix of the release list (push has just
+     *  advanced it through full()) once it outweighs the rest. */
     void
-    pruneFrees(Tick now)
+    compactFrees()
     {
-        while (freeHead_ < freeVisible_.size() &&
-               freeVisible_[freeHead_] <= now)
-            ++freeHead_;
-        if (freeHead_ == freeVisible_.size()) {
+        if (pendingFrees() == 0) {
             freeVisible_.clear();
             freeHead_ = 0;
         } else if (freeHead_ >= 16 && 2 * freeHead_ >= freeVisible_.size()) {
@@ -401,10 +412,10 @@ class Channel : public ChannelBase
     std::size_t size_ = 0;
 
     /** Pop-time slot releases, sorted; those before freeHead_ are
-     *  observed by the producer (pruned on push), the rest are not
-     *  yet. */
+     *  observed by the producer (advanced by full(), compacted on
+     *  push), the rest may not be yet. */
     std::vector<Tick> freeVisible_;
-    std::size_t freeHead_ = 0;
+    mutable std::size_t freeHead_ = 0;
 };
 
 } // namespace gals

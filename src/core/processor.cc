@@ -144,8 +144,8 @@ Processor::buildStages()
 
     fetch_ = std::make_unique<FetchStage>(
         cfg_.core, dom(DomainId::fetch), dom(DomainId::memd), gen_,
-        hier_, energy_, *fetchToDecode_, *redirect_, *bpredUpdate_,
-        cfg_.gals, cfg_.syncEdges);
+        hier_, energy_, instPool_, *fetchToDecode_, *redirect_,
+        *bpredUpdate_, cfg_.gals, cfg_.syncEdges);
     fetch_->onSquash([this](InstSeqNum seq) { squashFrom(seq); });
 
     decode_ = std::make_unique<DecodeCommitUnit>(
@@ -492,7 +492,11 @@ Processor::dumpStats(std::ostream &os)
                     : 0,
            "average power");
 
+    // Every group is declared before the scalars that register in it,
+    // so the scalars are destroyed (and unregister) first.
     StatGroup domains("domains", &top);
+    StatGroup energy_grp("energy", &top);
+    StatGroup fifos("channels", &top);
     std::vector<std::unique_ptr<Scalar>> owned;
     for (unsigned i = 0; i < numDomains; ++i) {
         const auto id = static_cast<DomainId>(i);
@@ -503,7 +507,6 @@ Processor::dumpStats(std::ostream &os)
         owned.push_back(std::move(s));
     }
 
-    StatGroup energy_grp("energy", &top);
     for (unsigned i = 0; i < numUnits; ++i) {
         const Unit u = static_cast<Unit>(i);
         auto s = std::make_unique<Scalar>(
@@ -512,7 +515,6 @@ Processor::dumpStats(std::ostream &os)
         owned.push_back(std::move(s));
     }
 
-    StatGroup fifos("channels", &top);
     for (const ChannelBase *ch : allChannels_) {
         auto s = std::make_unique<Scalar>(&fifos,
                                           ch->name() + ".pushes", "");

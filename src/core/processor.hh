@@ -32,6 +32,7 @@
 #include "cpu/decode.hh"
 #include "cpu/fetch.hh"
 #include "dvfs/vscale.hh"
+#include "isa/dyn_inst_pool.hh"
 #include "power/clock_grid.hh"
 #include "power/energy_account.hh"
 #include "power/power_model.hh"
@@ -158,6 +159,7 @@ class Processor
         return *domains_[domainIndex(d)];
     }
     const ProcessorConfig &config() const { return cfg_; }
+    const DynInstPool &instPool() const { return instPool_; }
     /// @}
 
     /** Total simulated time of the run, in ticks. */
@@ -203,6 +205,11 @@ class Processor
     EnergyAccount energy_;
 
     PerDomain<std::unique_ptr<ClockDomain>> domains_;
+
+    /** Storage of every in-flight instruction. Declared ahead of the
+     *  channels and stages, so it outlives every DynInstPtr they hold;
+     *  its destructor checks that all of them came back. */
+    DynInstPool instPool_;
 
     /** @name Channels */
     /// @{

@@ -280,10 +280,9 @@ ExecDomain::handleStoreCommits()
         const StoreCommitMsg m = storeCommitIn_->front();
         storeCommitIn_->pop();
         energy_.chargeAccess(Unit::dcache);
-        const MemAccessOutcome oc =
-            hier_->dataAccess(m.inst->memAddr, true);
+        const MemAccessOutcome oc = hier_->dataAccess(m.memAddr, true);
         energy_.chargeAccess(Unit::l2cache, oc.l2Accesses);
-        lsq_.removeStore(m.inst->seq);
+        lsq_.removeStore(m.seq);
     }
 }
 

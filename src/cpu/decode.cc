@@ -101,7 +101,7 @@ DecodeCommitUnit::doCommit(Tick now)
             ++cs.committedLoads;
         if (head->isStore()) {
             ++cs.committedStores;
-            storeCommitOut_.push(StoreCommitMsg{head});
+            storeCommitOut_.push(StoreCommitMsg{head->seq, head->memAddr});
         }
 
         rob_.popHead();

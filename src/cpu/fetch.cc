@@ -8,13 +8,13 @@ namespace gals
 FetchStage::FetchStage(const CoreConfig &cfg, ClockDomain &domain,
                        ClockDomain &memDomain, StreamGenerator &gen,
                        CacheHierarchy &hier, EnergyAccount &energy,
-                       Channel<DynInstPtr> &out,
+                       DynInstPool &pool, Channel<DynInstPtr> &out,
                        Channel<RedirectMsg> &redirectIn,
                        Channel<BpredUpdateMsg> &bpredUpdateIn,
                        bool galsMode, unsigned syncEdges)
     : cfg_(cfg), domain_(domain), memDomain_(memDomain), gen_(gen),
-      hier_(hier), energy_(energy), bpred_(cfg.bpred), out_(out),
-      redirectIn_(redirectIn), bpredUpdateIn_(bpredUpdateIn),
+      hier_(hier), energy_(energy), pool_(pool), bpred_(cfg.bpred),
+      out_(out), redirectIn_(redirectIn), bpredUpdateIn_(bpredUpdateIn),
       galsMode_(galsMode), syncEdges_(syncEdges)
 {
     // Stage logic runs at priority 10, ahead of the per-domain energy
@@ -25,7 +25,7 @@ FetchStage::FetchStage(const CoreConfig &cfg, ClockDomain &domain,
 DynInstPtr
 FetchStage::makeInst(const GenInst &gi, bool wrong_path)
 {
-    auto inst = std::make_shared<DynInst>();
+    DynInstPtr inst = pool_.make();
     inst->seq = nextSeq_++;
     inst->pc = gi.pc;
     inst->cls = gi.cls;

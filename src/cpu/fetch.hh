@@ -22,6 +22,7 @@
 #include "core/channel.hh"
 #include "cpu/core_config.hh"
 #include "cpu/messages.hh"
+#include "isa/dyn_inst_pool.hh"
 #include "power/energy_account.hh"
 #include "sim/clock_domain.hh"
 #include "workload/generator.hh"
@@ -39,7 +40,8 @@ class FetchStage : public ClockDomain::Ticker
     FetchStage(const CoreConfig &cfg, ClockDomain &domain,
                ClockDomain &memDomain, StreamGenerator &gen,
                CacheHierarchy &hier, EnergyAccount &energy,
-               Channel<DynInstPtr> &out, Channel<RedirectMsg> &redirectIn,
+               DynInstPool &pool, Channel<DynInstPtr> &out,
+               Channel<RedirectMsg> &redirectIn,
                Channel<BpredUpdateMsg> &bpredUpdateIn, bool galsMode,
                unsigned syncEdges);
 
@@ -108,6 +110,7 @@ class FetchStage : public ClockDomain::Ticker
     StreamGenerator &gen_;
     CacheHierarchy &hier_;
     EnergyAccount &energy_;
+    DynInstPool &pool_;
     BranchUnit bpred_;
 
     Channel<DynInstPtr> &out_;

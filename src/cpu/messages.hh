@@ -40,7 +40,8 @@ struct RedirectMsg
 /** A store committed: perform its D-cache write. */
 struct StoreCommitMsg
 {
-    DynInstPtr inst;
+    InstSeqNum seq = 0;
+    std::uint64_t memAddr = 0;
 };
 
 /** Commit-time branch predictor training. */

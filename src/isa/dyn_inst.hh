@@ -24,8 +24,13 @@ using InstSeqNum = std::uint64_t;
 /**
  * A dynamic instruction in flight.
  *
- * Owned via shared_ptr: the ROB, issue queues and channels all hold
- * references while the instruction traverses the machine.
+ * Shared through DynInstPtr. The pointer moves from stage to stage
+ * (fetch, the fetch and dispatch channels, the decode pipe, the issue
+ * queue, the completion heap); the ROB and, for memory operations, the
+ * LSQ hold a second reference from dispatch until commit or squash. A
+ * Processor allocates every instruction from its own DynInstPool
+ * (isa/dyn_inst_pool.hh), so the storage is recycled when the last
+ * reference drops.
  */
 class DynInst
 {

@@ -3,9 +3,10 @@
  * Clock domains for locally synchronous blocks.
  *
  * A ClockDomain is a periodic event source with a period, a phase
- * offset, and an ordered list of per-edge tickers. The base (fully
- * synchronous) processor binds all pipeline regions to one domain; the
- * GALS processor instantiates five, each with its own period and a
+ * offset, and an ordered list of per-edge tickers. Every processor has
+ * five domains, one per pipeline region. In the base (fully
+ * synchronous) processor they share one period and phase, so they act
+ * as a single clock; the GALS processor gives each its own period and a
  * random phase, exactly as in section 4.2 of the paper.
  *
  * The period may be changed at run time (the change takes effect after

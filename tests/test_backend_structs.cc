@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the backend structures: ROB ordering, ring wrap and
- * squash, issue queue readiness/selection, LSQ forwarding and the
- * functional unit pool.
+ * squash, issue queue readiness/selection, LSQ forwarding, the
+ * functional unit pool, and the recycled DynInst storage those
+ * structures hold.
  */
 
 #include <gtest/gtest.h>
@@ -10,11 +11,13 @@
 #include <functional>
 #include <vector>
 
+#include "core/channel.hh"
 #include "cpu/fu_pool.hh"
 #include "cpu/issue_queue.hh"
 #include "cpu/lsq.hh"
 #include "cpu/rob.hh"
 #include "cpu/scoreboard.hh"
+#include "isa/dyn_inst_pool.hh"
 
 using namespace gals;
 
@@ -444,4 +447,109 @@ TEST(Scoreboard, EpochSemantics)
     EXPECT_TRUE(sb.ready(3, 1));
     sb.observe(3, 0); // stale observe cannot regress
     EXPECT_TRUE(sb.ready(3, 1));
+}
+
+// ------------------------------------------------------ DynInst storage
+
+TEST(DynInstPool, FreedBlocksAreReused)
+{
+    DynInstPool pool;
+    DynInstPtr a = pool.make();
+    DynInstPtr b = pool.make();
+    EXPECT_EQ(pool.outstanding(), 2u);
+    const DynInst *freed = b.get();
+    b.reset();
+    EXPECT_EQ(pool.outstanding(), 1u);
+    // LIFO: the block just released is the next one handed out, and
+    // it comes back as a freshly constructed instruction.
+    a->seq = 7;
+    DynInstPtr c = pool.make();
+    EXPECT_EQ(c.get(), freed);
+    EXPECT_EQ(c->seq, 0u);
+    EXPECT_EQ(c.use_count(), 1);
+    EXPECT_EQ(pool.outstanding(), 2u);
+}
+
+TEST(DynInstPool, GrowsOnlyToThePeakInFlightCount)
+{
+    DynInstPool pool;
+    std::vector<DynInstPtr> live;
+    for (int round = 0; round < 50; ++round) {
+        for (int i = 0; i < 100; ++i)
+            live.push_back(pool.make());
+        live.clear();
+    }
+    EXPECT_EQ(pool.outstanding(), 0u);
+    EXPECT_GE(pool.blocks(), 100u);
+    EXPECT_LT(pool.blocks(), 200u); // one chunk of slack at most
+}
+
+/** galsperf and the tests feed std::make_shared instructions to the
+ *  same holders the pipeline feeds pooled ones; the two must mix, and
+ *  each must go back to its own allocator. */
+TEST(DynInstPool, PooledAndMakeSharedShareChannelAndRob)
+{
+    DynInstPool pool;
+    EventQueue eq;
+    ClockDomain prod(eq, "p", 1000);
+    ClockDomain cons(eq, "c", 1300, 211);
+    Channel<DynInstPtr> ch("ch", ChannelMode::asyncFifo, prod, cons, 8);
+    Rob rob(8);
+    prod.start();
+    cons.start();
+    eq.runUntil(0);
+
+    for (InstSeqNum s = 1; s <= 6; ++s) {
+        DynInstPtr inst = s % 2 ? pool.make() : std::make_shared<DynInst>();
+        inst->seq = s;
+        rob.insert(inst);
+        ch.push(std::move(inst));
+    }
+    EXPECT_EQ(pool.outstanding(), 3u);
+
+    eq.runUntil(20000);
+    for (InstSeqNum s = 1; s <= 4; ++s) {
+        ASSERT_FALSE(ch.empty());
+        EXPECT_EQ(ch.front()->seq, s);
+        ch.pop();
+    }
+    ch.squash([](const DynInstPtr &) { return true; });
+    EXPECT_EQ(pool.outstanding(), 3u); // the ROB still holds all six
+
+    for (InstSeqNum s = 1; s <= 6; ++s) {
+        EXPECT_EQ(rob.head()->seq, s);
+        rob.popHead();
+    }
+    EXPECT_EQ(pool.outstanding(), 0u);
+    prod.stop();
+    cons.stop();
+}
+
+#ifdef GALS_POOL_ASAN
+/** A released block is poisoned until it is handed out again, so an
+ *  access through a stale raw pointer is a sanitizer report. */
+TEST(DynInstPool, ReleasedBlocksArePoisoned)
+{
+    DynInstPool pool;
+    const DynInst *raw = nullptr;
+    {
+        DynInstPtr inst = pool.make();
+        raw = inst.get();
+        EXPECT_FALSE(__asan_address_is_poisoned(&raw->seq));
+    }
+    EXPECT_TRUE(__asan_address_is_poisoned(&raw->seq));
+    DynInstPtr again = pool.make();
+    EXPECT_FALSE(__asan_address_is_poisoned(&raw->seq));
+}
+#endif
+
+TEST(DynInstPool, TeardownWithAnInstructionAliveIsCaught)
+{
+    EXPECT_DEATH(
+        {
+            auto *kept = new DynInstPtr;
+            DynInstPool pool;
+            *kept = pool.make();
+        },
+        "still referenced");
 }

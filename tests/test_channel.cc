@@ -6,8 +6,10 @@
  * slot reuse), asynchronous-FIFO semantics (empty-flag synchronizer
  * latency, delayed full-flag slot release, steady-state streaming
  * throughput), ordering/no-loss properties under parameterized period
- * ratios, squash behaviour, and the pending-free list (bounded on a
- * stream that never drains, exact when the producer speeds up).
+ * ratios, squash behaviour, the pending-free list (bounded on a stream
+ * that never drains and on a roomy channel that never fills, exact
+ * when the producer speeds up), and a seeded brute-force oracle for
+ * the full flag.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <tuple>
 
 #include "core/channel.hh"
+#include "sim/random.hh"
 
 using namespace gals;
 
@@ -491,6 +494,33 @@ TEST(AsyncChannel, PendingFreeListStaysBoundedWhenNeverDrained)
     EXPECT_LE(max_footprint, 32u);
 }
 
+/** A roomy channel that never fills, like the wakeup and completion
+ *  FIFOs: the pending-free list must hold only the releases still in
+ *  flight, not grow toward the channel's capacity. */
+TEST(AsyncChannel, PendingFreeListBoundedByReleasesInFlight)
+{
+    EventQueue eq;
+    ClockDomain prod(eq, "p", 1000);
+    ClockDomain cons(eq, "c", 700, 211);
+    Channel<std::uint64_t> ch("ch", ChannelMode::asyncFifo, prod, cons,
+                              1024, 2, false);
+    std::uint64_t next_push = 0;
+    std::size_t max_footprint = 0;
+    prod.addTicker([&] {
+        ch.push(next_push++);
+        max_footprint = std::max(max_footprint, ch.pendingFreeFootprint());
+    });
+    cons.addTicker([&] {
+        while (!ch.empty())
+            ch.pop();
+    });
+    prod.start();
+    cons.start();
+    eq.runUntil(1000 * 20000);
+    EXPECT_GT(ch.pops(), 19000u);
+    EXPECT_LE(max_footprint, 32u);
+}
+
 /** A producer that speeds up (DVFS) can observe a later pop's slot
  *  release before an earlier one; full() must count exactly the
  *  releases it has not observed yet. */
@@ -519,3 +549,100 @@ TEST(AsyncChannel, FullFlagWhenProducerPeriodShrinks)
     h.eq.runUntil(3000);
     EXPECT_FALSE(ch.full());
 }
+
+/**
+ * Full-flag oracle. Seeded random push/pop/squash traffic between
+ * mismatched clocks. Right after some pops the producer's period
+ * shrinks or grows back (DVFS), so a later pop can release its slot
+ * before an earlier one. The test keeps every
+ * slot release time itself; at every step full() must equal the brute
+ * force: occupants plus releases later than now reach capacity.
+ */
+class ChannelFlagOracle
+    : public ::testing::TestWithParam<std::tuple<ChannelMode, std::uint64_t>>
+{
+};
+
+TEST_P(ChannelFlagOracle, FullMatchesBruteForceReleaseCount)
+{
+    const auto [mode, seed] = GetParam();
+    constexpr std::size_t cap = 6;
+    constexpr unsigned sync_edges = 2;
+    EventQueue eq;
+    ClockDomain prod(eq, "p", 1000);
+    ClockDomain cons(eq, "c", 1300, 211);
+    Channel<std::uint64_t> ch("ch", mode, prod, cons, cap, sync_edges);
+    Rng rng(seed);
+
+    std::vector<Tick> releases;
+    std::uint64_t next = 0, checks = 0, mismatches = 0, out_of_order = 0;
+    const auto release = [&] {
+        // A latch frees the slot at once; a FIFO's release crosses the
+        // full-flag synchronizer into the producer's clock.
+        const Tick now = eq.now();
+        const Tick t = mode == ChannelMode::syncLatch
+                           ? now
+                           : prod.nextEdgeAfter(now) +
+                                 (sync_edges - 1) * prod.period();
+        if (!releases.empty() && t < releases.back())
+            ++out_of_order;
+        releases.push_back(t);
+    };
+    const auto check = [&] {
+        const Tick now = eq.now();
+        const auto later = std::count_if(releases.begin(), releases.end(),
+                                         [now](Tick t) { return t > now; });
+        const bool expect =
+            ch.rawSize() + static_cast<std::size_t>(later) >= cap;
+        ++checks;
+        if (ch.full() != expect)
+            ++mismatches;
+    };
+
+    prod.addTicker([&] {
+        for (auto k = rng.range(0, 3); k > 0; --k) {
+            check();
+            if (!ch.full())
+                ch.push(next++);
+        }
+    });
+    cons.addTicker([&] {
+        check();
+        if (rng.chance(0.1)) {
+            const std::uint64_t parity = rng.range(0, 1);
+            for (auto n = ch.squash([parity](std::uint64_t v) {
+                     return v % 2 == parity;
+                 });
+                 n > 0; --n)
+                release();
+        } else {
+            for (auto k = rng.range(0, 2); k > 0 && !ch.empty(); --k) {
+                ch.pop();
+                release();
+                if (rng.chance(0.05))
+                    prod.setPeriod(prod.period() == 1000 ? 350 : 1000);
+            }
+        }
+        check();
+    });
+
+    prod.start();
+    cons.start();
+    eq.runUntil(800000);
+    prod.stop();
+    cons.stop();
+
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_GT(checks, 2000u);
+    EXPECT_GT(ch.pushes(), 500u);
+    EXPECT_GT(ch.squashedItems(), 0u);
+    if (mode == ChannelMode::asyncFifo) {
+        EXPECT_GT(out_of_order, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeededTraffic, ChannelFlagOracle,
+    ::testing::Combine(::testing::Values(ChannelMode::syncLatch,
+                                         ChannelMode::asyncFifo),
+                       ::testing::Values(1u, 7u, 104729u)));

@@ -3,7 +3,8 @@
  * Integration tests on the full processor: both configurations run to
  * completion, commit exactly the requested instruction count, maintain
  * machine invariants (no lost instructions, monotonic commit), are
- * deterministic, and expose sensible statistics.
+ * deterministic, expose sensible statistics, and can be torn down
+ * at any point of a run.
  */
 
 #include <gtest/gtest.h>
@@ -258,4 +259,75 @@ TEST(Processor, StatsDumpBasePrefix)
     EXPECT_NE(os.str().find("base.ipc"), std::string::npos);
     EXPECT_NE(os.str().find("base.energy.global_clock"),
               std::string::npos);
+}
+
+namespace
+{
+
+/** A machine started on a long run, advanced one event at a time. */
+struct PartialRun
+{
+    EventQueue eq;
+    std::unique_ptr<Processor> proc;
+
+    PartialRun(bool gals_mode, const std::string &bench)
+    {
+        ProcessorConfig cfg;
+        cfg.gals = gals_mode;
+        proc = std::make_unique<Processor>(eq, cfg, findBenchmark(bench));
+        proc->prepareRun(1000000);
+        Rng phase_rng(3);
+        proc->startClocks(phase_rng);
+    }
+
+    /** Instructions sit in every inspectable holder at once. */
+    bool
+    inFlightEverywhere()
+    {
+        Processor &p = *proc;
+        if (p.decodeUnit().rob().size() == 0 ||
+            p.memCluster().lsq()->size() == 0)
+            return false;
+        for (ExecDomain *e :
+             {&p.intCluster(), &p.fpCluster(), &p.memCluster()})
+            if (e->queue().size() == 0)
+                return false;
+        // The fetch and dispatch channels carry DynInstPtrs.
+        for (const ChannelBase *ch : p.channels())
+            if ((ch->name() == "ch.fetch2decode" ||
+                 ch->name().rfind("ch.disp2", 0) == 0) &&
+                ch->occupancy() == 0)
+                return false;
+        return true;
+    }
+};
+
+} // namespace
+
+/**
+ * The Processor owns the storage of its in-flight instructions, and
+ * the pool's destructor panics if any DynInstPtr outlives it. Tear
+ * machines down mid-run: once with instructions in the channels, the
+ * ROB, all three issue queues and the LSQ at the same time, then at a
+ * spread of points that also catch fetch's pending slot (an I-cache
+ * miss), the decode pipe and the completion heaps.
+ */
+TEST(Processor, TeardownMidRunReturnsEveryInstruction)
+{
+    for (const bool gals_mode : {false, true}) {
+        PartialRun r(gals_mode, "swim");
+        std::uint64_t events = 0;
+        while (!r.inFlightEverywhere() && events++ < 500000)
+            r.eq.serviceOne();
+        ASSERT_TRUE(r.inFlightEverywhere()) << "gals=" << gals_mode;
+        EXPECT_GT(r.proc->instPool().outstanding(), 10u);
+        r.proc.reset();
+
+        for (const std::uint64_t stop : {1u, 97u, 1009u, 4999u, 20011u}) {
+            PartialRun s(gals_mode, "gcc");
+            for (std::uint64_t i = 0; i < stop; ++i)
+                s.eq.serviceOne();
+            s.proc.reset();
+        }
+    }
 }
