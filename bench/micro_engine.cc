@@ -284,9 +284,9 @@ BM_AsyncFifoTraffic(benchmark::State &state)
 BENCHMARK(BM_AsyncFifoTraffic)->Arg(0)->Arg(1);
 
 /**
- * Channel squash churn: fill, squash half mid-list (the pipeline-
- * flush pattern), drain the survivors. Exercises the intrusive-list
- * O(1) unlink and the entry pool reuse.
+ * Channel squash churn: fill, squash every other item (the pipeline-
+ * flush pattern), drain the survivors. Exercises the ring's in-place
+ * compaction pass and slot reuse across its wrap point.
  */
 void
 BM_ChannelSquashChurn(benchmark::State &state)

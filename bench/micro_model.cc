@@ -4,10 +4,11 @@
  * galsmicro beside the engine micros: the per-edge energy close-out,
  * issue-queue insert + select driven by scoreboard wakeups, ROB churn
  * across its ring wrap, rename with commit-time frees, D-side cache
- * accesses, the workload generator, and one instruction's lifetime
- * from allocation to retirement. They isolate the layers the
- * benchmark's power, cpu, cache, workload and isa shares attribute
- * host time to, so a change to one of them shows up here on its own.
+ * accesses, the workload generator, one instruction's lifetime from
+ * allocation to retirement, and building a whole Processor. They
+ * isolate the layers the benchmark's power, cpu, cache, workload and
+ * isa shares and its construction time attribute host time to, so a
+ * change to one of them shows up here on its own.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,6 +17,7 @@
 
 #include "cache/hierarchy.hh"
 #include "core/channel.hh"
+#include "core/processor.hh"
 #include "cpu/core_config.hh"
 #include "cpu/issue_queue.hh"
 #include "cpu/rename.hh"
@@ -286,5 +288,26 @@ BM_DynInstLifetime(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(retired));
 }
 BENCHMARK(BM_DynInstLifetime)->ArgName("pooled")->Arg(0)->Arg(1);
+
+/**
+ * Machine construction, paid once per run before its first edge: a
+ * gcc Processor built and torn down per iteration, with its clock
+ * domains, channels, stages, caches, predictor tables and workload
+ * program. Arg 0 builds the base machine (latch channels), arg 1 the
+ * GALS one (asynchronous FIFOs).
+ */
+void
+BM_ProcessorConstruct(benchmark::State &state)
+{
+    ProcessorConfig cfg;
+    cfg.gals = state.range(0) != 0;
+    const BenchmarkProfile &profile = findBenchmark("gcc");
+    EventQueue eq("micro.construct");
+    for (auto _ : state) {
+        Processor proc(eq, cfg, profile);
+        benchmark::DoNotOptimize(&proc);
+    }
+}
+BENCHMARK(BM_ProcessorConstruct)->ArgName("gals")->Arg(0)->Arg(1);
 
 } // namespace

@@ -26,12 +26,14 @@
  * paper's Figure 7 (slip split into FIFO time vs pipeline time) can be
  * reproduced, and count pushes/pops for the FIFO power model.
  *
- * Storage is an intrusive doubly-linked list over a pool of
- * capacity() entry nodes preallocated at construction — a channel can
- * never hold more than capacity() items — so the push/pop/squash hot
- * path in the domain-crossing traffic performs no allocations:
- * push takes a node from the embedded free list, pop returns it, and
- * squash unlinks mid-list nodes in O(1) each.
+ * Storage is a ring buffer of slots sized by occupancy, not by
+ * capacity: it starts at min(capacity(), 16) slots and a push into a
+ * full ring doubles it, never past capacity(). Message FIFOs modelled
+ * 4096 deep hold a few dozen items at most, so a core's channels cost
+ * kilobytes instead of megabytes, and once a ring has reached its
+ * working size push/pop/squash allocate nothing: push constructs into
+ * the tail slot, pop destroys the head one, and squash is one stable
+ * in-place compaction pass.
  */
 
 #ifndef CORE_CHANNEL_HH
@@ -46,7 +48,6 @@
 
 #include "sim/clock_domain.hh"
 #include "sim/event_queue.hh"
-#include "sim/intrusive_list.hh"
 #include "sim/logging.hh"
 #include "sim/ticks.hh"
 
@@ -100,6 +101,11 @@ class ChannelBase
     Tick totalResidency() const { return totalResidency_; }
     /// @}
 
+    /** Item slots currently allocated: between min(capacity(), 16)
+     *  and capacity(), following the peak occupancy (exposed for
+     *  tests). */
+    virtual std::size_t storageSlots() const = 0;
+
     /** Items pushed but neither popped nor squashed yet — the
      *  instantaneous occupancy, derived from the activity counters
      *  (interval meter samples, warm-snapshot quiescence). */
@@ -147,6 +153,9 @@ class ChannelBase
     ChannelMode mode_;
     ClockDomain &producer_;
     ClockDomain &consumer_;
+    /** The one queue both domains run on: hot ops read the time here
+     *  rather than through either domain. */
+    EventQueue &eq_;
     std::size_t capacity_;
     unsigned syncEdges_;
     bool streaming_;
@@ -169,19 +178,15 @@ class Channel : public ChannelBase
             unsigned syncEdges = 2, bool streaming = true)
         : ChannelBase(std::move(name), mode, producer, consumer, capacity,
                       syncEdges, streaming),
-          pool_(std::make_unique<Node[]>(capacity))
+          slots_(std::min(capacity, initialSlots)),
+          ring_(std::make_unique<Slot[]>(slots_))
     {
-        // Thread every pool node onto the free list. full() bounds
-        // the occupancy at capacity_, so the pool can never run dry.
-        for (std::size_t i = 0; i < capacity; ++i)
-            free_.pushFront(&pool_[i]);
     }
 
     ~Channel() override
     {
-        for (Node *n = queue_.head(); n != nullptr;
-             n = NodeList::next(n))
-            n->destroyItem();
+        for (std::size_t i = 0; i < size_; ++i)
+            at(i).destroyItem();
     }
 
     /**
@@ -194,7 +199,7 @@ class Channel : public ChannelBase
     bool
     full() const
     {
-        const Tick now = producer_.eventQueue().now();
+        const Tick now = eq_.now();
         while (freeHead_ < freeVisible_.size() &&
                freeVisible_[freeHead_] <= now)
             ++freeHead_;
@@ -208,7 +213,7 @@ class Channel : public ChannelBase
     push(T item)
     {
         gals_assert(!full(), "push to full channel '", name_, "'");
-        const Tick now = producer_.eventQueue().now();
+        const Tick now = eq_.now();
         ++pushes_;
         // Steady-state streaming property of the token-ring FIFO
         // (paper section 3.2): the empty-flag synchronizer penalty is
@@ -217,20 +222,21 @@ class Channel : public ChannelBase
         // edge after the item ahead of it (one item per cycle
         // throughput), never earlier than the edge after its own push.
         Tick ready;
-        if (queue_.empty() || !streaming_) {
+        if (size_ == 0 || !streaming_) {
             ready = visibleAt(now);
-            if (queue_.tail() != nullptr)
-                ready = std::max(ready, queue_.tail()->readyTick);
+            if (size_ != 0)
+                ready = std::max(ready, at(size_ - 1).readyTick);
         } else {
-            ready = std::max(queue_.tail()->readyTick,
+            ready = std::max(at(size_ - 1).readyTick,
                              consumer_.nextEdgeAfter(now));
         }
 
-        Node *n = takeFree();
-        new (n->storage) T(std::move(item));
-        n->pushTick = now;
-        n->readyTick = ready;
-        queue_.pushBack(n);
+        if (size_ == slots_)
+            grow();
+        Slot &s = at(size_);
+        new (s.storage) T(std::move(item));
+        s.pushTick = now;
+        s.readyTick = ready;
         ++size_;
         compactFrees();
     }
@@ -239,11 +245,7 @@ class Channel : public ChannelBase
     bool
     empty() const
     {
-        const Node *h = queue_.head();
-        if (h == nullptr)
-            return true;
-        const Tick now = consumer_.eventQueue().now();
-        return h->readyTick > now;
+        return size_ == 0 || ring_[head_].readyTick > eq_.now();
     }
 
     /** First visible item; caller must have checked !empty(). */
@@ -251,7 +253,7 @@ class Channel : public ChannelBase
     front()
     {
         gals_assert(!empty(), "front() on empty channel '", name_, "'");
-        return *queue_.head()->item();
+        return *ring_[head_].item();
     }
 
     /** Push time of the first visible item (for residency metrics). */
@@ -260,7 +262,7 @@ class Channel : public ChannelBase
     {
         gals_assert(!empty(), "frontPushTick() on empty channel '", name_,
                     "'");
-        return queue_.head()->pushTick;
+        return ring_[head_].pushTick;
     }
 
     /** Remove the first visible item. */
@@ -268,13 +270,14 @@ class Channel : public ChannelBase
     pop()
     {
         gals_assert(!empty(), "pop() on empty channel '", name_, "'");
-        const Tick now = consumer_.eventQueue().now();
+        const Tick now = eq_.now();
         ++pops_;
-        Node *n = queue_.popFront();
+        Slot &s = ring_[head_];
+        totalResidency_ += now - s.pushTick;
+        s.destroyItem();
+        if (++head_ == slots_)
+            head_ = 0;
         --size_;
-        totalResidency_ += now - n->pushTick;
-        n->destroyItem();
-        free_.pushFront(n);
         recordFree(freeVisibleAt(now));
     }
 
@@ -284,27 +287,29 @@ class Channel : public ChannelBase
     /**
      * Remove every item satisfying @p pred (pipeline squash). Removed
      * items free their slots like pops but do not count residency.
-     * Each removal is an O(1) mid-list unlink.
+     * One stable in-place pass: survivors slide toward the head, so
+     * FIFO order and every survivor's push/ready times are kept.
      * @return number of items removed.
      */
     template <typename Pred>
     unsigned
     squash(Pred pred)
     {
-        const Tick now = consumer_.eventQueue().now();
-        unsigned removed = 0;
-        for (Node *n = queue_.head(); n != nullptr;) {
-            Node *next = NodeList::next(n);
-            if (pred(*n->item())) {
-                queue_.unlink(n);
-                --size_;
-                n->destroyItem();
-                free_.pushFront(n);
-                recordFree(freeVisibleAt(now));
-                ++removed;
+        const Tick release = freeVisibleAt(eq_.now());
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < size_; ++i) {
+            Slot &s = at(i);
+            if (pred(*s.item())) {
+                s.destroyItem();
+                recordFree(release);
+            } else {
+                if (kept != i)
+                    relocate(at(kept), s);
+                ++kept;
             }
-            n = next;
         }
+        const auto removed = static_cast<unsigned>(size_ - kept);
+        size_ = kept;
         squashedItems_ += removed;
         return removed;
     }
@@ -314,51 +319,72 @@ class Channel : public ChannelBase
     clear()
     {
         squashedItems_ += size_;
-        while (Node *n = queue_.popFront()) {
-            n->destroyItem();
-            free_.pushFront(n);
-        }
+        for (std::size_t i = 0; i < size_; ++i)
+            at(i).destroyItem();
+        head_ = 0;
         size_ = 0;
         freeVisible_.clear();
         freeHead_ = 0;
     }
+
+    std::size_t storageSlots() const override { return slots_; }
 
     /** Entries stored in the pending-free list, including observed
      *  ones not yet compacted away (bounded; exposed for tests). */
     std::size_t pendingFreeFootprint() const { return freeVisible_.size(); }
 
   private:
+    static constexpr std::size_t initialSlots = 16;
+
     /**
-     * One pooled FIFO entry with embedded list links. The item lives
-     * in raw aligned storage so pool nodes need no default-
-     * constructible T; it is placement-constructed on push and
-     * destroyed on pop/squash/clear.
+     * One ring entry. The item lives in raw aligned storage so slots
+     * need no default-constructible T; it is placement-constructed on
+     * push and destroyed on pop/squash/clear.
      */
-    struct Node
+    struct Slot
     {
-        IntrusiveLink<Node> link;
         Tick pushTick = 0;
         Tick readyTick = 0;
         alignas(T) unsigned char storage[sizeof(T)];
-
-        IntrusiveLink<Node> &intrusiveLink(DefaultListTag)
-        {
-            return link;
-        }
 
         T *item() { return std::launder(reinterpret_cast<T *>(storage)); }
         void destroyItem() { item()->~T(); }
     };
 
-    using NodeList = IntrusiveList<Node>;
-
-    Node *
-    takeFree()
+    /** The @p i-th item in FIFO order (i may equal size_: the tail
+     *  slot a push fills). */
+    Slot &
+    at(std::size_t i) const
     {
-        Node *n = free_.popFront();
-        gals_assert(n != nullptr, "channel '", name_,
-                    "' entry pool exhausted");
-        return n;
+        const std::size_t j = head_ + i;
+        return ring_[j >= slots_ ? j - slots_ : j];
+    }
+
+    /** Move @p from's item and times into the empty slot @p to. */
+    static void
+    relocate(Slot &to, Slot &from)
+    {
+        new (to.storage) T(std::move(*from.item()));
+        from.destroyItem();
+        to.pushTick = from.pushTick;
+        to.readyTick = from.readyTick;
+    }
+
+    /** Double the ring (capped at capacity()), moving the items to
+     *  its front in FIFO order. Only a push into a full ring grows
+     *  it, and full() keeps the occupancy below capacity(). */
+    void
+    grow()
+    {
+        gals_assert(slots_ < capacity_, "channel '", name_,
+                    "' entry storage exhausted");
+        const std::size_t n = std::min(2 * slots_, capacity_);
+        auto bigger = std::make_unique<Slot[]>(n);
+        for (std::size_t i = 0; i < size_; ++i)
+            relocate(bigger[i], at(i));
+        ring_ = std::move(bigger);
+        slots_ = n;
+        head_ = 0;
     }
 
     /** Recorded releases not yet known to be observed. */
@@ -406,9 +432,9 @@ class Channel : public ChannelBase
         }
     }
 
-    std::unique_ptr<Node[]> pool_; ///< capacity() nodes, fixed for life
-    NodeList free_;                ///< recycled nodes
-    NodeList queue_;               ///< FIFO order, oldest at head
+    std::size_t slots_;             ///< ring length, <= capacity()
+    std::unique_ptr<Slot[]> ring_;  ///< slots_ entries
+    std::size_t head_ = 0;          ///< ring index of the oldest item
     std::size_t size_ = 0;
 
     /** Pop-time slot releases, sorted; those before freeHead_ are

@@ -3,12 +3,10 @@
  * One intrusive doubly-linked list for every hot-path list in the
  * simulator.
  *
- * Three subsystems keep objects on allocation-free linked lists whose
+ * Two subsystems keep objects on allocation-free linked lists whose
  * links are embedded in the objects themselves: calendar-queue bucket
- * chains (Event), channel entry pools (Channel<T>::Node) and
- * clock-domain ticker lists (ClockDomain::Ticker). They used to carry
- * three hand-rolled copies of the same pointer surgery; this header is
- * the single implementation.
+ * chains (Event) and clock-domain ticker lists (ClockDomain::Ticker).
+ * This header is their single implementation of the pointer surgery.
  *
  * A node type T embeds one IntrusiveLink<T, Tag> per list it can sit
  * on and exposes it through an accessor overloaded on the tag:

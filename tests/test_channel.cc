@@ -8,15 +8,19 @@
  * throughput), ordering/no-loss properties under parameterized period
  * ratios, squash behaviour, the pending-free list (bounded on a stream
  * that never drains and on a roomy channel that never fills, exact
- * when the producer speeds up), and a seeded brute-force oracle for
- * the full flag.
+ * when the producer speeds up), a seeded brute-force oracle for the
+ * full flag, and the occupancy-sized ring storage (growth and squash
+ * across the wrap point, move-only payloads, the capacity bound, one
+ * event queue per channel).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
+#include <memory>
 #include <tuple>
+#include <vector>
 
 #include "core/channel.hh"
 #include "sim/random.hh"
@@ -351,11 +355,11 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(1009, 997, 13, 1u, false)));
 
 /**
- * Entry-pool reuse: cycle far more items than the channel has pooled
- * nodes under mismatched clocks, interleaving mid-list squashes. FIFO
- * order of survivors must hold through arbitrary node recycling.
+ * Ring reuse: cycle far more items than the channel has slots under
+ * mismatched clocks, interleaving mid-ring squashes. FIFO order of
+ * survivors must hold however far the head has wrapped.
  */
-TEST(AsyncChannel, IntrusivePoolReuseKeepsOrderUnderChurn)
+TEST(AsyncChannel, RingReuseKeepsOrderUnderChurn)
 {
     EventQueue eq;
     ClockDomain prod(eq, "p", 997);
@@ -395,15 +399,15 @@ TEST(AsyncChannel, IntrusivePoolReuseKeepsOrderUnderChurn)
 
     EXPECT_TRUE(ordered);
     EXPECT_EQ(next_push, 5000u);
-    // Cycled the 4-node pool three orders of magnitude over.
+    // Cycled the 4-slot ring three orders of magnitude over.
     EXPECT_EQ(popped + squashed + ch.rawSize(), 5000u);
     EXPECT_EQ(ch.pops(), popped);
     EXPECT_EQ(ch.squashedItems(), squashed);
     EXPECT_GT(squashed, 0u);
 }
 
-/** Move-only payloads: the pooled entries placement-construct items,
- *  so channels work without default- or copy-constructible types. */
+/** Move-only payloads: ring slots placement-construct items, so
+ *  channels work without default- or copy-constructible types. */
 TEST(AsyncChannel, MoveOnlyPayload)
 {
     Harness h(1000, 1000);
@@ -422,7 +426,7 @@ TEST(AsyncChannel, MoveOnlyPayload)
     EXPECT_EQ(*got, 41);
     ASSERT_FALSE(ch.empty());
     EXPECT_EQ(*ch.front(), 42);
-    ch.clear(); // destroys the live item, returns its node
+    ch.clear(); // destroys the live item, frees its slot
     EXPECT_EQ(ch.rawSize(), 0u);
 }
 
@@ -496,7 +500,8 @@ TEST(AsyncChannel, PendingFreeListStaysBoundedWhenNeverDrained)
 
 /** A roomy channel that never fills, like the wakeup and completion
  *  FIFOs: the pending-free list must hold only the releases still in
- *  flight, not grow toward the channel's capacity. */
+ *  flight, not grow toward the channel's capacity, and the ring must
+ *  keep its initial 16 slots. */
 TEST(AsyncChannel, PendingFreeListBoundedByReleasesInFlight)
 {
     EventQueue eq;
@@ -519,6 +524,7 @@ TEST(AsyncChannel, PendingFreeListBoundedByReleasesInFlight)
     eq.runUntil(1000 * 20000);
     EXPECT_GT(ch.pops(), 19000u);
     EXPECT_LE(max_footprint, 32u);
+    EXPECT_EQ(ch.storageSlots(), 16u);
 }
 
 /** A producer that speeds up (DVFS) can observe a later pop's slot
@@ -646,3 +652,196 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(ChannelMode::syncLatch,
                                          ChannelMode::asyncFifo),
                        ::testing::Values(1u, 7u, 104729u)));
+
+/**
+ * Growth while the head has wrapped: the ring (16 slots) holds items
+ * on both sides of its end when a push doubles it. The moved items
+ * must keep FIFO order, their push and ready times (visibility and
+ * residency are computed from them), and the counters.
+ */
+TEST(ChannelRing, GrowthWithWrappedHeadKeepsOrderAndTimes)
+{
+    Harness h(1000, 1000, 300);
+    Channel<int> ch("ch", ChannelMode::asyncFifo, h.prod, h.cons, 64, 2,
+                    /*streaming=*/false);
+    h.prod.start();
+    h.cons.start();
+    h.eq.runUntil(0);
+    for (int i = 0; i < 10; ++i)
+        ch.push(i); // consumer edge 300 + one period: ready 1300
+    EXPECT_EQ(ch.storageSlots(), 16u);
+    h.eq.runUntil(1300);
+    for (int i = 0; i < 8; ++i) {
+        ASSERT_FALSE(ch.empty());
+        EXPECT_EQ(ch.front(), i);
+        ch.pop();
+    }
+    for (int i = 10; i < 24; ++i)
+        ch.push(i); // edge 2300 + one period: ready 3300
+    // Items 8..23 fill the ring, wrapping past its end.
+    EXPECT_EQ(ch.rawSize(), 16u);
+    EXPECT_EQ(ch.storageSlots(), 16u);
+    h.eq.runUntil(2000);
+    for (int i = 24; i < 28; ++i)
+        ch.push(i); // grows the wrapped ring; ready 3300
+    EXPECT_EQ(ch.storageSlots(), 32u);
+    EXPECT_EQ(ch.rawSize(), 20u);
+
+    // Items 8 and 9 were ready at 1300 and are still at the head.
+    for (int i = 8; i < 10; ++i) {
+        ASSERT_FALSE(ch.empty());
+        EXPECT_EQ(ch.front(), i);
+        EXPECT_EQ(ch.frontPushTick(), 0u);
+        ch.pop();
+    }
+    EXPECT_TRUE(ch.empty());
+    h.eq.runUntil(3299);
+    EXPECT_TRUE(ch.empty());
+    h.eq.runUntil(3300);
+    for (int i = 10; i < 28; ++i) {
+        ASSERT_FALSE(ch.empty());
+        EXPECT_EQ(ch.front(), i);
+        EXPECT_EQ(ch.frontPushTick(), i < 24 ? 1300u : 2000u);
+        ch.pop();
+    }
+    EXPECT_EQ(ch.rawSize(), 0u);
+    EXPECT_EQ(ch.pushes(), 28u);
+    EXPECT_EQ(ch.pops(), 28u);
+    // 8 x 1300 + 2 x 2000 + 14 x 2000 + 4 x 1300
+    EXPECT_EQ(ch.totalResidency(), 47600u);
+}
+
+/**
+ * squash with a non-suffix predicate on a full ring whose occupants
+ * straddle its end: the survivors keep their order, and every removed
+ * item's slot release reaches the full flag like a pop's.
+ */
+TEST(ChannelRing, SquashOddValuesAcrossWrapPoint)
+{
+    Harness h(1000, 1000, 0);
+    Channel<int> ch("ch", ChannelMode::asyncFifo, h.prod, h.cons, 16, 2);
+    h.prod.start();
+    h.cons.start();
+    h.eq.runUntil(0);
+    for (int i = 0; i < 12; ++i)
+        ch.push(i); // ready 2000
+    h.eq.runUntil(2000);
+    for (int i = 0; i < 6; ++i)
+        ch.pop(); // releases reach the producer at 4000
+    h.eq.runUntil(4000);
+    for (int i = 12; i < 22; ++i) {
+        ASSERT_TRUE(ch.canPush());
+        ch.push(i);
+    }
+    // Items 6..21: a full ring with the head at slot 6.
+    EXPECT_TRUE(ch.full());
+    EXPECT_EQ(ch.storageSlots(), 16u);
+
+    EXPECT_EQ(ch.squash([](int v) { return v % 2 == 1; }), 8u);
+    EXPECT_EQ(ch.rawSize(), 8u);
+    EXPECT_EQ(ch.squashedItems(), 8u);
+    // Eight occupants plus eight releases due at 5000 + 1000.
+    h.eq.runUntil(5999);
+    EXPECT_TRUE(ch.full());
+    h.eq.runUntil(6000);
+    EXPECT_FALSE(ch.full());
+
+    std::vector<int> got;
+    while (!ch.empty()) {
+        got.push_back(ch.front());
+        ch.pop();
+    }
+    EXPECT_EQ(got, (std::vector<int>{6, 8, 10, 12, 14, 16, 18, 20}));
+    EXPECT_EQ(ch.storageSlots(), 16u);
+}
+
+namespace
+{
+
+/** Payload that counts its live instances. */
+struct Live
+{
+    static inline int count = 0;
+    int v;
+    explicit Live(int x) : v(x) { ++count; }
+    ~Live() { --count; }
+    Live(const Live &) = delete;
+    Live &operator=(const Live &) = delete;
+};
+
+} // namespace
+
+/** A move-only payload through growth, a squash that relocates
+ *  survivors, and the destructor: every item is destroyed exactly
+ *  once, and only when it leaves the channel. */
+TEST(ChannelRing, MoveOnlyPayloadThroughGrowthSquashAndDestructor)
+{
+    ASSERT_EQ(Live::count, 0);
+    {
+        Harness h(1000, 1000);
+        Channel<std::unique_ptr<Live>> ch("ch", ChannelMode::asyncFifo,
+                                          h.prod, h.cons, 64, 2);
+        h.prod.start();
+        h.cons.start();
+        h.eq.runUntil(0);
+        for (int i = 0; i < 40; ++i)
+            ch.push(std::make_unique<Live>(i)); // grows 16 -> 32 -> 64
+        EXPECT_EQ(ch.storageSlots(), 64u);
+        EXPECT_EQ(Live::count, 40);
+
+        EXPECT_EQ(ch.squash([](const std::unique_ptr<Live> &p) {
+                      return p->v % 2 == 1;
+                  }),
+                  20u);
+        EXPECT_EQ(Live::count, 20);
+
+        h.eq.runUntil(5000);
+        std::unique_ptr<Live> held = std::move(ch.front());
+        ch.pop();
+        EXPECT_EQ(held->v, 0);
+        EXPECT_EQ(Live::count, 20); // 19 inside, one held
+        ASSERT_FALSE(ch.empty());
+        EXPECT_EQ(ch.front()->v, 2);
+    }
+    // The destructor released the 19 items still inside.
+    EXPECT_EQ(Live::count, 0);
+}
+
+/** Storage follows the peak occupancy and never exceeds capacity(),
+ *  whatever the capacity's relation to the doubling sequence. */
+TEST(ChannelRing, StorageNeverExceedsCapacity)
+{
+    for (const std::size_t cap : {1u, 5u, 16u, 17u, 24u, 40u, 100u}) {
+        Harness h(1000, 1000);
+        Channel<int> ch("ch", ChannelMode::syncLatch, h.prod, h.cons, cap);
+        h.prod.start();
+        h.cons.start();
+        h.eq.runUntil(0);
+        EXPECT_EQ(ch.storageSlots(), std::min<std::size_t>(cap, 16));
+        std::size_t peak = 0;
+        for (int round = 0; round < 3; ++round) {
+            while (ch.canPush()) {
+                ch.push(round);
+                peak = std::max(peak, ch.storageSlots());
+            }
+            EXPECT_EQ(ch.rawSize(), cap);
+            h.eq.runUntil(h.eq.now() + 1000);
+            while (!ch.empty())
+                ch.pop();
+        }
+        EXPECT_EQ(peak, cap) << "capacity " << cap;
+        EXPECT_EQ(ch.storageSlots(), cap);
+    }
+}
+
+/** A channel reads one event queue's time for both of its domains, so
+ *  domains on different queues are a wiring error. */
+TEST(ChannelDeathTest, DomainsOnDifferentEventQueues)
+{
+    EventQueue a;
+    EventQueue b;
+    ClockDomain prod(a, "p", 1000);
+    ClockDomain cons(b, "c", 1000);
+    EXPECT_DEATH(Channel<int>("ch", ChannelMode::asyncFifo, prod, cons, 4),
+                 "different event queues");
+}

@@ -233,3 +233,23 @@ TEST(System, BaseModeRunsSynchronously)
     const std::string b = recordBytes(cfg, runOne(cfg));
     EXPECT_EQ(a, b);
 }
+
+/** A 64-core fabric's channels cost storage in proportion to their
+ *  traffic: the cores' 1024 channels stay within a bound far below
+ *  their combined modelled depth (about 2.9 M slots). */
+TEST(System, ChannelStorageBoundedAtSixtyFourCores)
+{
+    RunConfig cfg = fabricCfg(64, TopologyKind::mesh2d, "uniform");
+    cfg.instructions = 200;
+    System sys(cfg);
+    sys.run();
+    std::size_t channels = 0, slots = 0;
+    for (unsigned i = 0; i < sys.cores(); ++i) {
+        for (const ChannelBase *ch : sys.core(i).channels()) {
+            ++channels;
+            slots += ch->storageSlots();
+        }
+    }
+    EXPECT_EQ(channels, 64u * 16u);
+    EXPECT_LE(slots, 64u * 1024u);
+}

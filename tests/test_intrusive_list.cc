@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the shared intrusive list: link/unlink at every position,
- * insertAfter, splice, multi-tag membership, and pool-style reuse (the
- * free-list pattern Channel<T> runs on).
+ * insertAfter, splice, multi-tag membership, and pool-style reuse
+ * through a free list.
  */
 
 #include <gtest/gtest.h>

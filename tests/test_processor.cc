@@ -331,3 +331,23 @@ TEST(Processor, TeardownMidRunReturnsEveryInstruction)
         }
     }
 }
+
+/**
+ * Channel storage follows traffic, not the modelled depth: after a
+ * GALS run the message FIFOs, modelled msgFifoCapacity (4096) deep,
+ * hold a few dozen slots at most, and no channel holds more than its
+ * capacity.
+ */
+TEST(Processor, MessageChannelStorageFollowsOccupancy)
+{
+    SimRun r(true);
+    std::size_t messageChannels = 0;
+    for (const ChannelBase *ch : r.proc->channels()) {
+        EXPECT_LE(ch->storageSlots(), ch->capacity()) << ch->name();
+        if (ch->capacity() != r.cfg.msgFifoCapacity)
+            continue;
+        ++messageChannels;
+        EXPECT_LE(ch->storageSlots(), 64u) << ch->name();
+    }
+    EXPECT_EQ(messageChannels, 11u);
+}
