@@ -3,7 +3,7 @@
  * Engine microbenchmarks (google-benchmark): event queue scheduling,
  * schedule/cancel and hold-model churn, clock-domain ticking,
  * mixed-clock channel traffic, squash churn, and end-to-end
- * simulation rate of the base and GALS processors.
+ * simulation rate of one GALS core and of 8- and 64-core fabrics.
  *
  * Every event-queue benchmark is parameterized over the scheduling
  * engine (0 = calendar, 1 = heap) so one run produces the A/B
@@ -15,6 +15,8 @@
  */
 
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "core/channel.hh"
 #include "core/domain.hh"
@@ -315,31 +317,51 @@ BM_ChannelSquashChurn(benchmark::State &state)
 }
 BENCHMARK(BM_ChannelSquashChurn);
 
+/**
+ * Whole GALS runs on gcc through runOne, construction included: one
+ * core at 20000 instructions (arg 1), or a 2D-mesh fabric with uniform
+ * traffic at 2500 instructions per core (args 8 and 64). Reports
+ * committed instructions per host second and host ns per core-cycle
+ * (one nominal cycle of one core). A fabric whose per-core costs are
+ * constant reads the same ns per core-cycle at 8 and 64 cores.
+ */
 void
 BM_SimulationRate(benchmark::State &state)
 {
-    const bool gals_mode = state.range(1) != 0;
-    // runOne constructs its own EventQueue, so the engine choice rides
-    // on the process-wide default for the duration of this benchmark.
-    const QueueEngine saved = EventQueue::defaultEngine();
-    EventQueue::setDefaultEngine(engineArg(state));
-    std::uint64_t insts = 0;
-    for (auto _ : state) {
-        RunConfig rc;
-        rc.benchmark = "gcc";
-        rc.instructions = 20000;
-        rc.gals = gals_mode;
-        const RunResults r = runOne(rc);
-        benchmark::DoNotOptimize(r.ipcNominal);
-        insts += r.committed;
+    RunConfig cfg;
+    cfg.benchmark = "gcc";
+    cfg.gals = true;
+    const auto cores = static_cast<unsigned>(state.range(0));
+    if (cores > 1) {
+        cfg.fabric.cores = cores;
+        cfg.fabric.topology = TopologyKind::mesh2d;
+        cfg.fabric.traffic = "uniform";
+        cfg.instructions = 2500;
+    } else {
+        cfg.instructions = 20000;
     }
-    EventQueue::setDefaultEngine(saved);
-    setEngineLabel(state, gals_mode ? "gals" : "base");
-    state.SetItemsProcessed(static_cast<std::int64_t>(insts));
+
+    double ns = 0.0, committed = 0.0, coreCycles = 0.0;
+    for (auto _ : state) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const RunResults r = runOne(cfg);
+        const auto t1 = std::chrono::steady_clock::now();
+        ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
+        committed += static_cast<double>(r.committed);
+        coreCycles += static_cast<double>(r.ticks) /
+                      static_cast<double>(cfg.proc.nominalPeriod) *
+                      cores;
+    }
+    state.counters["inst_per_s"] = committed / (ns * 1e-9);
+    state.counters["ns_per_core_cycle"] = ns / coreCycles;
 }
 BENCHMARK(BM_SimulationRate)
-    ->ArgsProduct({{0, 1}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
+    ->ArgName("cores")
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(64)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /**
  * Warm-state memoization payoff: a four-cell DVFS sweep whose cells

@@ -28,9 +28,10 @@ ProcessorConfig::validate() const
 Processor::Processor(EventQueue &eq, const ProcessorConfig &cfg,
                      const BenchmarkProfile &profile,
                      std::uint64_t runSeed,
-                     const std::string &namePrefix)
+                     const std::string &namePrefix,
+                     std::shared_ptr<const StaticProgram> program)
     : eq_(eq), cfg_(cfg), prefix_(namePrefix), profile_(profile),
-      gen_(profile, runSeed), hier_(cfg.core.caches),
+      gen_(profile, runSeed, std::move(program)), hier_(cfg.core.caches),
       powerModel_(cfg.core, cfg.tech, cfg.clocks), energy_(powerModel_)
 {
     cfg_.validate();

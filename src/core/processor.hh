@@ -90,10 +90,13 @@ class Processor
      * @param namePrefix  prepended to every domain/channel name; ""
      *     for a standalone core, "core<i>." inside a fabric::System
      *     so diagnostics distinguish the cores.
+     * @param program  @p profile's static program, shared with other
+     *     cores; null builds this core's own (see StreamGenerator).
      */
     Processor(EventQueue &eq, const ProcessorConfig &cfg,
               const BenchmarkProfile &profile, std::uint64_t runSeed = 0,
-              const std::string &namePrefix = "");
+              const std::string &namePrefix = "",
+              std::shared_ptr<const StaticProgram> program = nullptr);
     ~Processor();
 
     /** Run until @p targetCommitted instructions have committed. */
@@ -152,6 +155,7 @@ class Processor
     ExecDomain &fpCluster() { return *execFp_; }
     ExecDomain &memCluster() { return *execMem_; }
     CacheHierarchy &caches() { return hier_; }
+    const StreamGenerator &workload() const { return gen_; }
     EnergyAccount &energy() { return energy_; }
     const PowerModel &powerModel() const { return powerModel_; }
     ClockDomain &domain(DomainId d)
@@ -235,7 +239,9 @@ class Processor
     std::unique_ptr<ExecDomain> execMem_;
 
     /** Per-domain energy close-out, run after the stage logic on
-     *  every edge (priority 90). */
+     *  every edge (priority 90). The voltage scale is recomputed only
+     *  when the domain's vdd changes (the same value, so every charge
+     *  stays bit-exact). */
     class DomainEnergyTicker final : public ClockDomain::Ticker
     {
       public:
@@ -249,13 +255,20 @@ class Processor
 
         void tick() override
         {
-            energy_->domainCycle(id_, domain_->vdd());
+            const double vdd = domain_->vdd();
+            if (vdd != vdd_) {
+                vdd_ = vdd;
+                scale_ = energy_->model().tech().energyScale(vdd);
+            }
+            energy_->domainCycleAtScale(id_, scale_);
         }
 
       private:
         EnergyAccount *energy_ = nullptr;
         DomainId id_{};
         ClockDomain *domain_ = nullptr;
+        double vdd_ = -1.0; ///< vdd scale_ was computed at; none yet
+        double scale_ = 0.0;
     };
 
     /** Global clock-grid charge, synchronous machine only: the single

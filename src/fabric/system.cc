@@ -14,6 +14,23 @@ namespace gals
  * One directed inter-core link: a private clock domain driving a
  * store-and-forward hop between two Channel segments. The hop logic
  * runs at priority 10 on the link's own clock, like a pipeline stage.
+ *
+ * An idle link parks its clock: a tick that leaves the ingress FIFO
+ * raw-empty (nothing in it, visible or still synchronizing) stops the
+ * domain, and send() restarts it at the first link edge after the
+ * push. The skipped edges would have found nothing to move, and the
+ * FIFOs read a parked clock's edges off the same grid (see
+ * ClockDomain::nextEdgeAt), so records do not change. A backpressured
+ * link (ingress items, full egress) keeps ticking.
+ *
+ * Link edges run at clockEdgePri + 1, after every core edge of the
+ * same tick. In base mode that is where they always ran (all phases
+ * 0, links started after the cores); a restarted link carries a
+ * fresh insertion seq and would otherwise overtake a core edge, which
+ * the latch FIFOs (a pop frees its slot at once) would observe. In
+ * GALS mode a link touches only its two async FIFOs, whose visibility
+ * and release times fall strictly after the current tick, so its
+ * place within a tick is invisible.
  */
 class System::Link final : public ClockDomain::Ticker
 {
@@ -24,7 +41,7 @@ class System::Link final : public ClockDomain::Ticker
           dom_(eq,
                "fabric.link." + std::to_string(spec.src) + "to" +
                    std::to_string(spec.dst),
-               cfg.proc.nominalPeriod),
+               cfg.proc.nominalPeriod, 0, Event::clockEdgePri + 1),
           in_("fabric.ch." + std::to_string(spec.src) + "to" +
                   std::to_string(spec.dst) + ".in",
               cfg.gals ? ChannelMode::asyncFifo : ChannelMode::syncLatch,
@@ -47,6 +64,21 @@ class System::Link final : public ClockDomain::Ticker
             out_.push(in_.front());
             in_.pop();
         }
+        if (in_.rawSize() == 0)
+            dom_.stop();
+    }
+
+    /** Producer side of the ingress FIFO, for the source core's NIC. */
+    bool full() const { return in_.full(); }
+
+    /** Push @p m into the ingress FIFO (caller checked full()) and
+     *  wake a parked link at its first edge after now. */
+    void
+    send(const FabricMsg &m)
+    {
+        in_.push(m);
+        if (!dom_.running())
+            dom_.restartAt(dom_.eventQueue().now() + 1);
     }
 
     const LinkSpec &spec() const { return spec_; }
@@ -67,24 +99,30 @@ class System::Link final : public ClockDomain::Ticker
  * close-out). Deterministic by construction: in-links drain in
  * ascending source-core order, routing is static (topology.hh), and
  * injection is keyed off the core's own commit count.
+ *
+ * Commits happen at priority 10 on the same edge, so the NIC is also
+ * where the System's run progress (commit total, finished cores) is
+ * brought up to date: the run loop reads two counters instead of
+ * summing every core after every event.
  */
 class System::Nic final : public ClockDomain::Ticker
 {
   public:
     Nic(unsigned core, const FabricConfig &fab, EventQueue &eq,
-        Processor &proc)
+        Processor &proc, std::uint64_t target, Progress &progress)
         : core_(core), cores_(fab.cores), kind_(fab.topology),
           interval_(fab.trafficInterval), window_(fab.trafficWindow),
-          eq_(eq), proc_(proc), outTo_(fab.cores, nullptr)
+          eq_(eq), proc_(proc), target_(target), progress_(progress),
+          outTo_(fab.cores, nullptr), nextDue_(fab.trafficInterval)
     {
         proc_.domain(DomainId::decode).addTicker(*this, 20);
     }
 
     void addFlow(const TrafficFlow &f) { flows_.push_back(f); }
 
-    void connectOut(unsigned neighbor, Channel<FabricMsg> *ch)
+    void connectOut(unsigned neighbor, Link *link)
     {
-        outTo_[neighbor] = ch;
+        outTo_[neighbor] = link;
     }
 
     void connectIn(unsigned srcCore, Channel<FabricMsg> *ch)
@@ -113,6 +151,13 @@ class System::Nic final : public ClockDomain::Ticker
     tick() override
     {
         const Tick now = eq_.now();
+        const std::uint64_t committed = proc_.committed();
+        if (committed != seenCommitted_) {
+            progress_.committed += committed - seenCommitted_;
+            if (seenCommitted_ < target_ && committed >= target_)
+                ++progress_.coresDone;
+            seenCommitted_ = committed;
+        }
 
         // Drain incoming links in ascending source order. Backpressure
         // is per-port: a full outbound hop parks the head message and
@@ -131,19 +176,19 @@ class System::Nic final : public ClockDomain::Ticker
                                     "fabric: reply without request");
                         --outstanding_;
                     } else {
-                        Channel<FabricMsg> *out = routeTo(m.src);
+                        Link *out = routeTo(m.src);
                         if (out->full())
                             break;
-                        out->push(FabricMsg{core_, m.src, m.seq, true,
+                        out->send(FabricMsg{core_, m.src, m.seq, true,
                                             m.sendTick});
                         ch.pop();
                         ++requestsServed_;
                     }
                 } else {
-                    Channel<FabricMsg> *out = routeTo(m.dst);
+                    Link *out = routeTo(m.dst);
                     if (out->full())
                         break;
-                    out->push(m);
+                    out->send(m);
                     ch.pop();
                     ++forwarded_;
                 }
@@ -152,21 +197,20 @@ class System::Nic final : public ClockDomain::Ticker
 
         // Inject one request per trafficInterval commits, round-robin
         // over this core's flows, bounded by the completion window.
+        // nextDue_ is the commit count that makes the next one due.
         if (flows_.empty())
             return;
-        const std::uint64_t due =
-            proc_.decodeUnit().commitStats().committed / interval_;
-        while (injected_ < due) {
+        while (nextDue_ <= committed) {
             if (outstanding_ >= window_)
                 break;
             const TrafficFlow &f =
                 flows_[rrNext_ % flows_.size()];
-            Channel<FabricMsg> *out = routeTo(f.dst);
+            Link *out = routeTo(f.dst);
             if (out->full())
                 break;
-            out->push(FabricMsg{core_, f.dst, seq_++, false, now});
+            out->send(FabricMsg{core_, f.dst, seq_++, false, now});
             ++rrNext_;
-            ++injected_;
+            nextDue_ += interval_;
             ++outstanding_;
             ++msgsSent_;
         }
@@ -189,11 +233,10 @@ class System::Nic final : public ClockDomain::Ticker
         Channel<FabricMsg> *ch;
     };
 
-    Channel<FabricMsg> *
+    Link *
     routeTo(unsigned target)
     {
-        Channel<FabricMsg> *out =
-            outTo_[nextHop(kind_, cores_, core_, target)];
+        Link *out = outTo_[nextHop(kind_, cores_, core_, target)];
         gals_assert(out != nullptr, "fabric: core ", core_,
                     " has no link toward ", target);
         return out;
@@ -206,14 +249,17 @@ class System::Nic final : public ClockDomain::Ticker
     unsigned window_;
     EventQueue &eq_;
     Processor &proc_;
+    std::uint64_t target_;
+    Progress &progress_;
+    std::uint64_t seenCommitted_ = 0;
 
     std::vector<TrafficFlow> flows_;
-    std::vector<Channel<FabricMsg> *> outTo_; ///< by neighbor core id
-    std::vector<InPort> inPorts_;             ///< ascending src order
+    std::vector<Link *> outTo_;   ///< by neighbor core id
+    std::vector<InPort> inPorts_; ///< ascending src order
 
     std::uint64_t seq_ = 1;
     std::size_t rrNext_ = 0;
-    std::uint64_t injected_ = 0;
+    std::uint64_t nextDue_;
     unsigned outstanding_ = 0;
 
     std::uint64_t msgsSent_ = 0;
@@ -248,7 +294,9 @@ System::~System()
 void
 System::buildCores()
 {
+    // Every core runs the same binary: build its static program once.
     const BenchmarkProfile &profile = findBenchmark(cfg_.benchmark);
+    const auto program = std::make_shared<const StaticProgram>(profile);
     for (unsigned c = 0; c < cfg_.fabric.cores; ++c) {
         ProcessorConfig pc = cfg_.proc;
         pc.gals = cfg_.gals;
@@ -258,7 +306,7 @@ System::buildCores()
         pc.phaseSeed = effectivePhaseSeed(cfg_) + c;
         procs_.push_back(std::make_unique<Processor>(
             eq_, pc, profile, cfg_.seed + c,
-            "core" + std::to_string(c) + "."));
+            "core" + std::to_string(c) + ".", program));
     }
 }
 
@@ -268,14 +316,14 @@ System::buildFabric()
     const FabricConfig &fab = cfg_.fabric;
 
     for (unsigned c = 0; c < fab.cores; ++c)
-        nics_.push_back(
-            std::make_unique<Nic>(c, fab, eq_, *procs_[c]));
+        nics_.push_back(std::make_unique<Nic>(
+            c, fab, eq_, *procs_[c], cfg_.instructions, progress_));
 
     for (const LinkSpec &ls : buildTopologyLinks(fab.topology, fab.cores)) {
         auto link = std::make_unique<Link>(
             eq_, cfg_, ls, procs_[ls.src]->domain(DomainId::decode),
             procs_[ls.dst]->domain(DomainId::decode));
-        nics_[ls.src]->connectOut(ls.dst, &link->ingress());
+        nics_[ls.src]->connectOut(ls.dst, link.get());
         nics_[ls.dst]->connectIn(ls.src, &link->egress());
         links_.push_back(std::move(link));
     }
@@ -335,25 +383,18 @@ System::run()
         cd.start();
     }
 
+    // Commits land only on decode edges, whose NIC ticker brings
+    // progress_ up to date within the same event.
     const Tick watchdog_ticks =
         cfg_.proc.watchdogCycles * cfg_.proc.nominalPeriod;
     std::uint64_t last_total = 0;
     Tick last_progress = 0;
 
-    auto all_done = [this] {
-        for (const auto &p : procs_)
-            if (p->committed() < cfg_.instructions)
-                return false;
-        return true;
-    };
-
-    while (!all_done()) {
+    while (progress_.coresDone < cores()) {
         gals_assert(!eq_.empty(), "event queue drained mid-run");
         eq_.serviceOne();
 
-        std::uint64_t total = 0;
-        for (const auto &p : procs_)
-            total += p->committed();
+        const std::uint64_t total = progress_.committed;
         if (total != last_total) {
             last_total = total;
             last_progress = eq_.now();

@@ -21,11 +21,17 @@
  *
  * Determinism contract: everything runs on the one EventQueue; NICs
  * and link hops are ordinary prioritized tickers (stages 10, NIC 20,
- * energy 90), channels are drained in fixed ascending-source order,
- * and all randomness comes from seeds in the RunConfig. Results are
+ * energy 90), link edges run after every core edge of their tick,
+ * channels are drained in fixed ascending-source order, and all
+ * randomness comes from seeds in the RunConfig. Results are
  * therefore byte-identical across --jobs, --engine calendar|heap,
  * shard/merge round trips and dispatch crash-resume, like every
  * single-core run.
+ *
+ * Host cost per core does not grow with the core count: the cores
+ * share one StaticProgram, an idle link parks its clock until the
+ * next send, and the run loop reads progress counters the NICs keep
+ * current rather than summing every core after every event.
  */
 
 #ifndef FABRIC_SYSTEM_HH
@@ -77,6 +83,13 @@ class System
     class Link;
     class Nic;
 
+    /** Run progress, kept current by the NICs as cores commit. */
+    struct Progress
+    {
+        std::uint64_t committed = 0; ///< summed over every core
+        unsigned coresDone = 0;      ///< cores at their commit target
+    };
+
     void buildCores();
     void buildFabric();
     RunResults aggregate();
@@ -86,6 +99,7 @@ class System
     std::vector<std::unique_ptr<Processor>> procs_;
     std::vector<std::unique_ptr<Link>> links_;
     std::vector<std::unique_ptr<Nic>> nics_;
+    Progress progress_;
     bool ran_ = false;
 };
 

@@ -63,11 +63,10 @@ EnergyAccount::chargeEnergyNj(Unit u, double nj, double vdd)
 }
 
 void
-EnergyAccount::domainCycle(DomainId d, double vdd)
+EnergyAccount::domainCycleAtScale(DomainId d, double scale)
 {
     const unsigned di = domainIndex(d);
     gals_assert(di < numDomains, "bad domain id");
-    const double scale = model_.tech().energyScale(vdd);
 
     // Same operand order as the per-unit formula (n * ea * scale and
     // (idle * ea) * scale), so every accumulated sum is bit-exact.

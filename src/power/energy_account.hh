@@ -53,7 +53,15 @@ class EnergyAccount
      * active/idle energies for the domain's blocks plus its local
      * clock grid.
      */
-    void domainCycle(DomainId d, double vdd);
+    void
+    domainCycle(DomainId d, double vdd)
+    {
+        domainCycleAtScale(d, model_.tech().energyScale(vdd));
+    }
+
+    /** domainCycle() with the voltage scale precomputed:
+     *  @p scale == model().tech().energyScale(vdd). */
+    void domainCycleAtScale(DomainId d, double scale);
 
     /** Charge one global-clock-grid cycle (base processor only). */
     void globalClockCycle(double vdd);

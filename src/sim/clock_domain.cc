@@ -14,9 +14,9 @@ ClockDomain::Ticker::~Ticker()
 }
 
 ClockDomain::ClockDomain(EventQueue &eq, std::string name, Tick period,
-                         Tick phase)
+                         Tick phase, int edgePriority)
     : eq_(eq), name_(std::move(name)), period_(period), phase_(phase),
-      edgeEvent_(*this, period, name_ + ".edge")
+      edgeEvent_(*this, period, name_ + ".edge", edgePriority)
 {
     gals_assert(period > 0, "clock domain '", name_,
                 "' needs a positive period");
@@ -104,6 +104,17 @@ ClockDomain::stop()
     if (edgeEvent_.scheduled())
         eq_.deschedule(&edgeEvent_);
     edgeEvent_.cancelRepeat();
+}
+
+void
+ClockDomain::restartAt(Tick t)
+{
+    gals_assert(!running_, "clock domain '", name_, "' already running");
+    gals_assert(t >= eq_.now(), "clock domain '", name_,
+                "' restarted in the past");
+    running_ = true;
+    edgeEvent_.resumeRepeat();
+    eq_.schedule(&edgeEvent_, nextEdgeAt(t));
 }
 
 void

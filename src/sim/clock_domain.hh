@@ -14,6 +14,15 @@
  * scaling. Each domain also carries a supply voltage so the power model
  * can charge energy at the right Vdd.
  *
+ * A domain may also stop between edges and later restart on its own
+ * phase/period grid (restartAt): nextEdgeAt() extrapolates from the
+ * last edge while stopped, so a FIFO whose consumer or producer is a
+ * parked clock sees exactly the visibility and release times of one
+ * that never stopped. The fabric's idle links park this way. The edge
+ * priority is fixed at construction: clockEdgePri for the core
+ * domains, one above it for link clocks, so at equal ticks every link
+ * edge runs after every core edge however recently it was restarted.
+ *
  * Tickers are intrusive list nodes with a virtual tick(): pipeline
  * stages derive from ClockDomain::Ticker and register themselves, so
  * the per-edge hot path is a plain list walk with one indirect call per
@@ -100,9 +109,11 @@ class ClockDomain
      * @param name     diagnostic name
      * @param period   clock period in ticks (> 0)
      * @param phase    first-edge offset in ticks (< period typically)
+     * @param edgePriority  event priority of every edge; at equal
+     *     ticks lower values run first
      */
     ClockDomain(EventQueue &eq, std::string name, Tick period,
-                Tick phase = 0);
+                Tick phase = 0, int edgePriority = Event::clockEdgePri);
     ~ClockDomain();
 
     ClockDomain(const ClockDomain &) = delete;
@@ -143,6 +154,15 @@ class ClockDomain
     /** Stop ticking after the current edge. */
     void stop();
 
+    /**
+     * Resume a stopped clock at its first grid edge at or after
+     * @p t: the grid is the one nextEdgeAt() extrapolates (the last
+     * edge plus whole periods, or the phase before any edge), so a
+     * restarted clock keeps its phase and the edges it skipped are
+     * simply not run (cycle() counts only edges that ran).
+     */
+    void restartAt(Tick t);
+
     bool running() const { return running_; }
 
     /** Current period in ticks. */
@@ -173,7 +193,8 @@ class ClockDomain
     /**
      * First edge occurring at or after time @p t, assuming the period
      * stays at its current value. Used to model when a consumer clocked
-     * by this domain can first observe an asynchronous input.
+     * by this domain can first observe an asynchronous input. Exact on
+     * a stopped clock too: the edge restartAt(t) would schedule.
      */
     Tick nextEdgeAt(Tick t) const;
 
@@ -193,9 +214,9 @@ class ClockDomain
     class EdgeEvent final : public PeriodicEvent
     {
       public:
-        EdgeEvent(ClockDomain &domain, Tick period, std::string name)
-            : PeriodicEvent(period, std::move(name),
-                            Event::clockEdgePri),
+        EdgeEvent(ClockDomain &domain, Tick period, std::string name,
+                  int priority)
+            : PeriodicEvent(period, std::move(name), priority),
               domain_(domain)
         {
         }

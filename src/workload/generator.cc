@@ -8,57 +8,63 @@
 namespace gals
 {
 
-StreamGenerator::StreamGenerator(const BenchmarkProfile &profile,
-                                 std::uint64_t run_seed)
-    : profile_(profile), dynRng_(profile.seed ^ run_seed),
-      wpRng_(profile.seed ^ run_seed ^ 0xBADC0DEULL)
+namespace
 {
-    profile_.validate();
 
-    recentIntDests_.assign(destRingSize, 1);
-    recentFpDests_.assign(destRingSize,
-                          static_cast<RegId>(numArchIntRegs) + 1);
+using SiteKind = StaticProgram::SiteKind;
+using StaticOp = StaticProgram::StaticOp;
+using Block = StaticProgram::Block;
 
-    buildProgram();
-
-    hotLineRing_.assign(profile_.hotLines, 0);
-    warmLineRing_.assign(profile_.warmLines, 0);
-    for (std::size_t i = 0; i < hotLineRing_.size(); ++i)
-        hotLineRing_[i] = i;
-    for (std::size_t i = 0; i < warmLineRing_.size(); ++i)
-        warmLineRing_[i] = profile_.hotLines + i;
-    freshLine_ = profile_.hotLines + profile_.warmLines;
-
-    curBlock_ = 0;
-    opIdx_ = 0;
-}
-
-std::uint64_t
-StreamGenerator::blockStartPc(unsigned block) const
+/**
+ * Compiles one profile into its block table: the program RNG plus the
+ * register dataflow state that exists only while the program is
+ * built.
+ */
+class ProgramBuilder
 {
-    gals_assert(block < blocks_.size(), "bad block ", block);
-    return blocks_[block].startPc;
-}
+  public:
+    explicit ProgramBuilder(const BenchmarkProfile &profile)
+        : profile_(profile), prog_(profile.seed ^ 0x5e7f1ULL)
+    {
+        recentIntDests_.assign(destRingSize, 1);
+        recentFpDests_.assign(destRingSize,
+                              static_cast<RegId>(numArchIntRegs) + 1);
+    }
 
-unsigned
-StreamGenerator::blockLength(unsigned block) const
-{
-    gals_assert(block < blocks_.size(), "bad block ", block);
-    return static_cast<unsigned>(blocks_[block].ops.size());
-}
+    /** Fill @p blocks; @return the code size in bytes. */
+    std::uint64_t build(std::vector<Block> &blocks);
 
-std::uint64_t
-StreamGenerator::staticProgramBytes() const
-{
-    const Block &last = blocks_.back();
-    return last.startPc + last.ops.size() * 4 - codeBase;
-}
+  private:
+    InstClass drawClass();
+    void fillStaticSources(StaticOp &op);
+    RegId drawIntSource();
+    RegId drawFpSource();
+    void recordStaticDest(const StaticOp &op);
+    std::uint32_t drawTargetBlock(std::uint32_t from, std::uint32_t n);
+
+    static constexpr std::size_t destRingSize = 64;
+
+    const BenchmarkProfile &profile_;
+    /** The static program is a pure function of the profile seed (not
+     *  the run seed): the same "binary" is executed for every run. */
+    Rng prog_;
+    std::vector<std::uint32_t> funcEntries_;
+
+    std::vector<RegId> recentIntDests_;
+    std::size_t intDestHead_ = 0;
+    std::size_t intDestCount_ = 0;
+    std::vector<RegId> recentFpDests_;
+    std::size_t fpDestHead_ = 0;
+    std::size_t fpDestCount_ = 0;
+    RegId nextIntDest_ = 4;
+    RegId nextFpDest_ = static_cast<RegId>(numArchIntRegs) + 4;
+};
 
 InstClass
-StreamGenerator::drawClass(Rng &rng, bool allow_branch)
+ProgramBuilder::drawClass()
 {
     const auto &p = profile_;
-    double u = rng.uniform();
+    double u = prog_.uniform();
 
     auto take = [&u](double frac) {
         if (u < frac)
@@ -67,20 +73,14 @@ StreamGenerator::drawClass(Rng &rng, bool allow_branch)
         return false;
     };
 
-    if (allow_branch) {
-        if (take(p.fracCondBranch))
-            return InstClass::condBranch;
-        if (take(p.fracUncondBranch))
-            return InstClass::uncondBranch;
-        if (take(p.fracCall))
-            return InstClass::call;
-        if (take(p.fracCall))
-            return InstClass::ret;
-    } else {
-        // Renormalize implicitly: non-branch draws simply skip the
-        // branch bands (wrong-path junk only).
-        u *= 1.0 - p.branchFrac();
-    }
+    if (take(p.fracCondBranch))
+        return InstClass::condBranch;
+    if (take(p.fracUncondBranch))
+        return InstClass::uncondBranch;
+    if (take(p.fracCall))
+        return InstClass::call;
+    if (take(p.fracCall))
+        return InstClass::ret;
     if (take(p.fracLoad))
         return InstClass::load;
     if (take(p.fracStore))
@@ -99,9 +99,9 @@ StreamGenerator::drawClass(Rng &rng, bool allow_branch)
 }
 
 RegId
-StreamGenerator::drawIntSource(Rng &rng)
+ProgramBuilder::drawIntSource()
 {
-    unsigned d = rng.geometric(profile_.intDepDistMean);
+    unsigned d = prog_.geometric(profile_.intDepDistMean);
     d = std::min<unsigned>(
         d, static_cast<unsigned>(std::min(intDestCount_ + 1,
                                           destRingSize)));
@@ -111,9 +111,9 @@ StreamGenerator::drawIntSource(Rng &rng)
 }
 
 RegId
-StreamGenerator::drawFpSource(Rng &rng)
+ProgramBuilder::drawFpSource()
 {
-    unsigned d = rng.geometric(profile_.fpDepDistMean);
+    unsigned d = prog_.geometric(profile_.fpDepDistMean);
     d = std::min<unsigned>(
         d, static_cast<unsigned>(std::min(fpDestCount_ + 1,
                                           destRingSize)));
@@ -123,38 +123,38 @@ StreamGenerator::drawFpSource(Rng &rng)
 }
 
 void
-StreamGenerator::fillStaticSources(StaticOp &op, Rng &rng)
+ProgramBuilder::fillStaticSources(StaticOp &op)
 {
     switch (op.cls) {
       case InstClass::intAlu:
       case InstClass::intMult:
       case InstClass::intDiv:
         op.numSrcs = 2;
-        op.srcs[0] = drawIntSource(rng);
-        op.srcs[1] = drawIntSource(rng);
+        op.srcs[0] = drawIntSource();
+        op.srcs[1] = drawIntSource();
         break;
       case InstClass::fpAlu:
       case InstClass::fpMult:
       case InstClass::fpDiv:
         op.numSrcs = 2;
-        op.srcs[0] = drawFpSource(rng);
-        op.srcs[1] = drawFpSource(rng);
+        op.srcs[0] = drawFpSource();
+        op.srcs[1] = drawFpSource();
         break;
       case InstClass::load:
         op.numSrcs = 1;
-        op.srcs[0] = drawIntSource(rng); // address register
+        op.srcs[0] = drawIntSource(); // address register
         break;
       case InstClass::store:
         op.numSrcs = 2;
-        op.srcs[0] = drawIntSource(rng); // address register
+        op.srcs[0] = drawIntSource(); // address register
         op.srcs[1] = (profile_.fracFpAlu + profile_.fracFpMult > 0.05 &&
-                      rng.chance(0.6))
-                         ? drawFpSource(rng)
-                         : drawIntSource(rng);
+                      prog_.chance(0.6))
+                         ? drawFpSource()
+                         : drawIntSource();
         break;
       case InstClass::condBranch:
         op.numSrcs = 1;
-        op.srcs[0] = drawIntSource(rng); // condition register
+        op.srcs[0] = drawIntSource(); // condition register
         break;
       case InstClass::uncondBranch:
       case InstClass::call:
@@ -167,7 +167,7 @@ StreamGenerator::fillStaticSources(StaticOp &op, Rng &rng)
 }
 
 void
-StreamGenerator::recordStaticDest(const StaticOp &op)
+ProgramBuilder::recordStaticDest(const StaticOp &op)
 {
     if (op.dest == invalidReg)
         return;
@@ -183,51 +183,46 @@ StreamGenerator::recordStaticDest(const StaticOp &op)
 }
 
 std::uint32_t
-StreamGenerator::drawTargetBlock(Rng &rng, std::uint32_t from)
+ProgramBuilder::drawTargetBlock(std::uint32_t from, std::uint32_t n)
 {
     // Targets are strictly forward (classic if/else and break edges);
     // the only cycles in the CFG are loop back-edges, call/return
     // pairs, and the wrap from the last block to the first — the
     // program is one big outer loop, so the walk can never be trapped
     // in a branchless cycle.
-    const std::uint32_t n = static_cast<std::uint32_t>(blocks_.size());
     if (from + 1 >= n)
         return 0; // wrap: restart the outer loop
-    if (rng.chance(profile_.jumpLocality)) {
+    if (prog_.chance(profile_.jumpLocality)) {
         const std::uint64_t lo = from + 1;
         const std::uint64_t hi =
             std::min<std::uint64_t>(n - 1, from + profile_.jumpRadius);
-        return static_cast<std::uint32_t>(rng.range(lo, hi));
+        return static_cast<std::uint32_t>(prog_.range(lo, hi));
     }
-    return static_cast<std::uint32_t>(rng.range(from + 1, n - 1));
+    return static_cast<std::uint32_t>(prog_.range(from + 1, n - 1));
 }
 
-void
-StreamGenerator::buildProgram()
+std::uint64_t
+ProgramBuilder::build(std::vector<Block> &blocks)
 {
-    // The static program is a pure function of the profile seed (not
-    // the run seed): the same "binary" is executed for every run.
-    Rng prog(profile_.seed ^ 0x5e7f1ULL);
-
     const std::uint32_t n = profile_.codeBlocks;
-    blocks_.resize(n);
+    blocks.resize(n);
 
     for (std::uint32_t b = 0; b < n; ++b)
         if (b % profile_.funcEntryStride == 0)
             funcEntries_.push_back(b);
 
-    std::uint64_t pc = codeBase;
+    std::uint64_t pc = StaticProgram::codeBase;
     for (std::uint32_t b = 0; b < n; ++b) {
-        Block &blk = blocks_[b];
+        Block &blk = blocks[b];
         blk.startPc = pc;
 
         // Body: draw until the mix yields a branch (or the cap).
         RegId last_int_dest = invalidReg;
-        for (unsigned i = 0; i + 1 < maxBlockOps; ++i) {
+        for (unsigned i = 0; i + 1 < StaticProgram::maxBlockOps; ++i) {
             StaticOp op;
-            op.cls = drawClass(prog, true);
+            op.cls = drawClass();
             if (isBranchClass(op.cls)) {
-                fillStaticSources(op, prog);
+                fillStaticSources(op);
                 // Conditional branches usually test a freshly computed
                 // value (loop counter, compare result): bind the
                 // condition to the last integer write in this block so
@@ -238,7 +233,7 @@ StreamGenerator::buildProgram()
                 blk.ops.push_back(op);
                 break;
             }
-            fillStaticSources(op, prog);
+            fillStaticSources(op);
             if (writesDest(op.cls)) {
                 if (isFpClass(op.cls)) {
                     op.dest = nextFpDest_;
@@ -269,36 +264,35 @@ StreamGenerator::buildProgram()
         StaticOp &br = blk.ops.back();
         switch (br.cls) {
           case InstClass::condBranch: {
-            const double u = prog.uniform();
+            const double u = prog_.uniform();
             if (u < profile_.loopBranchFrac) {
                 blk.kind = SiteKind::loop;
                 blk.tripCount = std::max(
-                    2u, prog.geometric(profile_.loopMeanTrip));
-                blk.tripsLeft = blk.tripCount;
+                    2u, prog_.geometric(profile_.loopMeanTrip));
                 blk.targetBlock = b; // back-edge to itself
             } else if (u < profile_.loopBranchFrac +
                                profile_.easyBranchFrac) {
                 blk.kind = SiteKind::easy;
-                blk.takenProb = prog.chance(0.5)
+                blk.takenProb = prog_.chance(0.5)
                                     ? profile_.easyBias
                                     : 1.0 - profile_.easyBias;
-                blk.targetBlock = drawTargetBlock(prog, b);
+                blk.targetBlock = drawTargetBlock(b, n);
             } else {
                 blk.kind = SiteKind::hard;
-                blk.takenProb = prog.chance(0.5)
+                blk.takenProb = prog_.chance(0.5)
                                     ? profile_.hardBias
                                     : 1.0 - profile_.hardBias;
-                blk.targetBlock = drawTargetBlock(prog, b);
+                blk.targetBlock = drawTargetBlock(b, n);
             }
             break;
           }
           case InstClass::uncondBranch:
             blk.kind = SiteKind::jump;
-            blk.targetBlock = drawTargetBlock(prog, b);
+            blk.targetBlock = drawTargetBlock(b, n);
             break;
           case InstClass::call: {
             blk.kind = SiteKind::call;
-            blk.targetBlock = funcEntries_[prog.range(
+            blk.targetBlock = funcEntries_[prog_.range(
                 0, funcEntries_.size() - 1)];
             break;
           }
@@ -312,11 +306,61 @@ StreamGenerator::buildProgram()
 
         pc += blk.ops.size() * 4;
     }
+    return pc - StaticProgram::codeBase;
+}
 
+} // namespace
+
+StaticProgram::StaticProgram(const BenchmarkProfile &profile)
+{
+    profile.validate();
+    programBytes_ = ProgramBuilder(profile).build(blocks_);
     blockStarts_.reserve(blocks_.size());
     for (const Block &blk : blocks_)
         blockStarts_.push_back(blk.startPc);
-    programBytes_ = pc - codeBase;
+}
+
+StreamGenerator::StreamGenerator(
+    const BenchmarkProfile &profile, std::uint64_t run_seed,
+    std::shared_ptr<const StaticProgram> program)
+    : profile_(profile), dynRng_(profile.seed ^ run_seed),
+      wpRng_(profile.seed ^ run_seed ^ 0xBADC0DEULL),
+      program_(program ? std::move(program)
+                       : std::make_shared<const StaticProgram>(profile)),
+      blocks_(program_->blocks().data()),
+      blockStarts_(program_->blockStarts().data()),
+      numBlocks_(static_cast<std::uint32_t>(program_->blocks().size())),
+      programBytes_(program_->bytes())
+{
+    gals_assert(numBlocks_ == profile_.codeBlocks,
+                "static program of ", numBlocks_,
+                " blocks given for a profile of ", profile_.codeBlocks);
+
+    tripsLeft_.resize(numBlocks_);
+    for (std::uint32_t b = 0; b < numBlocks_; ++b)
+        tripsLeft_[b] = blocks_[b].tripCount;
+
+    hotLineRing_.assign(profile_.hotLines, 0);
+    warmLineRing_.assign(profile_.warmLines, 0);
+    for (std::size_t i = 0; i < hotLineRing_.size(); ++i)
+        hotLineRing_[i] = i;
+    for (std::size_t i = 0; i < warmLineRing_.size(); ++i)
+        warmLineRing_[i] = profile_.hotLines + i;
+    freshLine_ = profile_.hotLines + profile_.warmLines;
+}
+
+std::uint64_t
+StreamGenerator::blockStartPc(unsigned block) const
+{
+    gals_assert(block < numBlocks_, "bad block ", block);
+    return blocks_[block].startPc;
+}
+
+unsigned
+StreamGenerator::blockLength(unsigned block) const
+{
+    gals_assert(block < numBlocks_, "bad block ", block);
+    return static_cast<unsigned>(blocks_[block].ops.size());
 }
 
 std::uint64_t
@@ -373,7 +417,7 @@ StreamGenerator::wrongPathMemAddr()
 const GenInst &
 StreamGenerator::next()
 {
-    Block &blk = blocks_[curBlock_];
+    const Block &blk = blocks_[curBlock_];
     gals_assert(opIdx_ < blk.ops.size(), "walk ran past block end");
     const StaticOp &op = blk.ops[opIdx_];
 
@@ -389,8 +433,7 @@ StreamGenerator::next()
         gi.memAddr = drawMemAddr();
 
     if (isBranchClass(op.cls)) {
-        const std::uint32_t next_block =
-            (curBlock_ + 1) % static_cast<std::uint32_t>(blocks_.size());
+        const std::uint32_t next_block = (curBlock_ + 1) % numBlocks_;
         std::uint32_t taken_block = blk.targetBlock;
 
         switch (blk.kind) {
@@ -398,16 +441,18 @@ StreamGenerator::next()
           case SiteKind::hard:
             gi.taken = dynRng_.chance(blk.takenProb);
             break;
-          case SiteKind::loop:
-            if (blk.tripsLeft > 0) {
-                --blk.tripsLeft;
+          case SiteKind::loop: {
+            unsigned &trips = tripsLeft_[curBlock_];
+            if (trips > 0) {
+                --trips;
                 gi.taken = true;
                 taken_block = curBlock_; // back-edge
             } else {
-                blk.tripsLeft = blk.tripCount;
+                trips = blk.tripCount;
                 gi.taken = false;
             }
             break;
+          }
           case SiteKind::jump:
             gi.taken = true;
             break;
@@ -451,11 +496,10 @@ StreamGenerator::wrongPath(std::uint64_t pc)
     // The wrong path runs through real program code at the predicted
     // address.
     const std::uint64_t wpc = wrapPc(pc);
-    const auto it = std::upper_bound(blockStarts_.begin(),
-                                     blockStarts_.end(), wpc);
-    gals_assert(it != blockStarts_.begin(), "pc below program base");
-    const std::size_t bidx =
-        static_cast<std::size_t>(it - blockStarts_.begin()) - 1;
+    const std::uint64_t *it =
+        std::upper_bound(blockStarts_, blockStarts_ + numBlocks_, wpc);
+    gals_assert(it != blockStarts_, "pc below program base");
+    const std::size_t bidx = static_cast<std::size_t>(it - blockStarts_) - 1;
     const Block &blk = blocks_[bidx];
     std::size_t opi = static_cast<std::size_t>((wpc - blk.startPc) / 4);
     if (opi >= blk.ops.size())
@@ -528,11 +572,10 @@ StreamGenerator::snapshotSave(SnapshotWriter &w) const
     w.u64(callTop_);
     w.u64(callDepth_);
 
-    // Loop trip counters are the one piece of dynamic state living
-    // inside the static block table.
-    w.u64(blocks_.size());
-    for (const Block &b : blocks_)
-        w.u64(b.tripsLeft);
+    // Loop trip counters, one per block in block order.
+    w.u64(tripsLeft_.size());
+    for (const unsigned trips : tripsLeft_)
+        w.u64(trips);
 
     w.u64(hotLineRing_.size());
     for (std::uint64_t line : hotLineRing_)
@@ -566,7 +609,7 @@ StreamGenerator::snapshotRestore(SnapshotReader &r)
     current_.memAddr = r.u64();
 
     curBlock_ = static_cast<std::uint32_t>(r.u64());
-    if (curBlock_ >= blocks_.size())
+    if (curBlock_ >= numBlocks_)
         r.fail("generator block index out of range");
     opIdx_ = static_cast<unsigned>(r.u64());
     if (r.ok() && opIdx_ >= blocks_[curBlock_].ops.size())
@@ -579,9 +622,9 @@ StreamGenerator::snapshotRestore(SnapshotReader &r)
     if (callTop_ >= callStackDepth || callDepth_ > callStackDepth)
         r.fail("generator call stack out of range");
 
-    r.expectU64(r.u64(), blocks_.size(), "generator block count");
-    for (Block &b : blocks_)
-        b.tripsLeft = static_cast<unsigned>(r.u64());
+    r.expectU64(r.u64(), tripsLeft_.size(), "generator block count");
+    for (unsigned &trips : tripsLeft_)
+        trips = static_cast<unsigned>(r.u64());
 
     r.expectU64(r.u64(), hotLineRing_.size(), "hot ring size");
     for (std::uint64_t &line : hotLineRing_)

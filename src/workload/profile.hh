@@ -11,7 +11,7 @@
  * rates through the clock domains, misprediction recovery cost, and
  * queue occupancies.
  *
- * A profile is compiled by StreamGenerator into a *static program*: a
+ * A profile compiles into a *static program* (StaticProgram): a
  * control-flow graph of basic blocks laid out contiguously in the
  * instruction address space, where every branch site has a fixed kind
  * (biased / loop back-edge) and fixed targets. The real branch

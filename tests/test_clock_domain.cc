@@ -142,6 +142,87 @@ TEST(ClockDomain, NextEdgeAfterIsStrict)
     EXPECT_EQ(cd.nextEdgeAfter(999), 1000u);
 }
 
+TEST(ClockDomain, NextEdgeAtExactWhileStopped)
+{
+    // A clock stopped from its own edge extrapolates its grid from
+    // the last edge: the same answers it gave while running.
+    EventQueue eq;
+    ClockDomain cd(eq, "c", 1000, 250);
+    cd.addTicker([&] {
+        if (cd.cycle() == 3)
+            cd.stop();
+    });
+    cd.start();
+    eq.runUntil(20000); // edges at 250, 1250, 2250; then stopped
+    ASSERT_FALSE(cd.running());
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(cd.lastEdge(), 2250u);
+    EXPECT_EQ(cd.nextEdgeAt(2251), 3250u);
+    EXPECT_EQ(cd.nextEdgeAt(20000), 20250u);
+    EXPECT_EQ(cd.nextEdgeAt(20250), 20250u);
+    EXPECT_EQ(cd.nextEdgeAfter(20250), 21250u);
+}
+
+TEST(ClockDomain, RestartAtLandsOnTheGrid)
+{
+    EventQueue eq;
+    ClockDomain cd(eq, "c", 1000, 250);
+    std::vector<Tick> edges;
+    cd.addTicker([&] {
+        edges.push_back(eq.now());
+        if (edges.size() == 2)
+            cd.stop();
+    });
+    cd.start();
+    eq.runUntil(5600); // edges at 250, 1250; parked since
+    ASSERT_FALSE(cd.running());
+
+    // Off-grid and on-grid restart points: the first grid edge at or
+    // after t; skipped edges are not run and not counted.
+    cd.restartAt(5601);
+    EXPECT_TRUE(cd.running());
+    EXPECT_EQ(cd.nextEdgeAt(5601), 6250u);
+    eq.runUntil(7300);
+    EXPECT_EQ(edges, (std::vector<Tick>{250, 1250, 6250, 7250}));
+    EXPECT_EQ(cd.cycle(), 4u);
+
+    cd.stop();
+    cd.restartAt(9250);
+    eq.runUntil(9250);
+    EXPECT_EQ(edges.back(), 9250u);
+    EXPECT_EQ(cd.cycle(), 5u);
+}
+
+TEST(ClockDomain, HigherEdgePriorityRunsAfterSameTickEdges)
+{
+    // A clock with edge priority clockEdgePri + 1 runs after every
+    // default-priority edge at the same tick, even when it was
+    // (re)started first and carries the older insertion seq.
+    EventQueue eq;
+    ClockDomain late(eq, "late", 1000, 0, Event::clockEdgePri + 1);
+    ClockDomain a(eq, "a", 1000);
+    ClockDomain b(eq, "b", 500);
+    std::string log;
+    late.addTicker([&] { log += 'L'; });
+    a.addTicker([&] { log += 'a'; });
+    b.addTicker([&] { log += 'b'; });
+    late.start();
+    a.start();
+    b.start();
+    eq.runUntil(1000);
+    EXPECT_EQ(log, "abLbabL");
+
+    // Restarted from within a same-tick edge: still runs last.
+    log.clear();
+    late.stop();
+    a.addTicker([&] {
+        if (!late.running())
+            late.restartAt(eq.now() + 1);
+    });
+    eq.runUntil(3000);
+    EXPECT_EQ(log, "babbabL");
+}
+
 TEST(ClockDomain, SetPhaseBeforeStart)
 {
     EventQueue eq;

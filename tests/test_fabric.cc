@@ -3,9 +3,10 @@
  * Tests for the multi-core fabric layer: topology generation and
  * routing, traffic-matrix parsing, FabricConfig validation, the
  * single-core identity guarantee (an inert fabric config is
- * bit-for-bit the classic single-Processor run), and the determinism
+ * bit-for-bit the classic single-Processor run), the determinism
  * contract (repeat runs and calendar-vs-heap engines byte-identical,
- * per-core records included).
+ * per-core records included), and the constant per-core costs: idle
+ * link clocks park, and the cores share one static program.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 #include "fabric/topology.hh"
 #include "runner/reporter.hh"
 #include "sim/event_queue.hh"
+#include "sim/snapshot_io.hh"
+#include "workload/generator.hh"
 
 using namespace gals;
 
@@ -32,6 +35,18 @@ recordBytes(const RunConfig &cfg, const RunResults &r)
     std::ostringstream os;
     runner::writeJsonLines(os, "t", {cfg}, {r});
     return os.str();
+}
+
+/** FNV-1a over a record line: one 64-bit pin of every byte. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
 }
 
 RunConfig
@@ -252,4 +267,153 @@ TEST(System, ChannelStorageBoundedAtSixtyFourCores)
     }
     EXPECT_EQ(channels, 64u * 16u);
     EXPECT_LE(slots, 64u * 1024u);
+}
+
+namespace
+{
+
+/** One pinned fabric record: its end tick and the FNV-1a digest of
+ *  its bytes, per-core block included. */
+struct RecordPin
+{
+    TopologyKind topo;
+    const char *traffic;
+    bool gals;
+    Tick ticks;
+    std::uint64_t digest;
+};
+
+/** Run @p p's fabric (six cores, two-deep link FIFOs, one request per
+ *  6 commits) and check its record against the pin. */
+void
+expectPinnedRecord(const RecordPin &p)
+{
+    RunConfig cfg = fabricCfg(6, p.topo, p.traffic, p.gals);
+    cfg.fabric.linkFifoCapacity = 2;
+    cfg.fabric.trafficInterval = 6;
+    const RunResults r = runOne(cfg);
+    const std::uint64_t digest = fnv1a(recordBytes(cfg, r));
+    const std::string tag = std::string(topologyKindName(p.topo)) + "/" +
+                            p.traffic + (p.gals ? "/gals" : "/base");
+    EXPECT_EQ(r.ticks, p.ticks) << tag;
+    EXPECT_EQ(digest, p.digest) << tag << " 0x" << std::hex << digest;
+    for (const CoreResults &c : r.cores)
+        EXPECT_EQ(c.committed, cfg.instructions) << tag;
+}
+
+} // namespace
+
+/**
+ * Pinned records of congested fabrics: ring and 2x3 mesh, base and
+ * GALS, so links both backpressure and fall idle. The pins were
+ * captured while every link clock ticked on every edge, link edges
+ * shared the core edges' priority and each core built its own static
+ * program; the records must not change.
+ */
+TEST(System, RecordPinsTightLinkFifo)
+{
+    const RecordPin pins[] = {
+        {TopologyKind::ring, "uniform", false, 3074000,
+         0x5ef699be7acc6559ULL},
+        {TopologyKind::ring, "uniform", true, 3808523,
+         0x5ac45195eb429dd2ULL},
+        {TopologyKind::mesh2d, "uniform", false, 3074000,
+         0xf51ea5707684d57bULL},
+        {TopologyKind::mesh2d, "uniform", true, 3800523,
+         0x3779be97e62bbd60ULL},
+    };
+    for (const RecordPin &p : pins)
+        expectPinnedRecord(p);
+}
+
+/** Every request to one hotspot core: the links into it stay
+ *  backpressured, so they must keep ticking with a full egress FIFO
+ *  rather than park on it. Pinned like RecordPinsTightLinkFifo. */
+TEST(System, BackpressuredLinkKeepsTicking)
+{
+    const RecordPin pins[] = {
+        {TopologyKind::mesh2d, "hotspot:1", false, 3074000,
+         0x7c62be6dfe95b162ULL},
+        {TopologyKind::mesh2d, "hotspot:1", true, 3855523,
+         0xf3a6683724f2f9fdULL},
+    };
+    for (const RecordPin &p : pins)
+        expectPinnedRecord(p);
+}
+
+/** Without traffic no link is ever woken: each link clock runs its
+ *  first edge, finds its ingress FIFO empty and parks, so the run
+ *  processes at most its core edges plus one edge per link. */
+TEST(System, IdleLinksParkAfterOneEdge)
+{
+    for (const bool gals : {false, true}) {
+        const RunConfig cfg =
+            fabricCfg(6, TopologyKind::mesh2d, "none", gals);
+        System sys(cfg);
+        sys.run();
+        std::uint64_t coreEdges = 0;
+        for (unsigned i = 0; i < sys.cores(); ++i)
+            for (unsigned d = 0; d < numDomains; ++d)
+                coreEdges +=
+                    sys.core(i).domain(static_cast<DomainId>(d)).cycle();
+        const std::uint64_t links =
+            buildTopologyLinks(cfg.fabric.topology, cfg.fabric.cores)
+                .size();
+        EXPECT_GT(coreEdges, 0u);
+        EXPECT_LE(sys.eventQueue().processedCount(), coreEdges + links)
+            << (gals ? "gals" : "base");
+    }
+}
+
+TEST(System, CoresShareOneStaticProgram)
+{
+    const RunConfig cfg = fabricCfg(4, TopologyKind::ring, "uniform");
+    System sys(cfg);
+    const StaticProgram *program = sys.core(0).workload().program().get();
+    ASSERT_NE(program, nullptr);
+    for (unsigned i = 1; i < sys.cores(); ++i)
+        EXPECT_EQ(sys.core(i).workload().program().get(), program);
+}
+
+/** A generator walking a shared program emits the stream and the
+ *  snapshot bytes of one that built its own, including when two
+ *  generators with different run seeds walk the same program
+ *  interleaved (their loop trip counters stay their own). */
+TEST(System, SharedProgramGeneratorMatchesPrivateOne)
+{
+    const BenchmarkProfile &profile = findBenchmark("gcc");
+    const auto program = std::make_shared<const StaticProgram>(profile);
+    StreamGenerator own[2] = {StreamGenerator(profile, 3),
+                              StreamGenerator(profile, 4)};
+    StreamGenerator shared[2] = {StreamGenerator(profile, 3, program),
+                                 StreamGenerator(profile, 4, program)};
+    EXPECT_NE(own[0].program(), shared[0].program());
+    EXPECT_EQ(shared[0].program(), shared[1].program());
+
+    for (int i = 0; i < 20000; ++i) {
+        for (int g = 0; g < 2; ++g) {
+            const GenInst a = own[g].next();
+            const GenInst b = shared[g].next();
+            ASSERT_EQ(a.pc, b.pc) << g << " @" << i;
+            ASSERT_EQ(a.cls, b.cls) << g << " @" << i;
+            ASSERT_EQ(a.dest, b.dest) << g << " @" << i;
+            ASSERT_EQ(a.taken, b.taken) << g << " @" << i;
+            ASSERT_EQ(a.target, b.target) << g << " @" << i;
+            ASSERT_EQ(a.memAddr, b.memAddr) << g << " @" << i;
+            if (i % 97 == 0) {
+                const GenInst wa = own[g].wrongPath(a.pc + 4 * i);
+                const GenInst wb = shared[g].wrongPath(a.pc + 4 * i);
+                ASSERT_EQ(wa.pc, wb.pc) << g << " @" << i;
+                ASSERT_EQ(wa.cls, wb.cls) << g << " @" << i;
+                ASSERT_EQ(wa.target, wb.target) << g << " @" << i;
+                ASSERT_EQ(wa.memAddr, wb.memAddr) << g << " @" << i;
+            }
+        }
+    }
+    for (int g = 0; g < 2; ++g) {
+        SnapshotWriter wa, wb;
+        own[g].snapshotSave(wa);
+        shared[g].snapshotSave(wb);
+        EXPECT_EQ(wa.bytes(), wb.bytes()) << g;
+    }
 }
