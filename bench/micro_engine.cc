@@ -4,10 +4,7 @@
  * schedule/cancel and hold-model churn, clock-domain ticking,
  * mixed-clock channel traffic, squash churn, and end-to-end
  * simulation rate of one GALS core and of 8- and 64-core fabrics.
- *
- * Every event-queue benchmark is parameterized over the scheduling
- * engine (0 = calendar, 1 = heap) so one run produces the A/B
- * comparison recorded in docs/PERFORMANCE.md:
+ * docs/PERFORMANCE.md records their numbers from:
  *
  *   galsmicro --benchmark_repetitions=5
  *             --benchmark_report_aggregates_only=true
@@ -30,22 +27,6 @@ using namespace gals;
 
 namespace
 {
-
-QueueEngine
-engineArg(const benchmark::State &state)
-{
-    return state.range(0) == 0 ? QueueEngine::calendar
-                               : QueueEngine::heap;
-}
-
-void
-setEngineLabel(benchmark::State &state, const std::string &extra = "")
-{
-    std::string label = queueEngineName(engineArg(state));
-    if (!extra.empty())
-        label += "/" + extra;
-    state.SetLabel(label);
-}
 
 /** Hold-model event: every firing reschedules itself a pseudo-random
  *  increment into the future, keeping the queue population constant. */
@@ -75,7 +56,7 @@ class HoldEvent : public Event
 void
 BM_EventQueueScheduleService(benchmark::State &state)
 {
-    EventQueue eq("bench", engineArg(state));
+    EventQueue eq("bench");
     std::vector<std::unique_ptr<CallbackEvent>> events;
     for (int i = 0; i < 64; ++i)
         events.push_back(std::make_unique<CallbackEvent>([] {}));
@@ -86,10 +67,9 @@ BM_EventQueueScheduleService(benchmark::State &state)
         while (eq.serviceOne()) {
         }
     }
-    setEngineLabel(state);
     state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_EventQueueScheduleService)->Arg(0)->Arg(1);
+BENCHMARK(BM_EventQueueScheduleService);
 
 /**
  * Hold-model churn at a steady queue population: the classic
@@ -100,8 +80,8 @@ void
 BM_EventQueueHoldChurn(benchmark::State &state)
 {
     const std::size_t population =
-        static_cast<std::size_t>(state.range(1));
-    EventQueue eq("bench", engineArg(state));
+        static_cast<std::size_t>(state.range(0));
+    EventQueue eq("bench");
     Rng rng(0x9e3779b9u);
     std::vector<std::unique_ptr<HoldEvent>> events;
     for (std::size_t i = 0; i < population; ++i) {
@@ -113,11 +93,10 @@ BM_EventQueueHoldChurn(benchmark::State &state)
         for (int k = 0; k < 1024; ++k)
             eq.serviceOne();
     }
-    setEngineLabel(state, "n=" + std::to_string(population));
     state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_EventQueueHoldChurn)
-    ->ArgsProduct({{0, 1}, {16, 256, 4096}});
+    ->Arg(16)->Arg(256)->Arg(4096);
 
 /**
  * Pure schedule/cancel churn: events are rescheduled to scattered
@@ -128,8 +107,8 @@ void
 BM_EventQueueScheduleCancel(benchmark::State &state)
 {
     const std::size_t population =
-        static_cast<std::size_t>(state.range(1));
-    EventQueue eq("bench", engineArg(state));
+        static_cast<std::size_t>(state.range(0));
+    EventQueue eq("bench");
     Rng rng(0x2545f491u);
     std::vector<std::unique_ptr<CallbackEvent>> events;
     for (std::size_t i = 0; i < population; ++i) {
@@ -141,17 +120,16 @@ BM_EventQueueScheduleCancel(benchmark::State &state)
             eq.reschedule(events[i].get(),
                           1 + (rng.next64() & 4095));
     }
-    setEngineLabel(state, "n=" + std::to_string(population));
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(population));
 }
 BENCHMARK(BM_EventQueueScheduleCancel)
-    ->ArgsProduct({{0, 1}, {16, 256, 4096}});
+    ->Arg(16)->Arg(256)->Arg(4096);
 
 void
 BM_ClockDomainTick(benchmark::State &state)
 {
-    EventQueue eq("bench", engineArg(state));
+    EventQueue eq("bench");
     ClockDomain cd(eq, "clk", 1000);
     std::uint64_t count = 0;
     cd.addTicker([&count] { ++count; });
@@ -162,10 +140,9 @@ BM_ClockDomainTick(benchmark::State &state)
         eq.runUntil(until);
     }
     benchmark::DoNotOptimize(count);
-    setEngineLabel(state);
     state.SetItemsProcessed(state.iterations() * 1000);
 }
-BENCHMARK(BM_ClockDomainTick)->Arg(0)->Arg(1);
+BENCHMARK(BM_ClockDomainTick);
 
 /** Counter ticker for the devirtualized dispatch path. */
 class CountTicker final : public ClockDomain::Ticker
@@ -183,7 +160,7 @@ class CountTicker final : public ClockDomain::Ticker
 void
 BM_TickerDispatchTyped(benchmark::State &state)
 {
-    EventQueue eq("bench", engineArg(state));
+    EventQueue eq("bench");
     ClockDomain cd(eq, "clk", 1000);
     CountTicker tickers[8];
     for (auto &t : tickers)
@@ -195,10 +172,9 @@ BM_TickerDispatchTyped(benchmark::State &state)
         eq.runUntil(until);
     }
     benchmark::DoNotOptimize(tickers[0].count);
-    setEngineLabel(state);
     state.SetItemsProcessed(state.iterations() * 1000 * 8);
 }
-BENCHMARK(BM_TickerDispatchTyped)->Arg(0)->Arg(1);
+BENCHMARK(BM_TickerDispatchTyped);
 
 /**
  * The same edge walk through the std::function adapter
@@ -207,7 +183,7 @@ BENCHMARK(BM_TickerDispatchTyped)->Arg(0)->Arg(1);
 void
 BM_TickerDispatchFunction(benchmark::State &state)
 {
-    EventQueue eq("bench", engineArg(state));
+    EventQueue eq("bench");
     ClockDomain cd(eq, "clk", 1000);
     std::uint64_t count = 0;
     for (int i = 0; i < 8; ++i)
@@ -219,10 +195,9 @@ BM_TickerDispatchFunction(benchmark::State &state)
         eq.runUntil(until);
     }
     benchmark::DoNotOptimize(count);
-    setEngineLabel(state);
     state.SetItemsProcessed(state.iterations() * 1000 * 8);
 }
-BENCHMARK(BM_TickerDispatchFunction)->Arg(0)->Arg(1);
+BENCHMARK(BM_TickerDispatchFunction);
 
 /**
  * Same-tick edge batching: five domains with identical period and
@@ -233,7 +208,7 @@ BENCHMARK(BM_TickerDispatchFunction)->Arg(0)->Arg(1);
 void
 BM_EdgeBatchChurn(benchmark::State &state)
 {
-    EventQueue eq("bench", engineArg(state));
+    EventQueue eq("bench");
     std::vector<std::unique_ptr<ClockDomain>> domains;
     CountTicker tickers[5];
     for (int i = 0; i < 5; ++i) {
@@ -248,16 +223,15 @@ BM_EdgeBatchChurn(benchmark::State &state)
         eq.runUntil(until);
     }
     benchmark::DoNotOptimize(tickers[0].count);
-    setEngineLabel(state);
     state.SetItemsProcessed(state.iterations() * 1000 * 5);
 }
-BENCHMARK(BM_EdgeBatchChurn)->Arg(0)->Arg(1);
+BENCHMARK(BM_EdgeBatchChurn);
 
 /** Steady-state mixed-clock FIFO traffic between two domains. */
 void
 BM_AsyncFifoTraffic(benchmark::State &state)
 {
-    EventQueue eq("bench", engineArg(state));
+    EventQueue eq("bench");
     ClockDomain prod(eq, "prod", 1000, 0);
     ClockDomain cons(eq, "cons", 1300, 400);
     Channel<int> ch("ch", ChannelMode::asyncFifo, prod, cons, 16, 2);
@@ -280,10 +254,9 @@ BM_AsyncFifoTraffic(benchmark::State &state)
         eq.runUntil(until);
     }
     benchmark::DoNotOptimize(moved);
-    setEngineLabel(state);
     state.SetItemsProcessed(static_cast<std::int64_t>(moved));
 }
-BENCHMARK(BM_AsyncFifoTraffic)->Arg(0)->Arg(1);
+BENCHMARK(BM_AsyncFifoTraffic);
 
 /**
  * Channel squash churn: fill, squash every other item (the pipeline-
@@ -293,7 +266,7 @@ BENCHMARK(BM_AsyncFifoTraffic)->Arg(0)->Arg(1);
 void
 BM_ChannelSquashChurn(benchmark::State &state)
 {
-    EventQueue eq("bench", QueueEngine::calendar);
+    EventQueue eq("bench");
     ClockDomain prod(eq, "prod", 1000, 0);
     ClockDomain cons(eq, "cons", 1000, 500);
     Channel<int> ch("ch", ChannelMode::asyncFifo, prod, cons, 32, 2);

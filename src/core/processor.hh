@@ -184,13 +184,6 @@ class Processor
      */
     double finalizeEnergyNj();
 
-    /**
-     * Dump a gem5-style statistics listing ("name value # desc") of
-     * the run: throughput, latency, speculation, occupancies, caches,
-     * per-channel FIFO activity and per-unit energies.
-     */
-    void dumpStats(std::ostream &os);
-
   private:
     void buildDomains(std::uint64_t runSeed);
     void buildChannels();

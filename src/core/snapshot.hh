@@ -22,9 +22,9 @@
  * ever used to make bytes, and the measured machine is always a
  * fresh construction restored from those bytes. Memoized and
  * non-memoized runs of the same configuration therefore execute
- * byte-identical instruction-by-instruction trajectories, on either
- * event-queue engine, at any job count: the contract holds by
- * construction, not by careful bookkeeping.
+ * byte-identical instruction-by-instruction trajectories at any job
+ * count: the contract holds by construction, not by careful
+ * bookkeeping.
  *
  * ## Keying and sharing
  *
@@ -73,7 +73,7 @@ RunConfig canonicalWarmupConfig(const RunConfig &cfg);
 /**
  * Stable 64-bit key of the warmup-relevant subset of @p cfg:
  * runConfigHash() of canonicalWarmupConfig(). Identical across
- * machines, engines and job counts.
+ * machines and job counts.
  */
 std::uint64_t warmupKeyHash(const RunConfig &cfg);
 

@@ -24,9 +24,8 @@
  * energy 90), link edges run after every core edge of their tick,
  * channels are drained in fixed ascending-source order, and all
  * randomness comes from seeds in the RunConfig. Results are
- * therefore byte-identical across --jobs, --engine calendar|heap,
- * shard/merge round trips and dispatch crash-resume, like every
- * single-core run.
+ * therefore byte-identical across --jobs, shard/merge round trips
+ * and dispatch crash-resume, like every single-core run.
  *
  * Host cost per core does not grow with the core count: the cores
  * share one StaticProgram, an idle link parks its clock until the

@@ -15,7 +15,6 @@
 #include "runner/json.hh"
 #include "runner/scenario.hh"
 #include "runner/trajectory.hh"
-#include "sim/event_queue.hh"
 
 namespace gals::runner
 {
@@ -227,7 +226,6 @@ rankOf(const std::vector<std::string> &order, const std::string &name)
 struct ParsedManifest
 {
     std::string version;    ///< galssim_version
-    std::string engineName; ///< "calendar" / "heap"
     SweepOptions opts;      ///< instructions, seeds, benchmarks, shard
     std::string output;     ///< trajectory path; empty when null
     std::vector<ManifestScenario> scenarios;
@@ -266,8 +264,11 @@ readManifest(const std::string &path, ParsedManifest &out,
         seeds->kind != json::Value::Kind::array)
         return fail("missing/malformed version, engine, "
                     "instructions or seeds");
+    // "heap" archives predate the backend's retirement and popped in
+    // the same order, so they still verify and merge.
+    if (eng->str != manifestEngineName && eng->str != "heap")
+        return fail("unknown engine '" + eng->str + "'");
     out.version = ver->str;
-    out.engineName = eng->str;
 
     for (const json::Value &s : seeds->items) {
         std::uint64_t seed = 0;
@@ -792,7 +793,6 @@ mergeManifests(const std::vector<std::string> &shardFiles,
     for (std::size_t i = 0; i < parsed.size(); ++i) {
         const ParsedManifest &m = parsed[i];
         if (m.version != first.version ||
-            m.engineName != first.engineName ||
             m.opts.instructions != first.opts.instructions ||
             m.opts.explicitSeeds != first.opts.explicitSeeds ||
             m.opts.benchmarks != first.opts.benchmarks ||
@@ -832,8 +832,7 @@ mergeManifests(const std::vector<std::string> &shardFiles,
     // left behind, and a previously merged manifest survives a
     // failed re-merge intact.
     std::ostringstream os;
-    writeManifest(os, opts, first.engineName, outputPath,
-                  first.scenarios);
+    writeManifest(os, opts, outputPath, first.scenarios);
     std::string werr;
     if (!atomicWriteFile(manifestPath, os.str(), werr)) {
         diag << "merge-manifest: " << werr << "\n";
@@ -863,10 +862,6 @@ verifyManifest(const ScenarioRegistry &registry,
         diag << "verify: manifest was written by galssim "
              << m.version << ", this binary is " << galssimVersion()
              << " — results are not comparable\n";
-        return false;
-    }
-    if (m.engineName != "calendar" && m.engineName != "heap") {
-        diag << "verify: unknown engine '" << m.engineName << "'\n";
         return false;
     }
     if (m.output.empty()) {
@@ -905,16 +900,6 @@ verifyManifest(const ScenarioRegistry &registry,
         diag << "verify: " << err << "\n";
         return false;
     }
-
-    // The archived engine governs the replay, but the override must
-    // not leak past this call (test binaries and future multi-verify
-    // CLIs run other work after us).
-    struct EngineRestore
-    {
-        QueueEngine prev = EventQueue::defaultEngine();
-        ~EngineRestore() { EventQueue::setDefaultEngine(prev); }
-    } engineRestore;
-    EventQueue::setDefaultEngine(parseQueueEngine(m.engineName));
 
     const TrajectoryFormat format =
         trajectoryFormatForPath(m.output);

@@ -10,9 +10,9 @@
  * single-machine ordering — cmp-identical to an unsharded run — and
  * mergeManifests() fuses the shard manifests into the canonical
  * manifest. verifyManifest() closes the loop: it re-runs an archived
- * manifest (engine, instruction budget, seeds, benchmarks, shard)
- * against the current binary, checks the per-scenario grid shapes
- * and config hashes first, and byte-compares the regenerated
+ * manifest (instruction budget, seeds, benchmarks, shard) against the
+ * current binary, checks the per-scenario grid shapes and config
+ * hashes first, and byte-compares the regenerated
  * trajectory against the archived file, reporting a per-record diff
  * on mismatch.
  *
@@ -76,13 +76,14 @@ bool mergeTrajectories(const std::vector<std::string> &shardFiles,
 /**
  * Merge shard manifests into the canonical manifest at
  * @p manifestPath: every shard manifest must agree on version,
- * engine, sweep options and scenario grids, and the shard indices
- * must cover 1..N exactly. The merged manifest drops the shard
- * object and records @p outputPath (the merged trajectory's path;
- * may be empty) — making it byte-identical to the manifest an
- * unsharded `--output outputPath` run writes. @p plan, when given,
- * receives the recovered canonical sweep shape for
- * mergeTrajectories() to cross-check against.
+ * sweep options and scenario grids, and the shard indices must cover
+ * 1..N exactly. The `"engine"` field may read `"calendar"` or the
+ * retired `"heap"` (the same pop order). The merged manifest reads
+ * `"calendar"`, drops the shard object and records @p outputPath
+ * (the merged trajectory's path; may be empty) — making it
+ * byte-identical to the manifest an unsharded `--output outputPath`
+ * run writes. @p plan, when given, receives the recovered canonical
+ * sweep shape for mergeTrajectories() to cross-check against.
  */
 bool mergeManifests(const std::vector<std::string> &shardFiles,
                     const std::string &manifestPath,

@@ -188,7 +188,6 @@ TrajectorySink::close()
 
 void
 writeManifest(std::ostream &os, const SweepOptions &opts,
-              const std::string &engineName,
               const std::string &outputPath,
               const std::vector<ManifestScenario> &scenarios)
 {
@@ -196,7 +195,7 @@ writeManifest(std::ostream &os, const SweepOptions &opts,
        << "  \"manifest_version\": 1,\n"
        << "  \"galssim_version\": " << jsonQuote(galssimVersion())
        << ",\n"
-       << "  \"engine\": " << jsonQuote(engineName) << ",\n"
+       << "  \"engine\": " << jsonQuote(manifestEngineName) << ",\n"
        << "  \"instructions\": " << opts.instructions << ",\n";
 
     os << "  \"seeds\": [";
@@ -292,7 +291,6 @@ writeManifest(std::ostream &os, const SweepOptions &opts,
 
 void
 writeManifestFile(const std::string &path, const SweepOptions &opts,
-                  const std::string &engineName,
                   const std::string &outputPath,
                   const std::vector<ManifestScenario> &scenarios)
 {
@@ -300,7 +298,7 @@ writeManifestFile(const std::string &path, const SweepOptions &opts,
     // orchestrator treats a slice manifest's *existence* as the
     // slice-complete marker, so a torn manifest must be impossible.
     std::ostringstream os;
-    writeManifest(os, opts, engineName, outputPath, scenarios);
+    writeManifest(os, opts, outputPath, scenarios);
     std::string err;
     if (!atomicWriteFile(path, os.str(), err))
         gals_fatal("manifest file: ", err);

@@ -55,9 +55,8 @@ TrajectoryFormat trajectoryFormatForPath(const std::string &path);
 
 /** Strict CLI-side parse of a `--output` path: true with @p out set
  *  for the known extensions (`.jsonl` / `.json` / `.csv` / `.gtrj`),
- *  false for anything else — the caller rejects with usage, like the
- *  `--engine` validation, instead of silently writing JSON lines to
- *  a surprising filename. */
+ *  false for anything else — the caller rejects with usage instead
+ *  of silently writing JSON lines to a surprising filename. */
 bool trajectoryFormatForCliPath(const std::string &path,
                                 TrajectoryFormat &out);
 
@@ -140,6 +139,11 @@ class TrajectorySink
     bool wroteHeader_ = false;
 };
 
+/** The `"engine"` value every manifest and dispatch plan line
+ *  records: the event queue's one pop order. Readers also accept
+ *  `"heap"`, the retired backend that popped in the same order. */
+inline constexpr const char *manifestEngineName = "calendar";
+
 /** One executed scenario as recorded in a manifest. */
 struct ManifestScenario
 {
@@ -151,18 +155,17 @@ struct ManifestScenario
 
 /**
  * Write the run manifest as deterministic pretty-printed JSON: fixed
- * key order, no timestamps or host details. @p engineName is the
- * event-queue engine (queueEngineName()), @p outputPath the
- * trajectory file this manifest describes (empty when --output was
- * not given). A sharded sweep (opts.shard.active()) additionally
- * records a `"shard": {"index": i, "count": N}` object; the scenario
+ * key order, no timestamps or host details. The `"engine"` field is
+ * always manifestEngineName. @p outputPath is the trajectory file
+ * this manifest describes (empty when --output was not given). A
+ * sharded sweep (opts.shard.active()) additionally records a
+ * `"shard": {"index": i, "count": N}` object; the scenario
  * entries always describe the canonical full grid, so N shard
  * manifests differ from the unsharded manifest only by the shard
  * object and the output path — which is what lets
  * `--merge-manifest` fuse them back byte-identically.
  */
 void writeManifest(std::ostream &os, const SweepOptions &opts,
-                   const std::string &engineName,
                    const std::string &outputPath,
                    const std::vector<ManifestScenario> &scenarios);
 
@@ -172,7 +175,6 @@ void writeManifest(std::ostream &os, const SweepOptions &opts,
  *  error. */
 void writeManifestFile(const std::string &path,
                        const SweepOptions &opts,
-                       const std::string &engineName,
                        const std::string &outputPath,
                        const std::vector<ManifestScenario> &scenarios);
 

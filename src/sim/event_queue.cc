@@ -1,7 +1,6 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <utility>
 
@@ -9,37 +8,6 @@
 
 namespace gals
 {
-
-namespace
-{
-
-constexpr QueueEngine builtinDefaultEngine =
-#ifdef GALSSIM_HEAP_EVENTQUEUE
-    QueueEngine::heap;
-#else
-    QueueEngine::calendar;
-#endif
-
-std::atomic<QueueEngine> g_defaultEngine{builtinDefaultEngine};
-
-} // namespace
-
-QueueEngine
-parseQueueEngine(const std::string &name)
-{
-    if (name == "calendar")
-        return QueueEngine::calendar;
-    if (name == "heap")
-        return QueueEngine::heap;
-    gals_fatal("unknown event-queue engine '", name,
-               "' (expected calendar or heap)");
-}
-
-const char *
-queueEngineName(QueueEngine engine)
-{
-    return engine == QueueEngine::calendar ? "calendar" : "heap";
-}
 
 Event::Event(std::string name, int priority)
     : name_(std::move(name)), priority_(priority)
@@ -103,38 +71,18 @@ PeriodicEvent::process()
     fn_();
 }
 
-QueueEngine
-EventQueue::defaultEngine()
+EventQueue::EventQueue(std::string name)
+    : name_(std::move(name)), buckets_(calInitialBuckets)
 {
-    return g_defaultEngine.load(std::memory_order_relaxed);
-}
-
-void
-EventQueue::setDefaultEngine(QueueEngine engine)
-{
-    g_defaultEngine.store(engine, std::memory_order_relaxed);
-}
-
-EventQueue::EventQueue(std::string name, QueueEngine engine)
-    : name_(std::move(name)), engine_(engine)
-{
-    if (engine_ == QueueEngine::calendar)
-        buckets_ = std::vector<Bucket>(calInitialBuckets);
 }
 
 EventQueue::~EventQueue()
 {
     // Orphan any still-scheduled events so their destructors do not
     // touch a dead queue.
-    if (engine_ == QueueEngine::heap) {
-        for (Event *ev : set_)
+    for (Bucket &b : buckets_)
+        for (Event *ev = b.head(); ev != nullptr; ev = Bucket::next(ev))
             ev->queue_ = nullptr;
-    } else {
-        for (Bucket &b : buckets_)
-            for (Event *ev = b.head(); ev != nullptr;
-                 ev = Bucket::next(ev))
-                ev->queue_ = nullptr;
-    }
 }
 
 void
@@ -149,10 +97,6 @@ EventQueue::schedule(Event *ev, Tick when)
     ev->seq_ = nextSeq_++;
     ev->queue_ = this;
     ++size_;
-    if (engine_ == QueueEngine::heap) {
-        set_.insert(ev);
-        return;
-    }
     calInsert(ev);
     if (size_ > calGrowPerBucket * buckets_.size())
         calResize(buckets_.size() * 2);
@@ -168,10 +112,6 @@ EventQueue::schedulePeriodicRepeat(PeriodicEvent *ev)
     ev->seq_ = nextSeq_++;
     ev->queue_ = this;
     ++size_;
-    if (engine_ == QueueEngine::heap) {
-        set_.insert(ev);
-        return;
-    }
     calInsert(ev);
 }
 
@@ -181,17 +121,9 @@ EventQueue::deschedule(Event *ev)
     gals_assert(ev != nullptr, "null event");
     gals_assert(ev->queue_ == this, "event '", ev->name(),
                 "' is not scheduled on this queue");
-    if (engine_ == QueueEngine::heap) {
-        auto it = set_.find(ev);
-        gals_assert(it != set_.end(), "scheduled event '", ev->name(),
-                    "' missing from queue");
-        set_.erase(it);
-    } else {
-        calRemove(ev);
-    }
+    calRemove(ev);
     --size_;
-    if (engine_ == QueueEngine::calendar)
-        calMaybeShrink();
+    calMaybeShrink();
     ev->queue_ = nullptr;
 }
 
@@ -253,11 +185,6 @@ EventQueue::calRemove(Event *ev)
 Event *
 EventQueue::calFindMin() const
 {
-    if (size_ == 0)
-        return nullptr;
-    if (minCache_ != nullptr)
-        return minCache_;
-
     // Classic calendar-queue search: walk one wheel revolution
     // starting at the bucket covering now(), accepting the first
     // bucket head that falls inside its current-year window. Bucket
@@ -329,13 +256,9 @@ EventQueue::calMaybeShrink()
 void
 EventQueue::removeMin(Event *ev)
 {
-    if (engine_ == QueueEngine::heap)
-        set_.erase(set_.begin());
-    else
-        calRemove(ev);
+    calRemove(ev);
     --size_;
-    if (engine_ == QueueEngine::calendar)
-        calMaybeShrink();
+    calMaybeShrink();
 }
 
 Event *

@@ -20,24 +20,16 @@
  * fast reinsert that skips the scheduling asserts and the grow check
  * (the pop that delivered the event just vacated the slot).
  *
- * Two interchangeable scheduling backends implement the same ordering
- * contract (see QueueEngine):
- *
- *  - @b calendar (default): a calendar queue / bucketed timing wheel
- *    (Brown, CACM 1988) with dynamic resize. Events carry embedded
- *    bucket links, so schedule/deschedule never allocate, and all
- *    operations are O(1) amortized when the bucket width tracks the
- *    inter-event gap — which it does for the clock-edge traffic that
- *    dominates GALS simulation.
- *
- *  - @b heap: the original std::set (red-black tree) implementation,
- *    kept as an A/B baseline. O(log n) per operation plus one node
- *    allocation per schedule.
- *
- * Both engines pop events in exactly the same (time, priority,
- * insertion-seq) order, so simulations are bit-identical under either;
- * tests/test_calendar_queue.cc pins that equivalence (including the
- * batched drain paths).
+ * The scheduling backend is a calendar queue / bucketed timing wheel
+ * (Brown, CACM 1988) with dynamic resize. Events carry embedded
+ * bucket links, so schedule/deschedule never allocate, and all
+ * operations are O(1) amortized when the bucket width tracks the
+ * inter-event gap — which it does for the clock-edge traffic that
+ * dominates GALS simulation. Events pop in (time, priority,
+ * insertion-seq) order; tests/test_calendar_queue.cc checks that
+ * order against a std::set reference oracle and pins the pop logs of
+ * clock-domain and channel traffic (including the batched drain
+ * paths).
  */
 
 #ifndef SIM_EVENT_QUEUE_HH
@@ -45,7 +37,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -56,26 +47,6 @@ namespace gals
 {
 
 class EventQueue;
-
-/**
- * Scheduling backend of an EventQueue.
- *
- * The process-wide default is QueueEngine::calendar; build with
- * -DGALSSIM_HEAP_EVENTQUEUE (CMake option of the same name) or call
- * EventQueue::setDefaultEngine() — e.g. via `galsbench --engine heap`
- * — to fall back to the ordered-set baseline for A/B validation.
- */
-enum class QueueEngine : std::uint8_t
-{
-    calendar, ///< bucketed calendar queue, O(1) amortized (default)
-    heap,     ///< ordered-set baseline, O(log n) (A/B validation)
-};
-
-/** Parse "calendar" / "heap"; fatal on anything else. */
-QueueEngine parseQueueEngine(const std::string &name);
-
-/** Human-readable engine name ("calendar" / "heap"). */
-const char *queueEngineName(QueueEngine engine);
 
 /** Tag for the calendar-bucket list an Event is linked into. */
 struct EventBucketTag
@@ -89,7 +60,7 @@ struct EventBucketTag
  * creator; the queue never deletes events. One event object can be
  * scheduled at most once at a time.
  *
- * The calendar engine links scheduled events into its buckets through
+ * The queue links scheduled events into its calendar buckets through
  * an embedded IntrusiveLink, so scheduling an event never allocates
  * memory.
  */
@@ -148,7 +119,7 @@ class Event
     EventQueue *queue_ = nullptr;
 
     /** @name Intrusive calendar-bucket links
-     * Valid only while scheduled on a calendar-engine queue. */
+     * Valid only while scheduled. */
     /// @{
     IntrusiveLink<Event, EventBucketTag> calLink_;
     std::size_t bucket_ = 0;    ///< owning bucket index
@@ -212,9 +183,7 @@ class PeriodicEvent : public Event
  * The event queue and global timer.
  *
  * Events at equal (time, priority) execute in insertion order, which
- * keeps simulations deterministic. The ordering contract is engine-
- * independent: the calendar and heap engines pop element-wise
- * identical sequences.
+ * keeps simulations deterministic.
  */
 class EventQueue
 {
@@ -245,24 +214,11 @@ class EventQueue
     static constexpr std::size_t calShrinkDivisor = 2;
     /// @}
 
-    explicit EventQueue(std::string name = "eventq",
-                        QueueEngine engine = defaultEngine());
+    explicit EventQueue(std::string name = "eventq");
     ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
-
-    /** Scheduling backend this queue was constructed with. */
-    QueueEngine engine() const { return engine_; }
-
-    /**
-     * Process-wide default engine for newly constructed queues.
-     * Starts as QueueEngine::calendar (or heap when compiled with
-     * GALSSIM_HEAP_EVENTQUEUE). Set it before worker threads start
-     * constructing queues (galsbench does so while parsing --engine).
-     */
-    static QueueEngine defaultEngine();
-    static void setDefaultEngine(QueueEngine engine);
 
     /** Current simulated time (the global timer). */
     Tick now() const { return now_; }
@@ -306,16 +262,16 @@ class EventQueue
     /** Total events processed since construction. */
     std::uint64_t processedCount() const { return processed_; }
 
-    /** Current bucket count (calendar engine only; 0 on heap). */
+    /** Current calendar bucket count. */
     std::size_t calendarBuckets() const { return buckets_.size(); }
 
-    /** Current bucket width in ticks (calendar engine only). */
+    /** Current calendar bucket width in ticks. */
     Tick calendarBucketWidth() const { return Tick(1) << widthLog2_; }
 
     const std::string &name() const { return name_; }
 
   private:
-    /** Engine-independent ordering: (when, priority, insertion seq). */
+    /** Pop order: (when, priority, insertion seq). */
     struct Less
     {
         bool
@@ -340,7 +296,8 @@ class EventQueue
 
     void calInsert(Event *ev);
     void calRemove(Event *ev);
-    /** Cheapest pending event, nullptr when empty (caches result). */
+    /** Wheel scan for the cheapest event of a non-empty queue whose
+     *  min cache is unknown; caches the result. */
     Event *calFindMin() const;
     void calResize(std::size_t newBuckets);
     void calMaybeShrink();
@@ -353,8 +310,6 @@ class EventQueue
     {
         if (size_ == 0)
             return nullptr;
-        if (engine_ == QueueEngine::heap)
-            return *set_.begin();
         if (minCache_ != nullptr)
             return minCache_;
         return calFindMin();
@@ -374,16 +329,12 @@ class EventQueue
     void schedulePeriodicRepeat(PeriodicEvent *ev);
 
     std::string name_;
-    QueueEngine engine_;
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t processed_ = 0;
     std::size_t size_ = 0;
 
-    /** heap engine state */
-    std::set<Event *, Less> set_;
-
-    /** @name calendar engine state */
+    /** @name Calendar state */
     /// @{
     std::vector<Bucket> buckets_;
     unsigned widthLog2_ = calInitialWidthLog2;

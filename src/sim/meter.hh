@@ -6,9 +6,9 @@
  * one full interval after start() and registers itself as the
  * domain's (typed) Ticker, so sampling rides the same deterministic
  * edge machinery as the pipeline stages: meter edges land in the
- * event queue with the same tick/priority ordering guarantees on
- * every engine and job count, which is what makes interval series
- * byte-identical across `--jobs` and calendar/heap runs.
+ * event queue with the same tick/priority ordering guarantees at
+ * every job count, which is what makes interval series
+ * byte-identical across `--jobs`.
  *
  * The meter is strictly read-only with respect to the simulated
  * machine: its edges execute no model code, so enabling it never

@@ -1,18 +1,24 @@
 /**
  * @file
- * Calendar-vs-heap EventQueue engine equivalence.
+ * EventQueue pop order: the calendar queue against a reference oracle.
  *
- * The two engines must pop element-wise identical sequences — same
- * event, same time — for any schedule/deschedule/reschedule/service
- * history, including same-tick (priority, seq) ties and runUntil
- * boundary hits. These tests drive both engines with identical
- * deterministic churn and compare the full pop logs, and pin the
- * calendar-specific machinery (dynamic resize, engine selection).
+ * The queue must pop events in (time, priority, insertion-seq) order
+ * for any schedule/deschedule/reschedule/service history, including
+ * same-tick (priority, seq) ties and runUntil boundary hits. The
+ * churn test drives the queue and a std::set oracle with one
+ * deterministic op stream and compares the full pop logs. The clock-
+ * domain and channel tests pin FNV-1a digests of their pop logs,
+ * captured while a std::set backend still ran beside the calendar
+ * and agreed with it. The rest pins the calendar's own machinery
+ * (dynamic resize, teardown).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -30,21 +36,108 @@ namespace
 /** One (event id, fire time) pop record. */
 using PopLog = std::vector<std::pair<int, Tick>>;
 
+/** FNV-1a over a pop log, each field as 8 little-endian bytes. */
+std::uint64_t
+digest(const PopLog &log)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int shift = 0; shift < 64; shift += 8) {
+            h ^= (v >> shift) & 0xffu;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (const auto &[id, when] : log) {
+        mix(static_cast<std::uint64_t>(id));
+        mix(when);
+    }
+    return h;
+}
+
 /**
- * A queue plus N recording events and a deterministic churn driver.
- * Two harnesses built from the same seed apply bit-identical op
- * streams; any behavioural divergence between engines shows up as a
- * pop-log mismatch.
+ * The reference pop order: a std::set of (when, priority, seq, id)
+ * keys, one per pending event. A reschedule is a deschedule plus a
+ * schedule with a fresh seq, as on the queue.
+ */
+class SetOracle
+{
+  public:
+    void
+    schedule(int id, int priority, Tick when)
+    {
+        const Key key{when, priority, nextSeq_++, id};
+        pending_.insert(key);
+        keyOf_[id] = key;
+    }
+
+    void
+    deschedule(int id)
+    {
+        pending_.erase(keyOf_.at(id));
+        keyOf_.erase(id);
+    }
+
+    void
+    reschedule(int id, int priority, Tick when)
+    {
+        if (keyOf_.count(id))
+            deschedule(id);
+        schedule(id, priority, when);
+    }
+
+    /** Pop the minimum; false when empty. */
+    bool
+    serviceOne()
+    {
+        if (pending_.empty())
+            return false;
+        const Key key = *pending_.begin();
+        deschedule(std::get<3>(key));
+        now_ = std::get<0>(key);
+        log.emplace_back(std::get<3>(key), now_);
+        return true;
+    }
+
+    void
+    runUntil(Tick until)
+    {
+        while (!pending_.empty() &&
+               std::get<0>(*pending_.begin()) <= until)
+            serviceOne();
+        now_ = std::max(now_, until);
+    }
+
+    void
+    runAll()
+    {
+        while (serviceOne()) {
+        }
+    }
+
+    PopLog log;
+
+  private:
+    using Key = std::tuple<Tick, int, std::uint64_t, int>;
+    std::set<Key> pending_;
+    std::map<int, Key> keyOf_;
+    std::uint64_t nextSeq_ = 0;
+    Tick now_ = 0;
+};
+
+/**
+ * A queue plus N recording events, the oracle, and a deterministic
+ * churn driver that applies every op to both. Any divergence from the
+ * oracle's order shows up as a pop-log mismatch.
  */
 struct ChurnHarness
 {
-    EventQueue eq;
+    EventQueue eq{"churn"};
+    SetOracle oracle;
     Rng rng;
     PopLog log;
     std::vector<std::unique_ptr<CallbackEvent>> events;
 
-    ChurnHarness(QueueEngine engine, int nEvents, std::uint64_t seed)
-        : eq("churn", engine), rng(seed)
+    ChurnHarness(int nEvents, std::uint64_t seed) : rng(seed)
     {
         for (int i = 0; i < nEvents; ++i) {
             // Three priority classes create same-tick priority ties;
@@ -56,91 +149,113 @@ struct ChurnHarness
     }
 
     void
-    churn(int ops)
+    reschedule(int id, Tick when)
     {
+        CallbackEvent &ev = *events[id];
+        eq.reschedule(&ev, when);
+        oracle.reschedule(id, ev.priority(), when);
+    }
+
+    /** Apply @p ops random operations, then drain. With @p sparse,
+     *  every schedule lands up to 50 M ticks out, many wheel
+     *  revolutions apart, so pops take the direct-search path and min
+     *  cache repairs meet same-bucket successors of later years. */
+    void
+    churn(int ops, bool sparse = false)
+    {
+        const Tick farSteps = sparse ? 50000 : 500;
         for (int k = 0; k < ops; ++k) {
-            auto &ev = *events[rng.range(0, events.size() - 1)];
+            const int id =
+                static_cast<int>(rng.range(0, events.size() - 1));
             switch (rng.range(0, 9)) {
               case 0:
               case 1:
               case 2: // schedule/reschedule nearby (often same tick)
-                eq.reschedule(&ev, eq.now() + rng.range(0, 3) * 10);
-                break;
+                if (!sparse) {
+                    reschedule(id, eq.now() + rng.range(0, 3) * 10);
+                    break;
+                }
+                [[fallthrough]];
               case 3:
               case 4: // schedule/reschedule far out (bucket laps)
-                eq.reschedule(&ev,
-                              eq.now() + rng.range(1, 500) * 1000);
+                reschedule(id,
+                           eq.now() + rng.range(1, farSteps) * 1000);
                 break;
               case 5: // cancel
-                if (ev.scheduled())
-                    eq.deschedule(&ev);
+                if (events[id]->scheduled()) {
+                    eq.deschedule(events[id].get());
+                    oracle.deschedule(id);
+                }
                 break;
               case 6:
-              case 7: // service a few
+              case 7: // service one
                 eq.serviceOne();
+                oracle.serviceOne();
                 break;
-              default: // run to a boundary events can land on exactly
-                eq.runUntil(eq.now() + rng.range(0, 40) * 10);
+              default: { // run to a boundary events can land on exactly
+                const Tick until = eq.now() + rng.range(0, 40) * 10;
+                eq.runUntil(until);
+                oracle.runUntil(until);
                 break;
+              }
             }
         }
         eq.runAll();
+        oracle.runAll();
     }
 };
 
-PopLog
-churnLog(QueueEngine engine, int nEvents, int ops, std::uint64_t seed)
-{
-    ChurnHarness h(engine, nEvents, seed);
-    h.churn(ops);
-    return h.log;
-}
-
 } // namespace
 
-TEST(EngineEquivalence, RandomChurnPopOrderIdentical)
+TEST(EventOrder, RandomChurnPopOrderIdentical)
 {
-    for (std::uint64_t seed : {1ull, 42ull, 0xdeadbeefull}) {
-        const PopLog cal =
-            churnLog(QueueEngine::calendar, 32, 4000, seed);
-        const PopLog heap = churnLog(QueueEngine::heap, 32, 4000, seed);
-        ASSERT_FALSE(cal.empty());
-        EXPECT_EQ(cal, heap) << "seed " << seed;
-    }
+    // Dense churn always has near events pending; sparse churn leaves
+    // every event many wheel revolutions from the next, below (12
+    // events) and above (64) the first grow threshold.
+    const struct
+    {
+        int nEvents;
+        bool sparse;
+    } shapes[] = {{32, false}, {12, true}, {64, true}};
+    for (const auto &shape : shapes)
+        for (std::uint64_t seed : {1ull, 42ull, 0xdeadbeefull}) {
+            ChurnHarness h(shape.nEvents, seed);
+            h.churn(4000, shape.sparse);
+            ASSERT_FALSE(h.log.empty());
+            EXPECT_EQ(h.log, h.oracle.log)
+                << shape.nEvents << " events, sparse " << shape.sparse
+                << ", seed " << seed;
+        }
 }
 
-TEST(EngineEquivalence, SameTickTieBreaksIdentical)
+TEST(EventOrder, SameTickTieBreaksIdentical)
 {
-    // Everything lands on one tick: order must be (priority, seq) on
-    // both engines.
-    for (QueueEngine engine :
-         {QueueEngine::calendar, QueueEngine::heap}) {
-        EventQueue eq("ties", engine);
-        PopLog log;
-        std::vector<std::unique_ptr<CallbackEvent>> evs;
+    // Everything lands on one tick: order must be (priority, seq).
+    EventQueue eq("ties");
+    PopLog log;
+    std::vector<std::unique_ptr<CallbackEvent>> evs;
+    for (int i = 0; i < 16; ++i)
+        evs.push_back(std::make_unique<CallbackEvent>(
+            [&log, &eq, i] { log.emplace_back(i, eq.now()); },
+            "t" + std::to_string(i), (15 - i) % 4));
+    for (auto &ev : evs)
+        eq.schedule(ev.get(), 777);
+    eq.runAll();
+
+    PopLog expect;
+    for (int pri = 0; pri < 4; ++pri)
         for (int i = 0; i < 16; ++i)
-            evs.push_back(std::make_unique<CallbackEvent>(
-                [&log, &eq, i] { log.emplace_back(i, eq.now()); },
-                "t" + std::to_string(i), (15 - i) % 4));
-        for (auto &ev : evs)
-            eq.schedule(ev.get(), 777);
-        eq.runAll();
-
-        PopLog expect;
-        for (int pri = 0; pri < 4; ++pri)
-            for (int i = 0; i < 16; ++i)
-                if ((15 - i) % 4 == pri)
-                    expect.emplace_back(i, 777);
-        EXPECT_EQ(log, expect) << queueEngineName(engine);
-    }
+            if ((15 - i) % 4 == pri)
+                expect.emplace_back(i, 777);
+    EXPECT_EQ(log, expect);
 }
 
-TEST(EngineEquivalence, PeriodicClockTrafficIdentical)
+TEST(EventOrder, PeriodicClockTrafficIdentical)
 {
     // GALS-shaped traffic: five mismatched periodic clocks plus churny
-    // one-shots, compared across engines over many edges.
-    auto run = [](QueueEngine engine) {
-        EventQueue eq("clocks", engine);
+    // one-shots over many edges.
+    auto run = [] {
+        EventQueue eq("clocks");
         PopLog log;
         std::vector<std::unique_ptr<PeriodicEvent>> clocks;
         const Tick periods[] = {1000, 1300, 2500, 997, 1111};
@@ -163,22 +278,21 @@ TEST(EngineEquivalence, PeriodicClockTrafficIdentical)
         eq.runAll();
         return log;
     };
-    const PopLog cal = run(QueueEngine::calendar);
-    const PopLog heap = run(QueueEngine::heap);
-    ASSERT_GT(cal.size(), 1000u);
-    EXPECT_EQ(cal, heap);
+    const PopLog log = run();
+    ASSERT_EQ(log.size(), 2051u);
+    EXPECT_EQ(digest(log), 0xf203bb8fd912a66dULL);
 }
 
-TEST(EngineEquivalence, SameTickBatchDrainIdentical)
+TEST(EventOrder, SameTickBatchDrainIdentical)
 {
     // Edge batching: five equal-period, equal-phase periodic events at
     // the clock-edge priority all tie at every edge, so the calendar
     // services each edge's run in one pop. Order within a batch must
-    // remain (priority, seq) — identical to the heap — and events
-    // scheduled *during* a batch at the same (when, priority) must be
-    // drained by that same batch, in insertion order.
-    auto run = [](QueueEngine engine) {
-        EventQueue eq("batch", engine);
+    // remain (priority, seq), and events scheduled *during* a batch
+    // at the same (when, priority) must be drained by that same
+    // batch, in insertion order.
+    auto run = [] {
+        EventQueue eq("batch");
         PopLog log;
         std::vector<std::unique_ptr<PeriodicEvent>> clocks;
         std::vector<std::unique_ptr<CallbackEvent>> echoes;
@@ -207,28 +321,27 @@ TEST(EngineEquivalence, SameTickBatchDrainIdentical)
         return log;
     };
 
-    const PopLog cal = run(QueueEngine::calendar);
-    const PopLog heap = run(QueueEngine::heap);
-    ASSERT_GT(cal.size(), 100u);
-    EXPECT_EQ(cal, heap);
+    const PopLog log = run();
+    ASSERT_EQ(log.size(), 132u);
+    EXPECT_EQ(digest(log), 0xe58a9325d1dd5355ULL);
 
     // Shape check on one edge: the five clocks in registration order,
     // then the echo scheduled mid-batch.
-    PopLog first(cal.begin(), cal.begin() + 6);
+    PopLog first(log.begin(), log.begin() + 6);
     const PopLog expect = {{0, 0}, {1, 0}, {2, 0},
                            {3, 0}, {4, 0}, {102, 0}};
     EXPECT_EQ(first, expect);
 }
 
-TEST(EngineEquivalence, MidTickTickerChurnIdentical)
+TEST(EventOrder, MidTickTickerChurnIdentical)
 {
-    // Mid-tick add/remove of tickers on clock domains driven by both
-    // engines: the observable tick log must be engine-independent.
-    auto run = [](QueueEngine engine) {
-        EventQueue eq("tickers", engine);
+    // Mid-tick add/remove of tickers on clock domains: the observable
+    // tick log must keep its pinned order.
+    auto run = [] {
+        EventQueue eq("tickers");
         ClockDomain a(eq, "a", 700);
         ClockDomain b(eq, "b", 1100, 300);
-        std::vector<std::pair<int, Tick>> log;
+        PopLog log;
         ClockDomain::Ticker *victim = nullptr;
         int edges = 0;
         a.addTicker([&] {
@@ -251,13 +364,12 @@ TEST(EngineEquivalence, MidTickTickerChurnIdentical)
         return log;
     };
 
-    const auto cal = run(QueueEngine::calendar);
-    const auto heap = run(QueueEngine::heap);
-    ASSERT_GT(cal.size(), 30u);
-    EXPECT_EQ(cal, heap);
+    const PopLog log = run();
+    ASSERT_EQ(log.size(), 39u);
+    EXPECT_EQ(digest(log), 0x912d9bd2972f75f6ULL);
 }
 
-TEST(EngineEquivalence, CrossDomainChannelFanInFanOutIdentical)
+TEST(EventOrder, CrossDomainChannelFanInFanOutIdentical)
 {
     // The fabric-shaped workload: three producer domains fan into a
     // hub domain through async FIFOs (the inter-core link pattern of
@@ -266,10 +378,9 @@ TEST(EngineEquivalence, CrossDomainChannelFanInFanOutIdentical)
     // items out of an in-flight link — exactly what a pipeline flush
     // does to an inter-core channel. Six domains with pairwise
     // mismatched periods and phases; the full pop log (value, tick)
-    // plus the squash accounting must be byte-identical across
-    // engines and across seeds.
-    auto run = [](QueueEngine engine, std::uint64_t seed) {
-        EventQueue eq("fabric", engine);
+    // plus the squash accounting must match the pin of every seed.
+    auto run = [](std::uint64_t seed) {
+        EventQueue eq("fabric");
         ClockDomain p0(eq, "p0", 1000), p1(eq, "p1", 1300, 250),
             p2(eq, "p2", 1700, 600);
         ClockDomain hub(eq, "hub", 900, 100);
@@ -287,7 +398,7 @@ TEST(EngineEquivalence, CrossDomainChannelFanInFanOutIdentical)
                 "out" + std::to_string(j), ChannelMode::asyncFifo,
                 hub, *sinks[j], 8, 2, false));
 
-        std::vector<std::pair<int, Tick>> log;
+        PopLog log;
         std::uint64_t squashed = 0;
 
         std::vector<Rng> prodRng;
@@ -340,19 +451,28 @@ TEST(EngineEquivalence, CrossDomainChannelFanInFanOutIdentical)
         return log;
     };
 
-    for (std::uint64_t seed : {1ull, 9ull, 0xfab41cull}) {
-        const auto cal = run(QueueEngine::calendar, seed);
-        const auto heap = run(QueueEngine::heap, seed);
-        ASSERT_GT(cal.size(), 200u) << "seed " << seed;
-        EXPECT_GT(cal.back().first, 0) << "no squashes, seed "
-                                       << seed;
-        EXPECT_EQ(cal, heap) << "seed " << seed;
+    const struct
+    {
+        std::uint64_t seed;
+        std::size_t pops;
+        std::uint64_t digest;
+    } pins[] = {
+        {1, 484, 0x6f2cbd4c4b7c2646ULL},
+        {9, 479, 0xadca2ffaef033f7dULL},
+        {0xfab41c, 480, 0x5db9536951da3c6aULL},
+    };
+    for (const auto &pin : pins) {
+        const PopLog log = run(pin.seed);
+        ASSERT_EQ(log.size(), pin.pops) << "seed " << pin.seed;
+        EXPECT_GT(log.back().first, 0) << "no squashes, seed "
+                                       << pin.seed;
+        EXPECT_EQ(digest(log), pin.digest) << "seed " << pin.seed;
     }
 }
 
 TEST(CalendarQueue, ResizeGrowsAndShrinksWithPopulation)
 {
-    EventQueue eq("resize", QueueEngine::calendar);
+    EventQueue eq("resize");
     EXPECT_EQ(eq.calendarBuckets(), EventQueue::calInitialBuckets);
 
     std::vector<std::unique_ptr<CallbackEvent>> evs;
@@ -376,7 +496,7 @@ TEST(CalendarQueue, ResizeGrowsAndShrinksWithPopulation)
 
 TEST(CalendarQueue, ResizedQueueStillPopsSorted)
 {
-    EventQueue eq("sorted", QueueEngine::calendar);
+    EventQueue eq("sorted");
     std::vector<std::unique_ptr<CallbackEvent>> evs;
     std::vector<Tick> popped;
     Rng rng(11);
@@ -390,38 +510,11 @@ TEST(CalendarQueue, ResizedQueueStillPopsSorted)
     EXPECT_TRUE(std::is_sorted(popped.begin(), popped.end()));
 }
 
-TEST(CalendarQueue, EngineSelection)
-{
-    // The built-in default is the calendar engine (unless the tree was
-    // compiled with GALSSIM_HEAP_EVENTQUEUE).
-#ifndef GALSSIM_HEAP_EVENTQUEUE
-    EXPECT_EQ(EventQueue::defaultEngine(), QueueEngine::calendar);
-#endif
-    const QueueEngine saved = EventQueue::defaultEngine();
-    EventQueue::setDefaultEngine(QueueEngine::heap);
-    EventQueue byDefault;
-    EXPECT_EQ(byDefault.engine(), QueueEngine::heap);
-    EventQueue::setDefaultEngine(saved);
-
-    EventQueue explicitCal("c", QueueEngine::calendar);
-    EXPECT_EQ(explicitCal.engine(), QueueEngine::calendar);
-    EXPECT_EQ(explicitCal.calendarBuckets(),
-              EventQueue::calInitialBuckets);
-    EventQueue explicitHeap("h", QueueEngine::heap);
-    EXPECT_EQ(explicitHeap.engine(), QueueEngine::heap);
-    EXPECT_EQ(explicitHeap.calendarBuckets(), 0u);
-
-    EXPECT_EQ(parseQueueEngine("calendar"), QueueEngine::calendar);
-    EXPECT_EQ(parseQueueEngine("heap"), QueueEngine::heap);
-    EXPECT_STREQ(queueEngineName(QueueEngine::calendar), "calendar");
-    EXPECT_STREQ(queueEngineName(QueueEngine::heap), "heap");
-}
-
 TEST(CalendarQueue, EventDestructorDeschedulesAcrossResize)
 {
     // Destroying still-scheduled events must stay safe while the
     // wheel is far from its initial geometry.
-    EventQueue eq("dtor", QueueEngine::calendar);
+    EventQueue eq("dtor");
     {
         std::vector<std::unique_ptr<CallbackEvent>> evs;
         Rng rng(3);

@@ -459,7 +459,7 @@ TEST(AtomicFile, ManifestWriterLeavesNoTemp)
     // through the temp-file + rename path now.
     const std::string path = tempPath("manifest_atomic.json");
     SweepOptions opts;
-    writeManifestFile(path, opts, "calendar", "", {});
+    writeManifestFile(path, opts, "", {});
     EXPECT_FALSE(fs::exists(atomicTempPath(path)));
     json::Value v;
     std::string err;
@@ -881,10 +881,52 @@ TEST_F(DispatchIntegration, ConcurrentDispatchIsLockedOut)
     ::close(fd);
 }
 
+/** An archive whose manifest reads `"engine": "heap"` (written before
+ *  the std::set event queue was retired; same pop order) still
+ *  verifies; any other engine name is rejected. */
+TEST(ArchiveCompat, HeapEraManifestStillVerifies)
+{
+    ScenarioRegistry registry;
+    bench::registerAllScenarios(registry);
+    const std::string traj = tempPath("compat.jsonl");
+    writeReference(registry, traj);
+
+    const SweepOptions sweep = integrationSweep();
+    std::size_t gridSize = 0;
+    const std::vector<RunConfig> runs = expandReplicatedRuns(
+        *registry.find("fig05"), sweep, &gridSize);
+    const std::string manifest = tempPath("compat.manifest.json");
+    writeManifestFile(manifest, sweep, traj,
+                      {{"fig05", gridSize, 2, runConfigHash(runs)}});
+
+    const std::string calendarField = "\"engine\": \"calendar\"";
+    const std::string text = slurp(manifest);
+    const std::size_t at = text.find(calendarField);
+    ASSERT_NE(at, std::string::npos) << text;
+    const auto verifyAs = [&](const std::string &engine,
+                              std::ostringstream &diag) {
+        std::string edited = text;
+        edited.replace(at, calendarField.size(),
+                       "\"engine\": \"" + engine + "\"");
+        spit(manifest, edited);
+        return verifyManifest(registry, ExperimentEngine(2), manifest,
+                              diag);
+    };
+
+    std::ostringstream heap;
+    EXPECT_TRUE(verifyAs("heap", heap)) << heap.str();
+    std::ostringstream bogus;
+    EXPECT_FALSE(verifyAs("bogus", bogus));
+    EXPECT_NE(bogus.str().find("unknown engine 'bogus'"),
+              std::string::npos)
+        << bogus.str();
+}
+
 /** Flag combinations that cannot do what a manifest would claim are
  *  usage errors (exit 2) on both the sweep and the dispatch parser:
- *  a warmup split on a fabric sweep, a fabric beyond the core cap, and
- *  an interval meter finer than the nominal clock period. */
+ *  a warmup split on a fabric sweep, a fabric beyond the core cap, an
+ *  interval meter finer than the nominal clock period, and the
+ *  retired --engine flag. */
 TEST(CliUsage, UnsupportedSweepsExitTwoOnBothParsers)
 {
     const std::string bin = galsbenchBinary();
@@ -897,6 +939,8 @@ TEST(CliUsage, UnsupportedSweepsExitTwoOnBothParsers)
         "--scenario fabric_smoke --cores 2,1025",
         "--scenario fig05 --insts 3000 --interval-ticks 1",
         "--scenario fig05 --insts 3000 --interval-ticks 999",
+        // The retired event-queue selector is an unknown flag.
+        "--scenario quickstart --engine calendar",
     };
     for (const std::string &args : cases) {
         for (const char *prefix : {"", "dispatch "}) {

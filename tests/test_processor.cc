@@ -9,8 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "core/processor.hh"
 
 using namespace gals;
@@ -235,30 +233,6 @@ TEST(Processor, FixedPhaseReproducible)
     p.run(2000);
     for (unsigned i = 0; i < numDomains; ++i)
         EXPECT_EQ(p.domain(static_cast<DomainId>(i)).phase(), 0u);
-}
-
-TEST(Processor, StatsDumpContainsKeyMetrics)
-{
-    SimRun r(true, "gcc", 3000);
-    std::ostringstream os;
-    r.proc->dumpStats(os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("gals.committed_insts"), std::string::npos);
-    EXPECT_NE(out.find("gals.avg_slip_cycles"), std::string::npos);
-    EXPECT_NE(out.find("gals.energy.async_fifos"), std::string::npos);
-    EXPECT_NE(out.find("gals.channels.ch.fetch2decode.pushes"),
-              std::string::npos);
-    EXPECT_NE(out.find("3000"), std::string::npos);
-}
-
-TEST(Processor, StatsDumpBasePrefix)
-{
-    SimRun r(false, "adpcm", 2000);
-    std::ostringstream os;
-    r.proc->dumpStats(os);
-    EXPECT_NE(os.str().find("base.ipc"), std::string::npos);
-    EXPECT_NE(os.str().find("base.energy.global_clock"),
-              std::string::npos);
 }
 
 namespace

@@ -547,8 +547,8 @@ TEST(Manifest, DeterministicAndParses)
     };
 
     std::ostringstream a, b;
-    writeManifest(a, opts, "calendar", "out.jsonl", scenarios);
-    writeManifest(b, opts, "calendar", "out.jsonl", scenarios);
+    writeManifest(a, opts, "out.jsonl", scenarios);
+    writeManifest(b, opts, "out.jsonl", scenarios);
     EXPECT_EQ(a.str(), b.str());
     EXPECT_TRUE(JsonValidator(a.str()).valid()) << a.str();
     EXPECT_NE(a.str().find("\"seeds\": [0, 1, 2]"),
@@ -556,10 +556,12 @@ TEST(Manifest, DeterministicAndParses)
     EXPECT_NE(a.str().find("\"galssim_version\": \""),
               std::string::npos);
     EXPECT_NE(a.str().find("\"runs\": 24"), std::string::npos);
+    EXPECT_NE(a.str().find("\"engine\": \"calendar\""),
+              std::string::npos);
 
     // No output file: "output" must be null and still parse.
     std::ostringstream noOut;
-    writeManifest(noOut, opts, "heap", "", {});
+    writeManifest(noOut, opts, "", {});
     EXPECT_TRUE(JsonValidator(noOut.str()).valid()) << noOut.str();
     EXPECT_NE(noOut.str().find("\"output\": null"),
               std::string::npos);

@@ -272,7 +272,7 @@ archiveSweep(const std::string &dir, const std::string &trajName)
     sink.close();
 
     const std::string manifestPath = dir + trajName + ".manifest";
-    writeManifestFile(manifestPath, opts, "calendar", trajName,
+    writeManifestFile(manifestPath, opts, trajName,
                       {{scenario->name, gridSize, 2,
                         runConfigHash(runs)}});
     return manifestPath;
@@ -367,7 +367,7 @@ TEST(Verify, MissingTrajectoryOrUnknownScenarioFailCleanly)
     SweepOptions opts;
     opts.instructions = 1500;
     const std::string noTraj = dir + "verify_notraj.manifest";
-    writeManifestFile(noTraj, opts, "calendar", "does_not_exist.jsonl",
+    writeManifestFile(noTraj, opts, "does_not_exist.jsonl",
                       {{"quickstart", 2, 1, 0}});
     std::ostringstream diag1;
     EXPECT_FALSE(verifyManifest(registry(), ExperimentEngine(1),
@@ -380,8 +380,7 @@ TEST(Verify, MissingTrajectoryOrUnknownScenarioFailCleanly)
         sink.close();
     }
     const std::string unknown = dir + "verify_unknown.manifest";
-    writeManifestFile(unknown, opts, "calendar",
-                      "verify_unknown.jsonl",
+    writeManifestFile(unknown, opts, "verify_unknown.jsonl",
                       {{"no-such-scenario", 2, 1, 0}});
     std::ostringstream diag2;
     EXPECT_FALSE(verifyManifest(registry(), ExperimentEngine(1),

@@ -437,8 +437,7 @@ TEST(Merge, ManifestsReassembleByteIdentical)
     };
 
     const std::string ref = tempPath("ref.manifest.json");
-    writeManifestFile(ref, opts, "calendar", "BENCH.jsonl",
-                      scenarios);
+    writeManifestFile(ref, opts, "BENCH.jsonl", scenarios);
 
     std::vector<std::string> shardFiles;
     for (unsigned i = 1; i <= 3; ++i) {
@@ -446,7 +445,7 @@ TEST(Merge, ManifestsReassembleByteIdentical)
         shardOpts.shard = ShardSpec{i, 3};
         const std::string path =
             tempPath("m" + std::to_string(i) + ".json");
-        writeManifestFile(path, shardOpts, "calendar",
+        writeManifestFile(path, shardOpts,
                           "shard_" + std::to_string(i) + ".jsonl",
                           scenarios);
         shardFiles.push_back(path);
@@ -474,8 +473,7 @@ TEST(Merge, ManifestsRejectMismatchesAndIncompleteSets)
         shardOpts.shard = ShardSpec{i, 2};
         const std::string path =
             tempPath("mm" + std::to_string(i) + ".json");
-        writeManifestFile(path, shardOpts, "calendar", "s.jsonl",
-                          scenarios);
+        writeManifestFile(path, shardOpts, "s.jsonl", scenarios);
         shardFiles.push_back(path);
     }
     const std::string merged = tempPath("mm.merged.json");
@@ -500,8 +498,7 @@ TEST(Merge, ManifestsRejectMismatchesAndIncompleteSets)
         other.instructions = 4000;
         other.shard = ShardSpec{2, 2};
         const std::string path = tempPath("mm2b.json");
-        writeManifestFile(path, other, "calendar", "s.jsonl",
-                          scenarios);
+        writeManifestFile(path, other, "s.jsonl", scenarios);
         std::ostringstream diag;
         EXPECT_FALSE(mergeManifests({shardFiles[0], path}, merged,
                                     "", diag));
@@ -511,8 +508,7 @@ TEST(Merge, ManifestsRejectMismatchesAndIncompleteSets)
     // An unsharded manifest is not a shard.
     {
         const std::string path = tempPath("mm.unsharded.json");
-        writeManifestFile(path, opts, "calendar", "s.jsonl",
-                          scenarios);
+        writeManifestFile(path, opts, "s.jsonl", scenarios);
         std::ostringstream diag;
         EXPECT_FALSE(mergeManifests({path}, merged, "", diag));
         EXPECT_NE(diag.str().find("not a shard"), std::string::npos)
@@ -526,6 +522,55 @@ TEST(Merge, ManifestsRejectMismatchesAndIncompleteSets)
         EXPECT_NE(diag.str().find("cannot open"), std::string::npos)
             << diag.str();
     }
+}
+
+/** Manifests written before the std::set event queue was retired may
+ *  read `"engine": "heap"`: the same pop order, so such shards merge
+ *  with calendar ones, and the merged manifest reads "calendar". */
+TEST(Merge, HeapEraShardManifestsMergeToCalendar)
+{
+    SweepOptions opts;
+    opts.instructions = 2000;
+    opts.explicitSeeds = {0};
+    const std::vector<ManifestScenario> scenarios = {
+        {"alpha", 4, 1, 0x2222222222222222ull}};
+
+    const std::string ref = tempPath("he.ref.json");
+    writeManifestFile(ref, opts, "he.jsonl", scenarios);
+    const std::string calendarField = "\"engine\": \"calendar\"";
+    ASSERT_NE(slurp(ref).find(calendarField), std::string::npos);
+
+    std::vector<std::string> shardFiles;
+    for (unsigned i = 1; i <= 2; ++i) {
+        SweepOptions shardOpts = opts;
+        shardOpts.shard = ShardSpec{i, 2};
+        const std::string path =
+            tempPath("he" + std::to_string(i) + ".json");
+        writeManifestFile(path, shardOpts, "s.jsonl", scenarios);
+        shardFiles.push_back(path);
+    }
+    const auto withEngine = [&](const std::string &path,
+                                const std::string &engine) {
+        std::string text = slurp(path);
+        text.replace(text.find(calendarField), calendarField.size(),
+                     "\"engine\": \"" + engine + "\"");
+        spit(path, text);
+    };
+    withEngine(shardFiles[0], "heap");
+
+    const std::string merged = tempPath("he.merged.json");
+    std::ostringstream diag;
+    ASSERT_TRUE(mergeManifests(shardFiles, merged, "he.jsonl", diag))
+        << diag.str();
+    EXPECT_EQ(slurp(merged), slurp(ref));
+
+    // Any other engine name is still rejected.
+    withEngine(shardFiles[1], "bogus");
+    std::ostringstream bad;
+    EXPECT_FALSE(mergeManifests(shardFiles, merged, "he.jsonl", bad));
+    EXPECT_NE(bad.str().find("unknown engine 'bogus'"),
+              std::string::npos)
+        << bad.str();
 }
 
 TEST(Trajectory, ShardRecordsCarryCanonicalIndices)

@@ -4,8 +4,8 @@
  * save/restore round trips, strict rejection of damaged or foreign
  * snapshot bytes, the warmup-key sharing rules, the disk cache's
  * tolerance of stale/partial files, and the headline contract — a
- * memoized warm run is byte-identical to the same sweep run cold,
- * on both event-queue engines, at any job count.
+ * memoized warm run is byte-identical to the same sweep run cold, at
+ * any job count.
  */
 
 #include <gtest/gtest.h>
@@ -82,16 +82,13 @@ warmGrid()
 
 /** Run the warm grid and serialize every record to JSON lines. */
 std::string
-gridJson(QueueEngine engine, unsigned jobs, bool coldStart)
+gridJson(unsigned jobs, bool coldStart)
 {
-    const QueueEngine prev = EventQueue::defaultEngine();
-    EventQueue::setDefaultEngine(engine);
     if (coldStart)
         clearSnapshotCache();
     const std::vector<RunConfig> cfgs = warmGrid();
     const std::vector<RunResults> results =
         runner::ExperimentEngine(jobs).run(cfgs);
-    EventQueue::setDefaultEngine(prev);
     std::ostringstream os;
     runner::writeJsonLines(os, "warm-grid", cfgs, results);
     return os.str();
@@ -407,22 +404,20 @@ TEST(WarmupKey, RunHashGatesOnWarmupLikeFabricAndMeter)
 }
 
 // ---------------------------------------------------------------------
-// The headline contract: cold == memoized, across engines and jobs
+// The headline contract: cold == memoized, across jobs
 // ---------------------------------------------------------------------
 
-TEST(WarmSweep, ColdEqualsMemoizedAcrossEnginesAndJobs)
+TEST(WarmSweep, ColdEqualsMemoizedAcrossJobs)
 {
-    const std::string reference =
-        gridJson(QueueEngine::calendar, 1, /*coldStart=*/true);
+    const std::string reference = gridJson(1, /*coldStart=*/true);
     ASSERT_FALSE(reference.empty());
 
-    // Memoized rerun, same engine, serial.
-    EXPECT_EQ(reference, gridJson(QueueEngine::calendar, 1, false));
+    // Memoized rerun, serial.
+    EXPECT_EQ(reference, gridJson(1, false));
     // Cold again under 8 jobs: cells race for one stem.
-    EXPECT_EQ(reference, gridJson(QueueEngine::calendar, 8, true));
-    // Heap engine, cold and memoized, serial and parallel.
-    EXPECT_EQ(reference, gridJson(QueueEngine::heap, 1, true));
-    EXPECT_EQ(reference, gridJson(QueueEngine::heap, 8, false));
+    EXPECT_EQ(reference, gridJson(8, true));
+    // Memoized under 8 jobs.
+    EXPECT_EQ(reference, gridJson(8, false));
 }
 
 TEST(WarmSweep, MeasuredRegionCoversOnlyMeasuredInstructions)
