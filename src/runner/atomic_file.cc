@@ -3,6 +3,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -75,6 +77,24 @@ atomicWriteFile(const std::string &path, const std::string &contents,
         std::remove(tmp.c_str());
         return false;
     }
+    return true;
+}
+
+bool
+readFile(const std::string &path, std::string &out, std::string &err)
+{
+    std::ifstream is(path, std::ios::in | std::ios::binary);
+    if (!is) {
+        err = "cannot open '" + path + "' for reading";
+        return false;
+    }
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    if (is.bad()) {
+        err = "error reading '" + path + "'";
+        return false;
+    }
+    out = buf.str();
     return true;
 }
 

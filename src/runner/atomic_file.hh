@@ -1,6 +1,7 @@
 /**
  * @file
- * Crash-safe whole-file writes: temp file + atomic rename.
+ * Whole-file I/O: crash-safe writes (temp file + atomic rename) and
+ * whole-file reads.
  *
  * A manifest or status file written with a plain ofstream can be
  * left half-written by a crash (or a full disk) and then misparse in
@@ -36,6 +37,11 @@ std::string atomicTempPath(const std::string &path);
  */
 bool atomicWriteFile(const std::string &path,
                      const std::string &contents, std::string &err);
+
+/** Read all of @p path into @p out.
+ *  @return false with @p err set if it cannot be opened or read. */
+bool readFile(const std::string &path, std::string &out,
+              std::string &err);
 
 } // namespace gals::runner
 

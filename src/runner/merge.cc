@@ -22,24 +22,6 @@ namespace gals::runner
 namespace
 {
 
-bool
-readFile(const std::string &path, std::string &out, std::string &err)
-{
-    std::ifstream is(path, std::ios::in | std::ios::binary);
-    if (!is) {
-        err = "cannot open '" + path + "' for reading";
-        return false;
-    }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    if (is.bad()) {
-        err = "error reading '" + path + "'";
-        return false;
-    }
-    out = buf.str();
-    return true;
-}
-
 /** Split on '\n', dropping the trailing empty piece of a final
  *  newline (every line of our formats is newline-terminated). */
 std::vector<std::string>

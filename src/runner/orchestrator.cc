@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -16,6 +17,7 @@
 #include <unistd.h>
 
 #include "runner/atomic_file.hh"
+#include "runner/cli.hh"
 #include "runner/gtrj.hh"
 #include "runner/json.hh"
 #include "runner/merge.hh"
@@ -105,8 +107,15 @@ DispatchTracker::deadlineMs() const
         return 0;
     const double scaled =
         policy_.stragglerFactor * static_cast<double>(median);
-    const std::uint64_t byMedian =
-        scaled < 0 ? 0 : static_cast<std::uint64_t>(scaled);
+    // Converting a NaN or a double past 2^64 to an integer is
+    // undefined: a NaN factor falls back to the floor, and a huge one
+    // saturates (no slice is ever a straggler).
+    constexpr double limit = 18446744073709551616.0; // 2^64
+    std::uint64_t byMedian = 0;
+    if (scaled >= limit)
+        byMedian = std::numeric_limits<std::uint64_t>::max();
+    else if (scaled > 0)
+        byMedian = static_cast<std::uint64_t>(scaled);
     return std::max(policy_.minDeadlineMs, byMedian);
 }
 
@@ -325,18 +334,6 @@ monotonicNowMs()
             .count());
 }
 
-std::string
-commaJoin(const std::vector<std::uint64_t> &values)
-{
-    std::string out;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i)
-            out += ',';
-        out += std::to_string(values[i]);
-    }
-    return out;
-}
-
 /** Everything known about one slice while the dispatch runs. */
 struct SliceRuntime
 {
@@ -413,12 +410,8 @@ countFileRecords(const std::string &path)
 {
     if (trajectoryFormatForPath(path) != TrajectoryFormat::gtrj)
         return countFileLines(path);
-    std::ifstream is(path, std::ios::in | std::ios::binary);
-    if (!is)
-        return 0;
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    return gtrj::countFrames(buf.str());
+    std::string text, err;
+    return readFile(path, text, err) ? gtrj::countFrames(text) : 0;
 }
 
 } // namespace
@@ -530,8 +523,11 @@ runDispatch(const ScenarioRegistry &registry,
          << ",\"slices\":" << M
          << ",\"output\":" << jsonQuote(opts.outputPath)
          << ",\"instructions\":" << opts.sweep.instructions
-         << ",\"seeds\":[" << commaJoin(opts.sweep.seedList())
-         << "],\"benchmarks\":[";
+         << ",\"seeds\":[";
+    const std::vector<std::uint64_t> seeds = opts.sweep.seedList();
+    for (std::size_t i = 0; i < seeds.size(); ++i)
+        plan << (i ? "," : "") << seeds[i];
+    plan << "],\"benchmarks\":[";
     for (std::size_t i = 0; i < opts.sweep.benchmarks.size(); ++i)
         plan << (i ? "," : "")
              << jsonQuote(opts.sweep.benchmarks[i]);
@@ -762,88 +758,19 @@ runDispatch(const ScenarioRegistry &registry,
             diag << "dispatch: " << scanErr << "\n";
             return false;
         }
-        std::vector<std::string> argv;
-        argv.push_back(opts.workerBinary);
-        for (const ScenarioShape &shape : shapes) {
-            argv.push_back("--scenario");
-            argv.push_back(shape.scenario->name);
-        }
-        argv.push_back("--shard");
-        argv.push_back(std::to_string(i + 1) + "/" +
-                       std::to_string(M));
-        argv.push_back("--jobs");
-        argv.push_back(std::to_string(opts.workerJobs));
-        argv.push_back("--insts");
-        argv.push_back(std::to_string(opts.sweep.instructions));
-        argv.push_back("--seed-list");
-        argv.push_back(commaJoin(opts.sweep.seedList()));
-        for (const std::string &b : opts.sweep.benchmarks) {
-            argv.push_back("--bench");
-            argv.push_back(b);
-        }
-        if (!opts.sweep.coreCounts.empty()) {
-            std::string cores;
-            for (std::size_t k = 0; k < opts.sweep.coreCounts.size();
-                 ++k) {
-                if (k)
-                    cores += ',';
-                cores += std::to_string(opts.sweep.coreCounts[k]);
-            }
-            argv.push_back("--cores");
-            argv.push_back(cores);
-        }
-        if (!opts.sweep.topologies.empty()) {
-            std::string topos;
-            for (std::size_t k = 0; k < opts.sweep.topologies.size();
-                 ++k) {
-                if (k)
-                    topos += ',';
-                topos += opts.sweep.topologies[k];
-            }
-            argv.push_back("--topology");
-            argv.push_back(topos);
-        }
-        if (!opts.sweep.traffics.empty()) {
-            std::string traffics;
-            for (std::size_t k = 0; k < opts.sweep.traffics.size();
-                 ++k) {
-                if (k)
-                    traffics += ',';
-                traffics += opts.sweep.traffics[k];
-            }
-            argv.push_back("--traffic");
-            argv.push_back(traffics);
-        }
-        if (opts.sweep.intervalTicks > 0) {
-            argv.push_back("--interval-ticks");
-            argv.push_back(
-                std::to_string(opts.sweep.intervalTicks));
-        }
-        if (opts.sweep.warmupInstructions > 0) {
-            argv.push_back("--warmup-insts");
-            argv.push_back(
-                std::to_string(opts.sweep.warmupInstructions));
-        }
-        if (!opts.snapshotDir.empty()) {
-            argv.push_back("--snapshot-dir");
-            argv.push_back(opts.snapshotDir);
-        }
-        argv.push_back("--output");
-        argv.push_back(rt.recordsPath);
-        argv.push_back("--manifest");
-        argv.push_back(rt.manifestPath);
-        if (rt.resumeSkip > 0) {
-            argv.push_back("--resume-skip");
-            argv.push_back(std::to_string(rt.resumeSkip));
-        }
-        for (const std::string &a : opts.workerArgs)
-            argv.push_back(a);
+        CliOptions worker = workerOptions(opts, ShardSpec{i + 1, M});
+        worker.outputPath = rt.recordsPath;
+        worker.manifestPath = rt.manifestPath;
+        worker.resumeSkip = rt.resumeSkip;
         if (tracker.attempts(i) == 0) {
-            const auto it = opts.firstAttemptArgs.find(i + 1);
-            if (it != opts.firstAttemptArgs.end())
-                for (const std::string &a : it->second)
-                    argv.push_back(a);
+            const auto it = opts.firstAttemptFaults.find(i + 1);
+            if (it != opts.firstAttemptFaults.end())
+                worker.fault = it->second;
         }
+        std::vector<std::string> argv = cliArgv(worker);
+        argv.insert(argv.begin(), opts.workerBinary);
+        argv.insert(argv.end(), opts.workerArgs.begin(),
+                    opts.workerArgs.end());
         std::string startErr;
         if (!rt.worker.start(argv, rt.logPath, startErr)) {
             diag << "dispatch: slice " << i + 1 << ": " << startErr

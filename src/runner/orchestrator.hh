@@ -63,6 +63,7 @@
 #include <string>
 #include <vector>
 
+#include "runner/fault.hh"
 #include "runner/scenario.hh"
 
 namespace gals::runner
@@ -259,15 +260,15 @@ struct DispatchOptions
      *  manifest. Empty = workers memoize in-process only. */
     std::string snapshotDir;
 
-    /** TEST-ONLY: extra argv appended to every worker launch (e.g. a
-     *  persistent fault flag). */
+    /** TEST-ONLY: extra argv appended, last, to every worker launch
+     *  (e.g. a persistent fault flag). */
     std::vector<std::string> workerArgs;
 
-    /** TEST-ONLY: extra argv appended to the FIRST attempt of the
+    /** TEST-ONLY: a fault injected into the FIRST attempt of the
      *  keyed slice only (1-based, matching `--shard i/M`), so fault
      *  injection exercises the retry path deterministically: attempt
      *  1 faults, attempt 2 runs clean. */
-    std::map<unsigned, std::vector<std::string>> firstAttemptArgs;
+    std::map<unsigned, FaultPlan> firstAttemptFaults;
 };
 
 /** Outcome accounting, for tests and the CLI summary. */

@@ -81,21 +81,6 @@ recordIndex(const std::vector<std::size_t> *indices, std::size_t i)
 
 } // namespace
 
-OutputFormat
-parseOutputFormat(const std::string &name)
-{
-    if (name == "table")
-        return OutputFormat::table;
-    if (name == "json")
-        return OutputFormat::json;
-    if (name == "csv")
-        return OutputFormat::csv;
-    if (name == "md" || name == "markdown")
-        return OutputFormat::markdown;
-    gals_fatal("unknown output format '", name,
-               "' (expected table, json, csv or md)");
-}
-
 std::string
 jsonQuote(const std::string &s)
 {

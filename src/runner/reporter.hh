@@ -46,9 +46,6 @@ enum class OutputFormat
     markdown, ///< scenario catalog table (valid with --list only)
 };
 
-/** Parse "table" / "json" / "csv" / "md"; fatal on anything else. */
-OutputFormat parseOutputFormat(const std::string &name);
-
 /** @name Record-format primitives
  *
  * Shared by the reporters, the trajectory sink and the manifest

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <sstream>
 #include <system_error>
+#include <utility>
 
 #include "runner/atomic_file.hh"
 #include "runner/gtrj.hh"
@@ -31,37 +32,28 @@ hashHex(std::uint64_t h)
 TrajectoryFormat
 trajectoryFormatForPath(const std::string &path)
 {
-    const std::size_t dot = path.find_last_of('.');
-    if (dot != std::string::npos) {
-        const std::string ext = path.substr(dot);
-        if (ext == ".csv")
-            return TrajectoryFormat::csv;
-        if (ext == ".gtrj")
-            return TrajectoryFormat::gtrj;
-    }
-    return TrajectoryFormat::jsonLines;
+    TrajectoryFormat format = TrajectoryFormat::jsonLines;
+    trajectoryFormatForCliPath(path, format);
+    return format;
 }
 
 bool
 trajectoryFormatForCliPath(const std::string &path,
                            TrajectoryFormat &out)
 {
+    static const std::pair<const char *, TrajectoryFormat> exts[] = {
+        {".jsonl", TrajectoryFormat::jsonLines},
+        {".json", TrajectoryFormat::jsonLines},
+        {".csv", TrajectoryFormat::csv},
+        {".gtrj", TrajectoryFormat::gtrj}};
     const std::size_t dot = path.find_last_of('.');
     if (dot == std::string::npos)
         return false;
-    const std::string ext = path.substr(dot);
-    if (ext == ".jsonl" || ext == ".json") {
-        out = TrajectoryFormat::jsonLines;
-        return true;
-    }
-    if (ext == ".csv") {
-        out = TrajectoryFormat::csv;
-        return true;
-    }
-    if (ext == ".gtrj") {
-        out = TrajectoryFormat::gtrj;
-        return true;
-    }
+    for (const auto &[ext, format] : exts)
+        if (path.compare(dot, std::string::npos, ext) == 0) {
+            out = format;
+            return true;
+        }
     return false;
 }
 

@@ -15,10 +15,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,6 +37,7 @@
 #include "bench/register_all.hh"
 #include "power/power_model.hh"
 #include "runner/atomic_file.hh"
+#include "runner/cli.hh"
 #include "runner/engine.hh"
 #include "runner/fault.hh"
 #include "runner/gtrj.hh"
@@ -176,6 +182,28 @@ TEST(DispatchTracker, DeadlineRespectsTheFloor)
     t.onLaunched(0, 0);
     t.onFinished(0, 10); // 4 x 10 ms << the 5 s floor
     EXPECT_EQ(t.deadlineMs(), 5000u);
+}
+
+/** A straggler factor whose scaled median overflows uint64 saturates
+ *  the deadline (no slice is ever a straggler) instead of converting
+ *  an out-of-range double, and a NaN factor falls back to the floor. */
+TEST(DispatchTracker, HugeStragglerFactorSaturatesTheDeadline)
+{
+    DispatchPolicy p = testPolicy();
+    p.stragglerFactor = 1e300;
+    DispatchTracker t(2, p);
+    t.onLaunched(0, 0);
+    t.onLaunched(1, 0);
+    t.onFinished(0, 100);
+    EXPECT_EQ(t.deadlineMs(), std::numeric_limits<std::uint64_t>::max());
+    EXPECT_TRUE(
+        t.stragglers(std::numeric_limits<std::uint64_t>::max()).empty());
+
+    p.stragglerFactor = std::nan("");
+    DispatchTracker n(1, p);
+    n.onLaunched(0, 0);
+    n.onFinished(0, 100);
+    EXPECT_EQ(n.deadlineMs(), p.minDeadlineMs);
 }
 
 TEST(DispatchTracker, MedianOfEvenCountAveragesTheMiddle)
@@ -563,7 +591,7 @@ TEST_F(DispatchIntegration, CrashedWorkerIsRetriedToByteIdentity)
     DispatchOptions opts = integrationOptions(out);
     // Slice 1 (2 records) dies like a SIGKILL after flushing its
     // first record — the retry must skip that record and finish.
-    opts.firstAttemptArgs[1] = {"--fault-exit-after", "1"};
+    opts.firstAttemptFaults[1].exitAfter = 1;
 
     std::ostringstream diag;
     DispatchReport report;
@@ -603,7 +631,7 @@ TEST_F(DispatchIntegration, HungWorkerIsKilledAndRedispatched)
     // Slice 2 hangs after its single record; the deadline floor is
     // generous against CI timing noise but far below the test
     // timeout.
-    opts.firstAttemptArgs[2] = {"--fault-hang-after", "0"};
+    opts.firstAttemptFaults[2].hangAfter = 0;
     opts.policy.minDeadlineMs = 1500;
 
     std::ostringstream diag;
@@ -759,7 +787,7 @@ TEST_F(DispatchIntegration, GtrjDispatchResumesAcrossATornFrame)
     DispatchOptions opts = integrationOptions(out);
     // Slice 1 dies after flushing its first frame; the retry must
     // append from the salvaged frame, as with JSON lines.
-    opts.firstAttemptArgs[1] = {"--fault-exit-after", "1"};
+    opts.firstAttemptFaults[1].exitAfter = 1;
     std::ostringstream diag1;
     DispatchReport report;
     ASSERT_TRUE(runDispatch(registry_, opts, diag1, &report))
@@ -784,7 +812,7 @@ TEST_F(DispatchIntegration, GtrjDispatchResumesAcrossATornFrame)
     fs::remove(workDir + "/slice_1.manifest.json");
     fs::remove(out);
 
-    opts.firstAttemptArgs.clear(); // the resume runs fault-free
+    opts.firstAttemptFaults.clear(); // the resume runs fault-free
     std::ostringstream diag2;
     ASSERT_TRUE(runDispatch(registry_, opts, diag2, &report))
         << diag2.str();
@@ -953,6 +981,113 @@ TEST(CliUsage, UnsupportedSweepsExitTwoOnBothParsers)
         }
     }
     EXPECT_FALSE(fs::exists(out));
+}
+
+/** Flags a mode does not accept, and values dispatch cannot honour,
+ *  are usage errors (exit 2) that write nothing. */
+TEST(CliUsage, EachModeRejectsWhatItCannotUse)
+{
+    const std::string bin = galsbenchBinary();
+    if (bin.empty())
+        GTEST_SKIP() << "galsbench binary not found (set GALSBENCH)";
+    const std::string jsonl = tempPath("cli_mode.jsonl");
+    const std::string csv = tempPath("cli_mode.csv");
+    const std::string dispatch = "dispatch --scenario quickstart ";
+    const std::vector<std::string> cases = {
+        dispatch + "--output " + jsonl + " --jobs 2",
+        "parse " + tempPath("cli_mode.gtrj") + " --insts 5 --output " +
+            jsonl,
+        "--verify " + tempPath("cli_mode.manifest.json") + " --seed 3",
+        "--list --insts 5",
+        "--list --jobs 4",
+        dispatch + "--output " + csv,
+        dispatch + "--output " + jsonl + " --straggler-factor nan",
+        dispatch + "--output " + jsonl + " --straggler-factor inf",
+    };
+    for (const std::string &args : cases) {
+        const std::string cmd = bin + " " + args + " > /dev/null 2>&1";
+        const int status = std::system(cmd.c_str());
+        ASSERT_TRUE(WIFEXITED(status)) << cmd;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+    }
+    for (const std::string &path : {jsonl, csv})
+        for (const std::string &left : {path, path + ".dispatch"})
+            EXPECT_FALSE(fs::exists(left)) << left;
+}
+
+/** `--help` and `dispatch --help` exit 0 and name every flag the
+ *  usage text is meant to show, and none of the hidden ones. */
+TEST(CliUsage, HelpListsEveryVisibleFlag)
+{
+    const std::string bin = galsbenchBinary();
+    if (bin.empty())
+        GTEST_SKIP() << "galsbench binary not found (set GALSBENCH)";
+    const std::string out = tempPath("cli_help.txt");
+    for (const char *prefix : {"", "dispatch "}) {
+        const std::string cmd =
+            bin + " " + prefix + "--help > " + out + " 2>/dev/null";
+        const int status = std::system(cmd.c_str());
+        ASSERT_TRUE(WIFEXITED(status)) << cmd;
+        EXPECT_EQ(WEXITSTATUS(status), 0) << cmd;
+        std::string text = slurp(out);
+        std::replace(text.begin(), text.end(), '[', ' ');
+        std::replace(text.begin(), text.end(), ']', ' ');
+        std::istringstream words(text);
+        const std::set<std::string> tokens{
+            std::istream_iterator<std::string>(words),
+            std::istream_iterator<std::string>()};
+        for (const CliFlag &f : cliFlags())
+            EXPECT_EQ(tokens.count(f.name) == 1, !f.hidden)
+                << prefix << f.name;
+    }
+}
+
+/** The argv a dispatch worker is launched with, parsed back through
+ *  the flag table, describes the same sweep byte for byte: a flag
+ *  that is parsed but not forwarded to workers fails here. */
+TEST(CliArgv, WorkerArgvRoundTripsTheManifest)
+{
+    ScenarioRegistry registry;
+    bench::registerAllScenarios(registry);
+    const std::string snapshots = tempPath("argv_snapshots");
+    fs::create_directories(snapshots);
+
+    DispatchOptions d;
+    d.scenarios = {"quickstart", "fig05"};
+    d.sweep.instructions = 3000;
+    d.sweep.explicitSeeds = {7, 11, 13};
+    d.sweep.benchmarks = {"gcc", "adpcm"};
+    d.sweep.coreCounts = {2, 4};
+    d.sweep.topologies = {"ring", "mesh2d"};
+    d.sweep.traffics = {"uniform", "hotspot:1"};
+    d.sweep.intervalTicks = 2000;
+    d.sweep.warmupInstructions = 1000;
+    d.snapshotDir = snapshots;
+    d.workerJobs = 3;
+
+    CliOptions worker = workerOptions(d, ShardSpec{2, 3});
+    worker.outputPath = "slice_2.gtrj";
+    worker.manifestPath = "slice_2.manifest.json";
+    worker.resumeSkip = 4;
+    worker.fault.exitAfter = 5;
+
+    CliOptions back;
+    std::string err;
+    ASSERT_TRUE(parseCli(cliArgv(worker), registry, back, err)) << err;
+    const auto manifest = [](const CliOptions &o) {
+        std::ostringstream os;
+        writeManifest(os, o.sweep, o.outputPath, {{"fig05", 32, 3, 1}});
+        return os.str();
+    };
+    EXPECT_EQ(manifest(back), manifest(worker));
+    EXPECT_EQ(back.mode, cliRun);
+    EXPECT_EQ(back.scenarios, d.scenarios);
+    EXPECT_EQ(back.jobs, d.workerJobs);
+    EXPECT_EQ(back.snapshotDir, snapshots);
+    EXPECT_EQ(back.manifestPath, worker.manifestPath);
+    EXPECT_EQ(back.resumeSkip, worker.resumeSkip);
+    EXPECT_EQ(back.fault.exitAfter, worker.fault.exitAfter);
+    EXPECT_EQ(back.fault.hangAfter, FaultPlan::disabled);
 }
 
 } // namespace
