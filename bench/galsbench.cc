@@ -262,23 +262,15 @@ runMain(const ScenarioRegistry &registry, const CliOptions &cli)
             const std::vector<RunConfig> shardRuns =
                 selectRuns(runs, indices);
             if (sink) {
-                if (sink->format() != TrajectoryFormat::csv) {
-                    // Stream + flush record by record (JSON lines or
-                    // gtrj frames — both are self-delimiting): this
-                    // is what lets `galsbench dispatch` lose at most
-                    // one record to a killed worker.
-                    const std::size_t skip =
-                        std::min<std::uint64_t>(skipLeft,
-                                                shardRuns.size());
-                    skipLeft -= skip;
-                    runSliceStreamed(engine, *sink, scenario->name,
-                                     shardRuns, indices, skip);
-                } else {
-                    const std::vector<RunResults> results =
-                        engine.run(shardRuns);
-                    sink->append(scenario->name, shardRuns, results,
-                                 &indices);
-                }
+                // Stream + flush frame by frame (parseCli() admits
+                // only a .gtrj shard output): this is what lets
+                // `galsbench dispatch` lose at most one record to a
+                // killed worker.
+                const std::size_t skip =
+                    std::min<std::uint64_t>(skipLeft, shardRuns.size());
+                skipLeft -= skip;
+                runSliceStreamed(engine, *sink, scenario->name,
+                                 shardRuns, indices, skip);
                 std::fprintf(stderr,
                              "galsbench: %s: shard %u/%u ran %zu of "
                              "%zu runs\n",
@@ -387,7 +379,6 @@ main(int argc, char **argv)
     }
 
     CliOptions opts;
-    opts.sweep = SweepOptions::fromEnvironment();
     opts.workerBinary = selfExePath();
     std::string err;
     if (!parseCli(std::vector<std::string>(argv + 1, argv + argc),

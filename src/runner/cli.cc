@@ -12,6 +12,7 @@
 #include "cpu/core_config.hh"
 #include "fabric/fabric_config.hh"
 #include "runner/trajectory.hh"
+#include "workload/profile.hh"
 
 namespace gals::runner
 {
@@ -217,6 +218,17 @@ shardValue(const CliArg &a)
     return shard;
 }
 
+/** A shipped benchmark's name: an unknown one would otherwise stop
+ *  the sweep at its first run. */
+std::string
+benchmarkName(const CliArg &a)
+{
+    const std::vector<std::string> names = benchmarkNames();
+    if (std::find(names.begin(), names.end(), a.text) == names.end())
+        fail(a, " expects one of " + text(names));
+    return a.text;
+}
+
 std::string
 directory(const CliArg &a)
 {
@@ -310,7 +322,7 @@ const std::vector<CliFlag> flagTable = {
      }},
     {"--bench", CliArity::value, "NAME", sweepModes,
      "restrict the benchmark sweep (repeatable, or GALSSIM_BENCH)",
-     [](Opts &o, const Arg &a) { o.benchmarks.push_back(a.text); },
+     [](Opts &o, const Arg &a) { o.benchmarks.push_back(benchmarkName(a)); },
      [](const Opts &o, Values &v) { emitEach(v, o.sweep.benchmarks); }},
     {"--seed", CliArity::value, "N", sweepModes,
      "workload seed (default 0)",
@@ -361,7 +373,8 @@ const std::vector<CliFlag> flagTable = {
     {"--output", CliArity::value, "PATH", sweepModes | cliMerge | cliParse,
      "append every per-run record to a trajectory file whose extension "
      "picks the format: .jsonl/.json (JSON lines), .csv, or .gtrj "
-     "(compact binary; dispatch takes all but .csv); parse writes the "
+     "(compact binary; a --shard run writes .gtrj only, and --merge "
+     "renders its shards in any of the three); parse writes the "
      "converted text here instead of stdout",
      [](Opts &o, const Arg &a) { o.outputPath = a.text; },
      [](const Opts &o, Values &v) { emitSet(v, o.outputPath); }},
@@ -460,6 +473,15 @@ isFlag(const std::string &arg)
     return arg.compare(0, 2, "--") == 0;
 }
 
+const CliFlag *
+findFlag(const std::string &name)
+{
+    for (const CliFlag &f : flagTable)
+        if (name == f.name)
+            return &f;
+    return nullptr;
+}
+
 /** Apply every argument through the table; returns the flags seen,
  *  in order. */
 std::vector<const CliFlag *>
@@ -469,13 +491,11 @@ applyArgs(const std::vector<std::string> &args, std::size_t first,
     std::vector<const CliFlag *> seen;
     for (std::size_t i = first; i < args.size() && !opts.help; ++i) {
         const std::string &arg = args[i];
-        const auto f = std::find_if(
-            flagTable.begin(), flagTable.end(),
-            [&](const CliFlag &flag) { return arg == flag.name; });
+        const CliFlag *f = findFlag(arg);
         if (arg == "-h") {
             opts.help = true;
-        } else if (f != flagTable.end()) {
-            seen.push_back(&*f);
+        } else if (f) {
+            seen.push_back(f);
             if (f->arity == CliArity::none)
                 f->apply(opts, {f->name, arg});
             if (f->arity == CliArity::value) {
@@ -501,22 +521,40 @@ applyArgs(const std::vector<std::string> &args, std::size_t first,
     return seen;
 }
 
-/** The --output extension rule of the mode: a typo'd path must not
- *  silently become a JSON-lines file nobody asked for, and dispatch
- *  appends self-delimiting records, which a CSV header cannot be. */
+/** GALSSIM_INSTS and GALSSIM_BENCH default --insts and --bench: in
+ *  the modes that take the flag, and unless the command line gives
+ *  it, each is applied through its flag's entry, so it is checked
+ *  like the flag and any error names the variable. */
+void
+applyEnvironment(CliOptions &o, const std::vector<const CliFlag *> &seen)
+{
+    static const std::pair<const char *, const char *> vars[] = {
+        {"GALSSIM_INSTS", "--insts"}, {"GALSSIM_BENCH", "--bench"}};
+    for (const auto &[var, name] : vars) {
+        const CliFlag *f = findFlag(name);
+        const char *env = std::getenv(var);
+        if (env && (f->modes & o.mode) &&
+            std::find(seen.begin(), seen.end(), f) == seen.end())
+            f->apply(o, {var, std::string(env)});
+    }
+}
+
+/** The --output extension rule: a typo'd path must not silently
+ *  become a JSON-lines file nobody asked for, and a shard writes
+ *  gtrj frames, the one format --merge and the dispatch resume scan
+ *  read back. */
 void
 checkOutputPath(const CliOptions &o)
 {
     if (o.outputPath.empty() || o.mode == cliParse)
         return;
     TrajectoryFormat format;
-    const bool known = trajectoryFormatForCliPath(o.outputPath, format);
-    if (o.mode == cliDispatch && (!known || format == TrajectoryFormat::csv))
-        fail("--output expects a .jsonl, .json or .gtrj path for dispatch "
-             "(a CSV header cannot be resumed), got '" +
-             o.outputPath + "'");
-    if (!known)
+    if (!trajectoryFormatForCliPath(o.outputPath, format))
         fail("--output expects a .jsonl, .json, .csv or .gtrj path, got '" +
+             o.outputPath + "'");
+    if (o.sweep.shard.active() && format != TrajectoryFormat::gtrj)
+        fail("--output expects a .gtrj path for a --shard run (--merge "
+             "renders .jsonl or .csv from the shards), got '" +
              o.outputPath + "'");
 }
 
@@ -583,11 +621,9 @@ checkMode(const ScenarioRegistry &registry, CliOptions &o)
                  "suppressed; give --output and/or --manifest to keep "
                  "its records");
         if (o.resumeSkip > 0 &&
-            (!o.sweep.shard.active() || o.outputPath.empty() ||
-             trajectoryFormatForPath(o.outputPath) ==
-                 TrajectoryFormat::csv))
+            (!o.sweep.shard.active() || o.outputPath.empty()))
             fail("--resume-skip only applies to a --shard run with a "
-                 "JSON-lines or gtrj --output");
+                 ".gtrj --output");
         break;
       case cliDispatch:
         checkSweep(registry, o);
@@ -602,6 +638,10 @@ checkMode(const ScenarioRegistry &registry, CliOptions &o)
       case cliMerge:
         if (!o.mergeFiles.empty() && o.outputPath.empty())
             fail("--merge needs --output PATH for the merged trajectory");
+        for (const std::string &path : o.mergeFiles)
+            if (trajectoryFormatForPath(path) != TrajectoryFormat::gtrj)
+                fail("--merge expects .gtrj shard files, got '" + path +
+                     "' (re-run a text shard written by an older build)");
         if (!o.mergeManifestFiles.empty() && o.manifestPath.empty())
             fail("--merge-manifest needs --manifest PATH for the merged "
                  "manifest");
@@ -697,6 +737,7 @@ parseCli(const std::vector<std::string> &args,
             if (!(f->modes & opts.mode))
                 fail(f->name + (" does not apply to " +
                                 std::string(mode.name) + mode.why));
+        applyEnvironment(opts, seen);
         checkMode(registry, opts);
     } catch (const CliError &e) {
         err = e.what();

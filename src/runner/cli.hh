@@ -38,8 +38,8 @@ enum CliMode : unsigned
 
 /** One invocation: the dispatch options (sweep, scenarios, paths,
  *  orchestration knobs) plus the fields the other modes read. The
- *  caller pre-fills the defaults (environment sweep knobs, worker
- *  binary); parseCli() applies the flags on top. */
+ *  caller pre-fills the worker binary; parseCli() applies
+ *  GALSSIM_INSTS / GALSSIM_BENCH and the flags on top. */
 struct CliOptions : DispatchOptions
 {
     CliMode mode = cliRun;
@@ -96,11 +96,14 @@ const std::vector<CliFlag> &cliFlags();
 /**
  * Parse galsbench's arguments (argv without the program name) into
  * @p opts: the mode (`dispatch`/`parse` first, else from the mode
- * flags), every flag through the table, then the per-mode checks —
- * flags the mode does not accept, missing or malformed outputs,
- * --warmup-insts against --insts and the scenarios, --traffic against
- * --cores. Resolves --all and checks every scenario name. Stops at
- * --help / -h with opts.help set.
+ * flags), every flag through the table, GALSSIM_INSTS and
+ * GALSSIM_BENCH through the --insts and --bench entries where the
+ * command line leaves those flags out, then the per-mode checks —
+ * flags the mode does not accept, missing or malformed outputs (a
+ * --shard output and the --merge inputs are .gtrj), --warmup-insts
+ * against --insts and the scenarios, --traffic against --cores.
+ * Resolves --all and checks every scenario name. Stops at --help /
+ * -h with opts.help set.
  * @return false with @p err set on a usage error (exit 2).
  */
 bool parseCli(const std::vector<std::string> &args,

@@ -40,10 +40,11 @@
  * Frames are self-delimiting and encoded statelessly (no
  * inter-record compression), so a shard's frames are byte-identical
  * to the same records in an unsharded file — merge fan-in reorders
- * raw frames without re-encoding — and a SIGKILL mid-write leaves a
- * detectable torn tail: the orchestrator's resume scan keeps the
- * valid frame prefix and truncates the rest, exactly like the
- * JSON-lines partial-line scan.
+ * raw frames without re-encoding, and renders a text output from
+ * them through toJsonLines()/toCsv() — and a SIGKILL mid-write
+ * leaves a detectable torn tail: the orchestrator's resume scan
+ * keeps the valid frame prefix and truncates the rest. That is why
+ * gtrj is the one format of shard and dispatch slice files.
  */
 
 #ifndef RUNNER_GTRJ_HH

@@ -39,117 +39,14 @@ splitLines(const std::string &text)
     return lines;
 }
 
-/** One trajectory record with its sort key. */
+/** One shard record with its sort key. */
 struct Record
 {
     std::string scenario;
     std::size_t scenarioRank = 0; ///< resolved after the global order
     std::uint64_t index = 0;
-    std::string line; ///< the raw record bytes (no newline)
+    std::string frame; ///< the raw frame bytes (length prefix + payload)
 };
-
-/** Extract scenario + index + instruction budget from one
- *  JSON-lines record. */
-bool
-jsonRecordKey(const std::string &line, std::string &scenario,
-              std::uint64_t &index, std::uint64_t &instructions,
-              std::string &err)
-{
-    json::Value v;
-    if (!json::parse(line, v, err))
-        return false;
-    const json::Value *s = v.find("scenario");
-    const json::Value *i = v.find("index");
-    const json::Value *insts = v.find("instructions");
-    if (!s || s->kind != json::Value::Kind::string || !i ||
-        !i->asU64(index) || !insts || !insts->asU64(instructions)) {
-        err = "record lacks string 'scenario' / integral 'index' / "
-              "'instructions'";
-        return false;
-    }
-    scenario = s->str;
-    return true;
-}
-
-/** Read one RFC-4180 field starting at @p pos; advances past the
- *  field and its trailing comma (if any). */
-bool
-csvFieldAt(const std::string &line, std::size_t &pos,
-           std::string &out, std::string &err)
-{
-    out.clear();
-    if (pos < line.size() && line[pos] == '"') {
-        ++pos;
-        for (;;) {
-            if (pos >= line.size()) {
-                err = "unterminated quoted CSV field";
-                return false;
-            }
-            if (line[pos] == '"') {
-                if (pos + 1 < line.size() && line[pos + 1] == '"') {
-                    out += '"';
-                    pos += 2;
-                    continue;
-                }
-                ++pos;
-                break;
-            }
-            out += line[pos++];
-        }
-    } else {
-        while (pos < line.size() && line[pos] != ',')
-            out += line[pos++];
-    }
-    if (pos < line.size()) {
-        if (line[pos] != ',') {
-            err = "malformed CSV field boundary";
-            return false;
-        }
-        ++pos;
-    }
-    return true;
-}
-
-bool
-csvU64(const std::string &text, std::uint64_t &out)
-{
-    // strtoull silently wraps negatives ("-1" -> 2^64-1); our
-    // writers emit bare digits, so accept exactly that.
-    if (text.empty() ||
-        text.find_first_not_of("0123456789") != std::string::npos)
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    out = std::strtoull(text.c_str(), &end, 10);
-    return errno != ERANGE && *end == '\0';
-}
-
-/** Extract scenario + index + instruction budget (columns 1, 2 and
- *  6 of the fixed reporter layout) from one CSV row. */
-bool
-csvRecordKey(const std::string &line, std::string &scenario,
-             std::uint64_t &index, std::uint64_t &instructions,
-             std::string &err)
-{
-    std::size_t pos = 0;
-    std::string idx, skip, insts;
-    if (!csvFieldAt(line, pos, scenario, err) ||
-        !csvFieldAt(line, pos, idx, err) ||
-        !csvFieldAt(line, pos, skip, err) || // benchmark
-        !csvFieldAt(line, pos, skip, err) || // gals
-        !csvFieldAt(line, pos, skip, err) || // dynamic_dvfs
-        !csvFieldAt(line, pos, insts, err))
-        return false;
-    if (!csvU64(idx, index)) {
-        err = "bad index column '" + idx + "'";
-        return false;
-    }
-    if (!csvU64(insts, instructions)) {
-        err = "bad instructions column '" + insts + "'";
-        return false;
-    }
-    return true;
-}
 
 /**
  * Merge the per-file scenario orders into one canonical order. Each
@@ -391,9 +288,6 @@ mergeTrajectories(const std::vector<std::string> &shardFiles,
         diag << "merge: no shard files given\n";
         return false;
     }
-    const TrajectoryFormat format =
-        trajectoryFormatForPath(outputPath);
-
     std::string err;
     std::vector<Record> records;
     std::vector<std::vector<std::string>> scenarioSeqs;
@@ -404,18 +298,18 @@ mergeTrajectories(const std::vector<std::string> &shardFiles,
     // Instruction budget per scenario, for cross-file sweep
     // consistency.
     std::map<std::string, std::uint64_t> instsByScenario;
-    std::string header; // CSV only
 
     for (const std::string &path : shardFiles) {
-        if (trajectoryFormatForPath(path) != format) {
-            diag << "merge: '" << path << "' and '" << outputPath
-                 << "' disagree on trajectory format "
-                    "(mixed .csv / .jsonl?)\n";
-            return false;
-        }
         std::string text;
         if (!readFile(path, text, err)) {
             diag << "merge: " << err << "\n";
+            return false;
+        }
+        std::size_t pos = 0;
+        if (!gtrj::readHeader(text, pos, err)) {
+            diag << "merge: " << path << ": " << err
+                 << " (shard files are .gtrj; re-run a text shard "
+                    "written by an older build)\n";
             return false;
         }
         scenarioSeqs.emplace_back();
@@ -424,131 +318,68 @@ mergeTrajectories(const std::vector<std::string> &shardFiles,
         std::vector<std::vector<std::uint64_t>> &idx =
             indexSeqs.back();
 
-        // Per-record admission shared by every format: cross-file
-        // instruction consistency, per-file scenario contiguity and
-        // strictly-ascending indices. @p where names the record
-        // ("file:line" / "file record N") for diagnostics.
-        const auto admit = [&](Record &&rec,
-                               std::uint64_t instructions,
-                               const std::string &where) -> bool {
+        // Walk the frames, keeping each record's raw bytes (length
+        // prefix + payload) so the merge re-emits them untouched —
+        // frames are stateless, so the merged file equals the
+        // unsharded run's byte for byte.
+        for (std::size_t recNo = 1;; ++recNo) {
+            const std::size_t frameStart = pos;
+            std::string_view payload;
+            const gtrj::FrameStatus st =
+                gtrj::nextFrame(text, pos, payload, err);
+            if (st == gtrj::FrameStatus::eof)
+                break;
+            // Torn tails are the orchestrator's business (resume
+            // salvage); merge inputs are finished slices and must be
+            // intact.
+            gtrj::DecodedRecord dec;
+            if (st == gtrj::FrameStatus::torn ||
+                !gtrj::decodePayload(payload, dec, err)) {
+                diag << "merge: " << path << " record " << recNo
+                     << ": " << err << "\n";
+                return false;
+            }
+            const std::string where =
+                path + " record " + std::to_string(recNo);
             // Shards of one sweep share one instruction budget per
             // scenario; a disagreement means the inputs come from
             // different sweeps and must not fuse.
-            const auto [it, inserted] = instsByScenario.emplace(
-                rec.scenario, instructions);
+            const std::uint64_t instructions = dec.cfg.instructions;
+            const auto [it, inserted] =
+                instsByScenario.emplace(dec.scenario, instructions);
             if (!inserted && it->second != instructions) {
                 diag << "merge: " << where << ": scenario '"
-                     << rec.scenario
+                     << dec.scenario
                      << "' records disagree on instructions ("
                      << it->second << " vs " << instructions
                      << ") — shard files from different sweeps?\n";
                 return false;
             }
-            if (seq.empty() || seq.back() != rec.scenario) {
+            if (seq.empty() || seq.back() != dec.scenario) {
                 // A scenario's records are contiguous per file; a
                 // reappearance means the file is not a shard
                 // trajectory.
                 if (std::find(seq.begin(), seq.end(),
-                              rec.scenario) != seq.end()) {
+                              dec.scenario) != seq.end()) {
                     diag << "merge: " << where << ": scenario '"
-                         << rec.scenario
+                         << dec.scenario
                          << "' records are not contiguous\n";
                     return false;
                 }
-                seq.push_back(rec.scenario);
+                seq.push_back(dec.scenario);
                 idx.emplace_back();
             }
             if (!idx.back().empty() &&
-                idx.back().back() >= rec.index) {
+                idx.back().back() >= dec.index) {
                 diag << "merge: " << where
                      << ": indices not strictly ascending (not a "
                         "shard trajectory?)\n";
                 return false;
             }
-            idx.back().push_back(rec.index);
-            records.push_back(std::move(rec));
-            return true;
-        };
-
-        if (format == TrajectoryFormat::gtrj) {
-            // Binary shard: walk the frames, keeping each record's
-            // raw bytes (length prefix + payload) so the merge
-            // re-emits them untouched — frames are stateless, so the
-            // merged file equals the unsharded run's byte-for-byte.
-            std::size_t pos = 0;
-            if (!gtrj::readHeader(text, pos, err)) {
-                diag << "merge: " << path << ": " << err << "\n";
-                return false;
-            }
-            std::size_t recNo = 0;
-            for (;;) {
-                const std::size_t frameStart = pos;
-                std::string_view payload;
-                const gtrj::FrameStatus st =
-                    gtrj::nextFrame(text, pos, payload, err);
-                if (st == gtrj::FrameStatus::eof)
-                    break;
-                if (st == gtrj::FrameStatus::torn) {
-                    // Torn tails are the orchestrator's business
-                    // (resume salvage); merge inputs are finished
-                    // slices and must be intact.
-                    diag << "merge: " << path << ": " << err
-                         << "\n";
-                    return false;
-                }
-                ++recNo;
-                gtrj::DecodedRecord dec;
-                if (!gtrj::decodePayload(payload, dec, err)) {
-                    diag << "merge: " << path << " record " << recNo
-                         << ": " << err << "\n";
-                    return false;
-                }
-                Record rec;
-                rec.scenario = dec.scenario;
-                rec.index = dec.index;
-                rec.line =
-                    text.substr(frameStart, pos - frameStart);
-                if (!admit(std::move(rec), dec.cfg.instructions,
-                           path + " record " +
-                               std::to_string(recNo)))
-                    return false;
-            }
-            continue;
-        }
-
-        std::vector<std::string> lines = splitLines(text);
-        std::size_t lineNo = 0;
-        for (std::string &line : lines) {
-            ++lineNo;
-            if (format == TrajectoryFormat::csv && lineNo == 1) {
-                // The header row. Every non-empty shard writes the
-                // same one; keep the first, insist the rest match.
-                if (header.empty())
-                    header = line;
-                else if (line != header) {
-                    diag << "merge: '" << path
-                         << "' has a different CSV header\n";
-                    return false;
-                }
-                continue;
-            }
-            Record rec;
-            std::uint64_t instructions = 0;
-            const bool ok =
-                format == TrajectoryFormat::jsonLines
-                    ? jsonRecordKey(line, rec.scenario, rec.index,
-                                    instructions, err)
-                    : csvRecordKey(line, rec.scenario, rec.index,
-                                   instructions, err);
-            if (!ok) {
-                diag << "merge: " << path << ":" << lineNo << ": "
-                     << err << "\n";
-                return false;
-            }
-            rec.line = std::move(line);
-            if (!admit(std::move(rec), instructions,
-                       path + ":" + std::to_string(lineNo)))
-                return false;
+            idx.back().push_back(dec.index);
+            records.push_back(
+                {std::move(dec.scenario), 0, dec.index,
+                 text.substr(frameStart, pos - frameStart)});
         }
     }
 
@@ -686,6 +517,26 @@ mergeTrajectories(const std::vector<std::string> &shardFiles,
             }
     }
 
+    // The merged frames are the unsharded run's gtrj bytes; a text
+    // output is rendered from them through the parse path, which
+    // writes exactly what a native text run writes.
+    std::string merged = gtrj::fileHeader();
+    for (const Record &rec : records)
+        merged += rec.frame;
+    const TrajectoryFormat format =
+        trajectoryFormatForPath(outputPath);
+    if (format != TrajectoryFormat::gtrj) {
+        std::string text;
+        const bool rendered =
+            format == TrajectoryFormat::csv
+                ? gtrj::toCsv(merged, text, err)
+                : gtrj::toJsonLines(merged, text, err);
+        if (!rendered) {
+            diag << "merge: " << err << "\n";
+            return false;
+        }
+        merged.swap(text);
+    }
     std::ofstream os(outputPath, std::ios::out | std::ios::trunc |
                                      std::ios::binary);
     if (!os) {
@@ -693,20 +544,7 @@ mergeTrajectories(const std::vector<std::string> &shardFiles,
              << "' for writing\n";
         return false;
     }
-    if (format == TrajectoryFormat::gtrj) {
-        // Raw frames, no separators: the header then each record's
-        // own frame bytes, byte-equal to an unsharded sink.
-        const std::string &h = gtrj::fileHeader();
-        os.write(h.data(), static_cast<std::streamsize>(h.size()));
-        for (const Record &rec : records)
-            os.write(rec.line.data(),
-                     static_cast<std::streamsize>(rec.line.size()));
-    } else {
-        if (format == TrajectoryFormat::csv && !header.empty())
-            os << header << "\n";
-        for (const Record &rec : records)
-            os << rec.line << "\n";
-    }
+    os.write(merged.data(), static_cast<std::streamsize>(merged.size()));
     os.flush();
     if (!os) {
         // A truncated file would pass for a canonical trajectory in

@@ -3,13 +3,15 @@
  * Shard fan-in and archive replay: `--merge`, `--merge-manifest`
  * and `--verify`.
  *
- * A sharded sweep (`galsbench --shard i/N`) leaves N trajectory
- * files and N manifests, each covering a disjoint round-robin slice
- * of the run grid but carrying the records' *canonical* grid
- * indices. mergeTrajectories() fuses the shard files back into the
- * single-machine ordering — cmp-identical to an unsharded run — and
- * mergeManifests() fuses the shard manifests into the canonical
- * manifest. verifyManifest() closes the loop: it re-runs an archived
+ * A sharded sweep (`galsbench --shard i/N`) leaves N `.gtrj`
+ * trajectory files and N manifests, each covering a disjoint
+ * round-robin slice of the run grid but carrying the records'
+ * *canonical* grid indices. mergeTrajectories() fuses the shard
+ * frames back into the single-machine ordering and writes them as
+ * `.gtrj`, or renders them as JSON lines or CSV through the parse
+ * path — cmp-identical to an unsharded run in any of the three
+ * formats — and mergeManifests() fuses the shard manifests into the
+ * canonical manifest. verifyManifest() closes the loop: it re-runs an archived
  * manifest (instruction budget, seeds, benchmarks, shard) against the
  * current binary, checks the per-scenario grid shapes and config
  * hashes first, and byte-compares the regenerated
@@ -46,12 +48,15 @@ struct MergePlan
 };
 
 /**
- * Merge shard trajectory files into @p outputPath in canonical
- * (unsharded) record order. All inputs and the output must share one
- * format (by extension, trajectoryFormatForPath()). Fails on
- * malformed records, on overlapping shards (duplicate canonical
- * index), on shard files whose records disagree on a scenario's
- * instruction budget (inputs from different sweeps), and on
+ * Merge `.gtrj` shard trajectory files into @p outputPath in
+ * canonical (unsharded) record order. The output's extension picks
+ * its format (trajectoryFormatForPath()): `.gtrj` gets the merged
+ * frames raw, `.jsonl`/`.json`/`.csv` their gtrj::toJsonLines() /
+ * gtrj::toCsv() rendering. Fails, writing nothing, on an input that
+ * is not an intact gtrj file (a text shard of an older build, a torn
+ * tail), on malformed records, on overlapping shards (duplicate
+ * canonical index), on shard files whose records disagree on a
+ * scenario's instruction budget (inputs from different sweeps), and on
  * incomplete merges: interior index gaps, a file count that
  * contradicts the shard stride visible in the records, and — when
  * @p expected is given (recovered from the shard manifests by

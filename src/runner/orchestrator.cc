@@ -19,7 +19,6 @@
 #include "runner/atomic_file.hh"
 #include "runner/cli.hh"
 #include "runner/gtrj.hh"
-#include "runner/json.hh"
 #include "runner/merge.hh"
 #include "runner/reporter.hh"
 #include "runner/trajectory.hh"
@@ -181,20 +180,13 @@ DispatchTracker::allDone() const
 // ---------------------------------------------------------------------------
 // Slice-file scanning
 
-namespace
-{
-
-/** The gtrj arm of scanSliceRecords(): the valid prefix is the file
- *  header plus the run of complete frames that decode and match the
- *  expectation, so a resumed worker's append continues mid-file
- *  exactly where truncate(2) cut. A torn or missing header salvages
- *  nothing (validBytes 0 — the reopened sink writes a fresh one). */
 bool
-scanGtrjSliceRecords(const std::string &path,
-                     const std::vector<SliceExpectation> &expected,
-                     SliceScan &out, std::string &err,
-                     std::vector<RecordStat> *stats)
+scanSliceRecords(const std::string &path,
+                 const std::vector<SliceExpectation> &expected,
+                 SliceScan &out, std::string &err,
+                 std::vector<RecordStat> *stats)
 {
+    out = SliceScan{};
     std::ifstream is(path, std::ios::in | std::ios::binary);
     if (!is) {
         // A never-written slice scans as an empty valid prefix.
@@ -208,6 +200,11 @@ scanGtrjSliceRecords(const std::string &path,
     }
     const std::string text = buf.str();
 
+    // The valid prefix is the file header plus the run of complete
+    // frames that decode and match the expectation, so a resumed
+    // worker's append continues mid-file exactly where truncate(2)
+    // cut. A torn or missing header salvages nothing (validBytes 0 —
+    // the reopened sink writes a fresh one).
     std::size_t pos = 0;
     std::string herr;
     if (gtrj::readHeader(text, pos, herr)) {
@@ -219,17 +216,13 @@ scanGtrjSliceRecords(const std::string &path,
                 gtrj::nextFrame(text, pos, payload, ferr);
             if (st == gtrj::FrameStatus::eof)
                 break;
-            if (st == gtrj::FrameStatus::torn) {
-                out.trimmedTail = true;
-                break;
-            }
             gtrj::DecodedRecord dec;
-            if (!gtrj::decodePayload(payload, dec, ferr) ||
+            if (st == gtrj::FrameStatus::torn ||
+                !gtrj::decodePayload(payload, dec, ferr) ||
                 dec.scenario != expected[k].scenario ||
                 dec.index != expected[k].index) {
-                // Corrupted or foreign record: everything from here
-                // on is untrustworthy.
-                out.trimmedTail = true;
+                // A torn, corrupted or foreign record: everything
+                // from here on is untrustworthy.
                 break;
             }
             if (stats)
@@ -240,82 +233,9 @@ scanGtrjSliceRecords(const std::string &path,
         }
     }
 
-    if (text.size() > out.validBytes)
-        out.trimmedTail = true;
-    return true;
-}
-
-} // namespace
-
-bool
-scanSliceRecords(const std::string &path,
-                 const std::vector<SliceExpectation> &expected,
-                 SliceScan &out, std::string &err,
-                 std::vector<RecordStat> *stats)
-{
-    out = SliceScan{};
-    if (trajectoryFormatForPath(path) == TrajectoryFormat::gtrj)
-        return scanGtrjSliceRecords(path, expected, out, err,
-                                    stats);
-    std::ifstream is(path, std::ios::in | std::ios::binary);
-    if (!is) {
-        // A never-written slice scans as an empty valid prefix.
-        return true;
-    }
-
-    std::string line;
-    for (std::size_t k = 0; k < expected.size(); ++k) {
-        if (!std::getline(is, line)) {
-            if (is.bad()) {
-                err = "error reading '" + path + "'";
-                return false;
-            }
-            break; // clean EOF: prefix simply ends here
-        }
-        if (is.eof()) {
-            // getline hit EOF before a newline: a torn trailing
-            // record from a mid-write crash. Cut it off.
-            out.trimmedTail = true;
-            break;
-        }
-        json::Value v;
-        std::string perr;
-        std::uint64_t index = 0;
-        const json::Value *s = nullptr;
-        const json::Value *i = nullptr;
-        if (!json::parse(line, v, perr) ||
-            !(s = v.find("scenario")) || !(i = v.find("index")) ||
-            s->kind != json::Value::Kind::string ||
-            !i->asU64(index) || s->str != expected[k].scenario ||
-            index != expected[k].index) {
-            // Corrupted or foreign record: everything from here on is
-            // untrustworthy.
-            out.trimmedTail = true;
-            break;
-        }
-        if (stats) {
-            RecordStat stat;
-            if (const json::Value *b = v.find("benchmark"))
-                stat.benchmark = b->str;
-            if (const json::Value *t = v.find("time_sec"))
-                stat.timeSec = t->number;
-            stats->push_back(std::move(stat));
-        }
-        out.validRecords += 1;
-        out.validBytes += line.size() + 1;
-    }
-
-    if (is.bad()) {
-        err = "error reading '" + path + "'";
-        return false;
-    }
-
-    // Anything past the valid prefix — a torn line, extra records
+    // Anything past the valid prefix — a torn frame, extra records
     // beyond the expectation — is tail to trim.
-    std::error_code ec;
-    const std::uintmax_t size = std::filesystem::file_size(path, ec);
-    if (!ec && size > out.validBytes)
-        out.trimmedTail = true;
+    out.trimmedTail = text.size() > out.validBytes;
     return true;
 }
 
@@ -382,34 +302,12 @@ struct BenchAgg
     double totalTimeSec = 0.0;
 };
 
-std::size_t
-countFileLines(const std::string &path)
-{
-    std::ifstream is(path, std::ios::in | std::ios::binary);
-    if (!is)
-        return 0;
-    std::size_t lines = 0;
-    char buf[65536];
-    while (is.read(buf, sizeof(buf)) || is.gcount() > 0) {
-        const std::streamsize got = is.gcount();
-        for (std::streamsize i = 0; i < got; ++i)
-            if (buf[i] == '\n')
-                ++lines;
-        if (got < static_cast<std::streamsize>(sizeof(buf)))
-            break;
-    }
-    return lines;
-}
-
-/** Records currently in a slice file, for progress snapshots: lines
- *  for the text formats, complete frames for gtrj (a torn tail just
- *  stops the count — progress may briefly read one low, never
- *  wrong). */
+/** Records currently in a slice file, for progress snapshots: a
+ *  torn tail just stops the count, so progress may briefly read one
+ *  low, never wrong. */
 std::size_t
 countFileRecords(const std::string &path)
 {
-    if (trajectoryFormatForPath(path) != TrajectoryFormat::gtrj)
-        return countFileLines(path);
     std::string text, err;
     return readFile(path, text, err) ? gtrj::countFrames(text) : 0;
 }
@@ -426,14 +324,6 @@ runDispatch(const ScenarioRegistry &registry,
     DispatchOptions opts = options;
     if (opts.outputPath.empty()) {
         diag << "dispatch: --output PATH is required\n";
-        return false;
-    }
-    const TrajectoryFormat outFormat =
-        trajectoryFormatForPath(opts.outputPath);
-    if (outFormat == TrajectoryFormat::csv) {
-        diag << "dispatch: --output must be a JSON-lines or gtrj "
-                "path (crash-safe streaming appends self-delimiting "
-                "records; a CSV header cannot be resumed)\n";
         return false;
     }
     if (opts.scenarios.empty()) {
@@ -600,12 +490,11 @@ runDispatch(const ScenarioRegistry &registry,
         SliceRuntime &rt = slices[i];
         const std::string base =
             workDir + "/slice_" + std::to_string(i + 1);
-        // Slice files carry the output's format so the workers, the
-        // resume scan and the final merge all agree from the path
-        // alone.
-        rt.recordsPath =
-            base + (outFormat == TrajectoryFormat::gtrj ? ".gtrj"
-                                                        : ".jsonl");
+        // Slices are always gtrj, whatever the output's format: the
+        // workers stream self-delimiting frames, the resume scan
+        // salvages a frame prefix and the final merge renders the
+        // output's format from the frames.
+        rt.recordsPath = base + ".gtrj";
         rt.manifestPath = base + ".manifest.json";
         rt.logPath = base + ".log";
         ShardSpec shard;

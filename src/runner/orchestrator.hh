@@ -18,13 +18,12 @@
  * Crash safety rests on three artifacts next to the output, in
  * `<output>.dispatch/`:
  *
- *  - `slice_<i>.jsonl` (or `.gtrj` for a binary output) /
- *    `slice_<i>.manifest.json` — each worker streams records one
- *    flushed line (or frame) at a time in canonical slice order, so
- *    a SIGKILL at any instant costs at most one (truncated) trailing
- *    record. The slice manifest is written
- *    atomically after the last record, so its existence marks the
- *    slice complete.
+ *  - `slice_<i>.gtrj` / `slice_<i>.manifest.json` — each worker
+ *    streams records one flushed gtrj frame at a time in canonical
+ *    slice order, whatever the output's format, so a SIGKILL at any
+ *    instant costs at most one (truncated) trailing record. The
+ *    slice manifest is written atomically after the last record, so
+ *    its existence marks the slice complete.
  *  - `journal.jsonl` — append-only state-transition journal. Its
  *    first line records the full sweep plan; a resumed dispatch
  *    refuses to continue a journal whose plan differs from its own
@@ -48,9 +47,10 @@
  * straggler did flush are kept and skipped.
  *
  * When every slice is done the existing merge machinery
- * (runner/merge.hh) fans the slice manifests and trajectories back
- * into the canonical unsharded files — cmp-identical to a
- * single-machine `--jobs 1` run.
+ * (runner/merge.hh) fans the slice manifests and frames back into
+ * the canonical unsharded files, rendering a `.jsonl`/`.csv` output
+ * through the parse path — cmp-identical to a single-machine
+ * `--jobs 1` run in every format.
  */
 
 #ifndef RUNNER_ORCHESTRATOR_HH
@@ -199,14 +199,13 @@ struct SliceScan
 };
 
 /**
- * Scan a (possibly partial, possibly crash-truncated) slice
+ * Scan a (possibly partial, possibly crash-truncated) gtrj slice
  * trajectory at @p path against its expected record sequence. The
- * format follows the path's extension: the valid prefix is the run
- * of leading JSON lines (or, for `.gtrj`, the file header plus the
- * run of complete binary frames) that parse as records and match
- * @p expected position for position; anything after it — a torn
- * trailing line or frame from a mid-write crash, a corrupted or
- * foreign record — is reported via trimmedTail so the caller can
+ * valid prefix is the file header plus the run of complete frames
+ * that decode as records and match @p expected position for
+ * position; anything after it — a torn trailing frame from a
+ * mid-write crash, a corrupted or foreign record, records past the
+ * expectation — is reported via trimmedTail so the caller can
  * truncate(2) to validBytes and resume from validRecords. A missing
  * file scans as an empty valid prefix.
  * @param stats when non-null, appends one RecordStat per valid
@@ -228,8 +227,8 @@ struct DispatchOptions
      *  field is ignored — dispatch owns the slicing. */
     SweepOptions sweep;
 
-    /** Final merged trajectory (JSON-lines or gtrj — CSV cannot be
-     *  crash-resumed). The work directory is
+    /** Final merged trajectory; its extension picks the format, as
+     *  for `--merge`. The work directory is
      *  `<outputPath>.dispatch/`. */
     std::string outputPath;
 

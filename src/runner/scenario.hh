@@ -116,7 +116,9 @@ struct SweepOptions
      * Defaults from the environment, honouring the knobs the
      * hand-rolled bench drivers always supported: GALSSIM_INSTS
      * (instructions per run) and GALSSIM_BENCH (restrict the sweep to
-     * one benchmark).
+     * one benchmark). The values are not checked here; galsbench reads
+     * both through its flag table instead (parseCli(), runner/cli.hh),
+     * which rejects what --insts and --bench would.
      */
     static SweepOptions fromEnvironment();
 };

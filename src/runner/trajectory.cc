@@ -78,10 +78,9 @@ TrajectorySink::TrajectorySink(const std::string &path,
                                   : std::ios::trunc)),
       os_(&file_)
 {
-    if (appendMode && format_ == TrajectoryFormat::csv)
-        gals_fatal("append mode needs a JSON-lines or gtrj "
-                   "trajectory, not '",
-                   path_, "'");
+    if (appendMode && format_ != TrajectoryFormat::gtrj)
+        gals_fatal("append mode needs a gtrj trajectory, not '", path_,
+                   "'");
     if (!file_)
         gals_fatal("cannot open trajectory file '", path_,
                    "' for writing");
@@ -149,9 +148,9 @@ TrajectorySink::appendOne(const std::string &scenario,
                           const RunResults &result,
                           std::size_t canonicalIndex)
 {
-    if (format_ == TrajectoryFormat::csv)
-        gals_fatal("appendOne() streams JSON lines or gtrj only ('",
-                   path_, "' is csv)");
+    if (format_ != TrajectoryFormat::gtrj)
+        gals_fatal("appendOne() streams gtrj frames only, not '", path_,
+                   "'");
     const std::vector<RunConfig> cfgs{cfg};
     const std::vector<RunResults> results{result};
     const std::vector<std::size_t> indices{canonicalIndex};

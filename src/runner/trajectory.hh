@@ -3,23 +3,27 @@
  * Sweep persistence: trajectory files and run manifests.
  *
  * `galsbench --output PATH` streams the raw per-run records of every
- * executed scenario into one trajectory file — JSON-lines by default,
- * CSV when PATH ends in `.csv` — through the TrajectorySink below.
- * `--manifest PATH` additionally writes a run manifest describing the
- * whole evaluation (galssim version, engine, instruction budget,
- * seeds, shard, and per-scenario grid sizes + config hashes).
+ * executed scenario into one trajectory file — JSON lines, CSV or
+ * binary gtrj frames (runner/gtrj.hh), by PATH's extension — through
+ * the TrajectorySink below. `--manifest PATH` additionally writes a
+ * run manifest describing the whole evaluation (galssim version,
+ * engine, instruction budget, seeds, shard, and per-scenario grid
+ * sizes + config hashes).
  *
  * Both files are deliberately free of timestamps, hostnames and job
  * counts: re-running the same sweep on any machine at any `--jobs`
  * must produce byte-identical bytes, so an archived evaluation can be
  * verified with `cmp` (or `galsbench --verify MANIFEST`).
  *
- * Sharded sweeps (`--shard i/N`) write the same record bytes they
- * would unsharded — each record carries its canonical grid index —
- * so `galsbench --merge` can reassemble N shard files into the
- * canonical single-machine trajectory (runner/merge.hh). The shard
- * manifest records the canonical per-scenario grid (full grid size
- * and full-grid config hash) plus a `shard` object naming the slice.
+ * Sharded sweeps (`--shard i/N`) write gtrj only, with the same frame
+ * bytes they would unsharded — each record carries its canonical grid
+ * index — so `galsbench --merge` can reassemble N shard files into
+ * the canonical single-machine trajectory in any of the three
+ * formats (runner/merge.hh). The text writers serve unsharded runs
+ * and `--verify` replays, including those of text-shard manifests
+ * archived by older builds. The shard manifest records the canonical
+ * per-scenario grid (full grid size and full-grid config hash) plus
+ * a `shard` object naming the slice.
  */
 
 #ifndef RUNNER_TRAJECTORY_HH
@@ -84,9 +88,7 @@ class TrajectorySink
      * truncated everything including a torn header).
      * @param appendMode keep existing contents and append (the
      *     dispatch orchestrator's resumed workers extend a salvaged
-     *     record prefix); JSON-lines and gtrj only — a resumed CSV
-     *     file would need header reconciliation nothing requires
-     *     yet.
+     *     frame prefix); gtrj only.
      */
     explicit TrajectorySink(const std::string &path,
                             bool appendMode = false);
@@ -110,13 +112,12 @@ class TrajectorySink
                 const std::vector<std::size_t> *indices = nullptr);
 
     /**
-     * Append ONE record and flush it to disk before returning
-     * (JSON-lines / gtrj). This is the crash-safety primitive behind
-     * `galsbench dispatch`: a worker streaming records through
-     * appendOne() in canonical order loses at most the one record
-     * being written when it is killed, and the surviving prefix is a
-     * valid record prefix (JSON lines / gtrj frames) the
-     * orchestrator's resume scan can keep.
+     * Append ONE record and flush it to disk before returning (gtrj
+     * only). This is the crash-safety primitive behind `galsbench
+     * dispatch`: a worker streaming records through appendOne() in
+     * canonical order loses at most the one record being written
+     * when it is killed, and the surviving prefix is a valid frame
+     * prefix the orchestrator's resume scan can keep.
      * @param canonicalIndex the record's index in the unsharded grid.
      */
     void appendOne(const std::string &scenario, const RunConfig &cfg,

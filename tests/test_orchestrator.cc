@@ -246,93 +246,6 @@ expectations(const std::string &scenario,
     return out;
 }
 
-std::string
-fakeRecord(const std::string &scenario, std::uint64_t index,
-           const std::string &benchmark = "adpcm")
-{
-    return "{\"scenario\":\"" + scenario +
-           "\",\"index\":" + std::to_string(index) +
-           ",\"benchmark\":\"" + benchmark +
-           "\",\"time_sec\":0.5}\n";
-}
-
-TEST(SliceScan, MissingFileIsAnEmptyPrefix)
-{
-    SliceScan scan;
-    std::string err;
-    ASSERT_TRUE(scanSliceRecords(tempPath("scan_missing.jsonl"),
-                                 expectations("s", {0, 3}), scan,
-                                 err));
-    EXPECT_EQ(scan.validRecords, 0u);
-    EXPECT_EQ(scan.validBytes, 0u);
-    EXPECT_FALSE(scan.trimmedTail);
-}
-
-TEST(SliceScan, FullFileMatchesWithoutTrim)
-{
-    const std::string path = tempPath("scan_full.jsonl");
-    spit(path, fakeRecord("s", 0) + fakeRecord("s", 3, "fpppp"));
-    SliceScan scan;
-    std::string err;
-    std::vector<RecordStat> stats;
-    ASSERT_TRUE(scanSliceRecords(path, expectations("s", {0, 3}),
-                                 scan, err, &stats));
-    EXPECT_EQ(scan.validRecords, 2u);
-    EXPECT_EQ(scan.validBytes, slurp(path).size());
-    EXPECT_FALSE(scan.trimmedTail);
-    ASSERT_EQ(stats.size(), 2u);
-    EXPECT_EQ(stats[0].benchmark, "adpcm");
-    EXPECT_EQ(stats[1].benchmark, "fpppp");
-    EXPECT_DOUBLE_EQ(stats[1].timeSec, 0.5);
-}
-
-TEST(SliceScan, TornTrailingLineIsTrimmed)
-{
-    const std::string path = tempPath("scan_torn.jsonl");
-    const std::string first = fakeRecord("s", 0);
-    // A crash mid-write: the second record lost its tail (and its
-    // newline).
-    spit(path, first + "{\"scenario\":\"s\",\"index\":3,\"ben");
-    SliceScan scan;
-    std::string err;
-    ASSERT_TRUE(scanSliceRecords(path, expectations("s", {0, 3}),
-                                 scan, err));
-    EXPECT_EQ(scan.validRecords, 1u);
-    EXPECT_EQ(scan.validBytes, first.size());
-    EXPECT_TRUE(scan.trimmedTail);
-}
-
-TEST(SliceScan, MismatchedRecordEndsThePrefix)
-{
-    const std::string path = tempPath("scan_mismatch.jsonl");
-    // Second record carries the wrong canonical index.
-    spit(path, fakeRecord("s", 0) + fakeRecord("s", 7) +
-                   fakeRecord("s", 5));
-    SliceScan scan;
-    std::string err;
-    ASSERT_TRUE(scanSliceRecords(path,
-                                 expectations("s", {0, 3, 5}), scan,
-                                 err));
-    EXPECT_EQ(scan.validRecords, 1u);
-    EXPECT_EQ(scan.validBytes, fakeRecord("s", 0).size());
-    EXPECT_TRUE(scan.trimmedTail);
-}
-
-TEST(SliceScan, ExtraRecordsPastTheExpectationAreTail)
-{
-    const std::string path = tempPath("scan_extra.jsonl");
-    spit(path, fakeRecord("s", 0) + fakeRecord("s", 3) +
-                   fakeRecord("s", 9));
-    SliceScan scan;
-    std::string err;
-    ASSERT_TRUE(scanSliceRecords(path, expectations("s", {0, 3}),
-                                 scan, err));
-    EXPECT_EQ(scan.validRecords, 2u);
-    EXPECT_TRUE(scan.trimmedTail);
-}
-
-// ----------------------------------------------------- gtrj slice scan
-
 /** One encoded gtrj frame with just enough record identity for the
  *  scan: scenario, canonical index, benchmark, time_sec. */
 std::string
@@ -350,6 +263,34 @@ fakeGtrjFrame(const std::string &scenario, std::uint64_t index,
     for (unsigned u = 0; u < numUnits; ++u)
         r.unitEnergyNj[unitName(static_cast<Unit>(u))] = 1.0;
     return gtrj::encodeRecord(scenario, index, cfg, r);
+}
+
+TEST(SliceScan, MissingFileIsAnEmptyPrefix)
+{
+    SliceScan scan;
+    std::string err;
+    ASSERT_TRUE(scanSliceRecords(tempPath("scan_missing.gtrj"),
+                                 expectations("s", {0, 3}), scan,
+                                 err));
+    EXPECT_EQ(scan.validRecords, 0u);
+    EXPECT_EQ(scan.validBytes, 0u);
+    EXPECT_FALSE(scan.trimmedTail);
+}
+
+TEST(SliceScan, ExtraRecordsPastTheExpectationAreTail)
+{
+    const std::string path = tempPath("scan_extra.gtrj");
+    const std::string keep = gtrj::fileHeader() +
+                             fakeGtrjFrame("s", 0) +
+                             fakeGtrjFrame("s", 3);
+    spit(path, keep + fakeGtrjFrame("s", 9));
+    SliceScan scan;
+    std::string err;
+    ASSERT_TRUE(scanSliceRecords(path, expectations("s", {0, 3}),
+                                 scan, err));
+    EXPECT_EQ(scan.validRecords, 2u);
+    EXPECT_EQ(scan.validBytes, keep.size());
+    EXPECT_TRUE(scan.trimmedTail);
 }
 
 TEST(SliceScan, GtrjFullFileMatchesWithoutTrim)
@@ -566,6 +507,23 @@ writeReference(const ScenarioRegistry &registry,
     sink.close();
 }
 
+/** A kill -9 mid-write on a gtrj slice file: keep its header, its
+ *  first frame and 7 bytes of the second. */
+void
+tearAfterFirstFrame(const std::string &slice)
+{
+    const std::string full = slurp(slice);
+    std::size_t pos = 0;
+    std::string err;
+    ASSERT_TRUE(gtrj::readHeader(full, pos, err)) << err;
+    std::string_view payload;
+    ASSERT_EQ(gtrj::nextFrame(full, pos, payload, err),
+              gtrj::FrameStatus::ok)
+        << err;
+    ASSERT_LT(pos + 7, full.size());
+    spit(slice, full.substr(0, pos + 7));
+}
+
 class DispatchIntegration : public ::testing::Test
 {
   protected:
@@ -655,16 +613,11 @@ TEST_F(DispatchIntegration, ResumeRunsOnlyTheMissingRecords)
         << diag1.str();
     EXPECT_EQ(slurp(out), slurp(referencePath_));
 
-    // Simulate a kill -9 mid-slice-1: cut its trajectory mid-record
-    // (torn line, no trailing newline), drop its manifest, drop the
-    // merged outputs.
+    // Simulate a kill -9 mid-slice-1: cut its trajectory mid-frame,
+    // drop its manifest, drop the merged outputs.
     const std::string workDir = out + ".dispatch";
-    const std::string slice1 = workDir + "/slice_1.jsonl";
-    const std::string full = slurp(slice1);
-    const std::size_t firstEnd = full.find('\n');
-    ASSERT_NE(firstEnd, std::string::npos);
-    // Keep record 1 plus half of record 2.
-    spit(slice1, full.substr(0, firstEnd + 1 + 40));
+    ASSERT_NO_FATAL_FAILURE(
+        tearAfterFirstFrame(workDir + "/slice_1.gtrj"));
     fs::remove(workDir + "/slice_1.manifest.json");
     fs::remove(out);
 
@@ -743,11 +696,8 @@ TEST_F(DispatchIntegration, WarmupSnapshotDirSurvivesKillAndResume)
     // partial/foreign snapshots (re-producing whichever stems it
     // needs) and still converge to the reference bytes.
     const std::string workDir = out + ".dispatch";
-    const std::string slice1 = workDir + "/slice_1.jsonl";
-    const std::string full = slurp(slice1);
-    const std::size_t firstEnd = full.find('\n');
-    ASSERT_NE(firstEnd, std::string::npos);
-    spit(slice1, full.substr(0, firstEnd + 1 + 40));
+    ASSERT_NO_FATAL_FAILURE(
+        tearAfterFirstFrame(workDir + "/slice_1.gtrj"));
     fs::remove(workDir + "/slice_1.manifest.json");
     fs::remove(out);
     for (const auto &e : fs::directory_iterator(snapDir))
@@ -772,21 +722,11 @@ TEST_F(DispatchIntegration, GtrjDispatchResumesAcrossATornFrame)
 
     // The unsharded binary reference the dispatch must reproduce.
     const std::string refPath = tempPath("gtrj/reference.gtrj");
-    {
-        const SweepOptions sweep = integrationSweep();
-        TrajectorySink sink(refPath);
-        const ExperimentEngine engine(1);
-        const Scenario *scenario = registry_.find("fig05");
-        ASSERT_NE(scenario, nullptr);
-        const std::vector<RunConfig> runs =
-            expandReplicatedRuns(*scenario, sweep, nullptr);
-        sink.append("fig05", runs, engine.run(runs));
-        sink.close();
-    }
+    writeReference(registry_, refPath);
 
     DispatchOptions opts = integrationOptions(out);
     // Slice 1 dies after flushing its first frame; the retry must
-    // append from the salvaged frame, as with JSON lines.
+    // append from the salvaged frame.
     opts.firstAttemptFaults[1].exitAfter = 1;
     std::ostringstream diag1;
     DispatchReport report;
@@ -795,20 +735,11 @@ TEST_F(DispatchIntegration, GtrjDispatchResumesAcrossATornFrame)
     EXPECT_EQ(report.retries, 1u);
     EXPECT_EQ(slurp(out), slurp(refPath));
 
-    // Kill -9 simulation on the binary slice: keep the header, the
-    // first frame and half of the second, drop the slice manifest
-    // and the merged outputs, then resume.
+    // Kill -9 simulation on the binary slice: tear its second frame,
+    // drop the slice manifest and the merged outputs, then resume.
     const std::string workDir = out + ".dispatch";
-    const std::string slice1 = workDir + "/slice_1.gtrj";
-    const std::string full = slurp(slice1);
-    std::size_t pos = 0;
-    std::string err;
-    ASSERT_TRUE(gtrj::readHeader(full, pos, err)) << err;
-    std::string_view payload;
-    ASSERT_EQ(gtrj::nextFrame(full, pos, payload, err),
-              gtrj::FrameStatus::ok)
-        << err;
-    spit(slice1, full.substr(0, pos + 7)); // 7 bytes of frame 2
+    ASSERT_NO_FATAL_FAILURE(
+        tearAfterFirstFrame(workDir + "/slice_1.gtrj"));
     fs::remove(workDir + "/slice_1.manifest.json");
     fs::remove(out);
 
@@ -828,6 +759,32 @@ TEST_F(DispatchIntegration, GtrjDispatchResumesAcrossATornFrame)
     const ExperimentEngine engine(1);
     EXPECT_TRUE(verifyManifest(registry_, engine,
                                workDir + "/manifest.json", vdiag))
+        << vdiag.str();
+}
+
+/** A CSV output is merged like any other: the slices are gtrj, and
+ *  the fan-in renders the CSV an unsharded run writes. */
+TEST_F(DispatchIntegration, CsvDispatchMatchesTheUnshardedCsv)
+{
+    const std::string out = tempPath("csv/merged.csv");
+    fs::remove_all(tempPath("csv"));
+    fs::create_directories(tempPath("csv"));
+    const std::string refPath = tempPath("csv/reference.csv");
+    writeReference(registry_, refPath);
+
+    DispatchOptions opts = integrationOptions(out);
+    opts.firstAttemptFaults[1].exitAfter = 1;
+    std::ostringstream diag;
+    DispatchReport report;
+    ASSERT_TRUE(runDispatch(registry_, opts, diag, &report))
+        << diag.str();
+    EXPECT_EQ(report.retries, 1u);
+    EXPECT_EQ(slurp(out), slurp(refPath));
+    EXPECT_TRUE(fs::exists(out + ".dispatch/slice_1.gtrj"));
+
+    std::ostringstream vdiag;
+    EXPECT_TRUE(verifyManifest(registry_, ExperimentEngine(1),
+                               out + ".dispatch/manifest.json", vdiag))
         << vdiag.str();
 }
 
@@ -950,29 +907,69 @@ TEST(ArchiveCompat, HeapEraManifestStillVerifies)
         << bogus.str();
 }
 
+/** A shard archived as JSON lines by an older build can no longer be
+ *  merged, but its manifest still replays against it. */
+TEST(ArchiveCompat, TextShardManifestStillVerifies)
+{
+    ScenarioRegistry registry;
+    bench::registerAllScenarios(registry);
+    SweepOptions sweep = integrationSweep();
+    std::size_t gridSize = 0;
+    const std::vector<RunConfig> runs = expandReplicatedRuns(
+        *registry.find("fig05"), sweep, &gridSize);
+    sweep.shard = ShardSpec{2, 3};
+    const std::vector<std::size_t> indices =
+        shardRunIndices(runs.size(), sweep.shard);
+    const std::vector<RunConfig> shardRuns = selectRuns(runs, indices);
+
+    const std::string traj = tempPath("text_shard.jsonl");
+    {
+        TrajectorySink sink(traj);
+        sink.append("fig05", shardRuns,
+                    ExperimentEngine(1).run(shardRuns), &indices);
+        sink.close();
+    }
+    const std::string manifest = tempPath("text_shard.manifest.json");
+    writeManifestFile(manifest, sweep, traj,
+                      {{"fig05", gridSize, 2, runConfigHash(runs)}});
+
+    std::ostringstream diag;
+    EXPECT_TRUE(verifyManifest(registry, ExperimentEngine(1), manifest,
+                               diag))
+        << diag.str();
+}
+
 /** Flag combinations that cannot do what a manifest would claim are
  *  usage errors (exit 2) on both the sweep and the dispatch parser:
  *  a warmup split on a fabric sweep, a fabric beyond the core cap, an
- *  interval meter finer than the nominal clock period, and the
- *  retired --engine flag. */
+ *  interval meter finer than the nominal clock period, the retired
+ *  --engine flag, an unknown benchmark, and environment defaults that
+ *  the flags they stand for would reject. */
 TEST(CliUsage, UnsupportedSweepsExitTwoOnBothParsers)
 {
     const std::string bin = galsbenchBinary();
     if (bin.empty())
         GTEST_SKIP() << "galsbench binary not found (set GALSBENCH)";
     const std::string out = tempPath("cli_usage.jsonl");
-    const std::vector<std::string> cases = {
-        "--scenario fabric_smoke --insts 5000 --warmup-insts 1000",
-        "--scenario fabric_smoke --cores 1000000",
-        "--scenario fabric_smoke --cores 2,1025",
-        "--scenario fig05 --insts 3000 --interval-ticks 1",
-        "--scenario fig05 --insts 3000 --interval-ticks 999",
+    fs::remove_all(out);
+    fs::remove_all(out + ".dispatch");
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"", "--scenario fabric_smoke --insts 5000 --warmup-insts 1000"},
+        {"", "--scenario fabric_smoke --cores 1000000"},
+        {"", "--scenario fabric_smoke --cores 2,1025"},
+        {"", "--scenario fig05 --insts 3000 --interval-ticks 1"},
+        {"", "--scenario fig05 --insts 3000 --interval-ticks 999"},
         // The retired event-queue selector is an unknown flag.
-        "--scenario quickstart --engine calendar",
+        {"", "--scenario quickstart --engine calendar"},
+        {"", "--scenario quickstart --bench nosuch"},
+        {"GALSSIM_BENCH=nosuch ", "--scenario quickstart"},
+        {"GALSSIM_INSTS=0 ", "--scenario quickstart"},
+        {"GALSSIM_INSTS=abc ", "--scenario quickstart"},
+        {"GALSSIM_INSTS=5x ", "--scenario quickstart"},
     };
-    for (const std::string &args : cases) {
+    for (const auto &[env, args] : cases) {
         for (const char *prefix : {"", "dispatch "}) {
-            const std::string cmd = bin + " " + prefix + args +
+            const std::string cmd = env + bin + " " + prefix + args +
                                     " --output " + out +
                                     " > /dev/null 2>&1";
             const int status = std::system(cmd.c_str());
@@ -981,10 +978,39 @@ TEST(CliUsage, UnsupportedSweepsExitTwoOnBothParsers)
         }
     }
     EXPECT_FALSE(fs::exists(out));
+
+    // A negative count would wrap to a near-endless run if it got
+    // past the parser, so it is checked through the parser alone.
+    ScenarioRegistry registry;
+    bench::registerAllScenarios(registry);
+    const char *saved = std::getenv("GALSSIM_INSTS");
+    const std::string restore = saved ? saved : "";
+    ::setenv("GALSSIM_INSTS", "-3", 1);
+    for (const std::vector<std::string> &args :
+         {std::vector<std::string>{"--scenario", "quickstart"},
+          std::vector<std::string>{"dispatch", "--scenario",
+                                   "quickstart", "--output", out}}) {
+        CliOptions opts;
+        std::string err;
+        EXPECT_FALSE(parseCli(args, registry, opts, err));
+        EXPECT_NE(err.find("GALSSIM_INSTS"), std::string::npos) << err;
+    }
+    // The command line wins over the environment.
+    CliOptions opts;
+    std::string err;
+    EXPECT_TRUE(parseCli({"--scenario", "quickstart", "--insts", "7"},
+                         registry, opts, err))
+        << err;
+    EXPECT_EQ(opts.sweep.instructions, 7u);
+    if (saved)
+        ::setenv("GALSSIM_INSTS", restore.c_str(), 1);
+    else
+        ::unsetenv("GALSSIM_INSTS");
 }
 
-/** Flags a mode does not accept, and values dispatch cannot honour,
- *  are usage errors (exit 2) that write nothing. */
+/** Flags a mode does not accept, values dispatch cannot honour, and
+ *  text shard outputs or merge inputs (shards are .gtrj) are usage
+ *  errors (exit 2) that write nothing. */
 TEST(CliUsage, EachModeRejectsWhatItCannotUse)
 {
     const std::string bin = galsbenchBinary();
@@ -993,6 +1019,9 @@ TEST(CliUsage, EachModeRejectsWhatItCannotUse)
     const std::string jsonl = tempPath("cli_mode.jsonl");
     const std::string csv = tempPath("cli_mode.csv");
     const std::string dispatch = "dispatch --scenario quickstart ";
+    for (const std::string &path : {jsonl, csv})
+        for (const std::string &left : {path, path + ".dispatch"})
+            fs::remove_all(left);
     const std::vector<std::string> cases = {
         dispatch + "--output " + jsonl + " --jobs 2",
         "parse " + tempPath("cli_mode.gtrj") + " --insts 5 --output " +
@@ -1000,7 +1029,10 @@ TEST(CliUsage, EachModeRejectsWhatItCannotUse)
         "--verify " + tempPath("cli_mode.manifest.json") + " --seed 3",
         "--list --insts 5",
         "--list --jobs 4",
-        dispatch + "--output " + csv,
+        "--scenario quickstart --shard 1/2 --output " + jsonl,
+        "--scenario quickstart --shard 1/2 --output " + csv,
+        "--merge " + tempPath("a.jsonl") + " " + tempPath("b.jsonl") +
+            " --output " + jsonl,
         dispatch + "--output " + jsonl + " --straggler-factor nan",
         dispatch + "--output " + jsonl + " --straggler-factor inf",
     };

@@ -3,21 +3,24 @@
  * Tests for grid sharding and shard fan-in: shardRunIndices() must
  * partition any grid completely, disjointly and near-evenly; the
  * JSON reader must round-trip our own record formats; and
- * mergeTrajectories()/mergeManifests() must reassemble shard files
- * byte-identical to the unsharded originals — including CSV header
- * handling, scenario-order recovery and the overlap/gap error
- * paths. Everything here runs on fabricated results, no simulation.
+ * mergeTrajectories()/mergeManifests() must reassemble .gtrj shard
+ * files byte-identical to the unsharded originals in every output
+ * format — including scenario-order recovery, the overlap/gap error
+ * paths and the refusal of text or torn shards. Everything here runs
+ * on fabricated results, no simulation.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "power/power_model.hh"
 #include "runner/json.hh"
 #include "runner/merge.hh"
 #include "runner/reporter.hh"
@@ -54,8 +57,10 @@ spit(const std::string &path, const std::string &text)
     ASSERT_TRUE(os.good()) << path;
 }
 
-/** A fabricated run: every field deterministic in @p i, including a
- *  couple of unit-energy columns so CSV headers are exercised. */
+/** A fabricated run: every field deterministic in @p i, including
+ *  the unit-energy columns the CSV header names. The gtrj encoder
+ *  stores them positionally, so the set is the power model's, as in
+ *  a real run. */
 RunResults
 fakeResult(std::size_t i)
 {
@@ -69,7 +74,9 @@ fakeResult(std::size_t i)
     r.ipcNominal = 0.5 + 0.01 * static_cast<double>(i);
     r.energyJ = 1e-5 + 1e-7 * static_cast<double>(i);
     r.avgPowerW = 20.0 - 0.1 * static_cast<double>(i);
-    r.unitEnergyNj = {{"icache", 10.5 + i}, {"rob", 3.25 * (i + 1)}};
+    for (unsigned u = 0; u < numUnits; ++u)
+        r.unitEnergyNj[unitName(static_cast<Unit>(u))] =
+            10.5 + static_cast<double>(i) + 3.25 * u;
     return r;
 }
 
@@ -229,59 +236,36 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_EQ(v.find("q")->str, "a\"b\\c");
 }
 
-TEST(Merge, JsonlShardsReassembleByteIdentical)
+TEST(Merge, GtrjShardsReassembleByteIdenticalInEveryFormat)
 {
     // Two scenarios: one whose grid (2 runs) is smaller than the
     // shard count, so one shard holds no record of it at all.
     const std::vector<FakeGrid> grids = {FakeGrid("alpha", 7),
                                          FakeGrid("beta", 2)};
-    const std::string ref = tempPath("ref.jsonl");
-    writeUnsharded(ref, grids);
-
     std::vector<std::string> shardFiles;
     for (unsigned i = 1; i <= 3; ++i) {
         const std::string path =
-            tempPath("s" + std::to_string(i) + ".jsonl");
+            tempPath("s" + std::to_string(i) + ".gtrj");
         writeShard(path, grids, ShardSpec{i, 3});
         shardFiles.push_back(path);
     }
-
-    const std::string merged = tempPath("merged.jsonl");
-    std::ostringstream diag;
-    ASSERT_TRUE(mergeTrajectories(shardFiles, merged, diag))
-        << diag.str();
-    EXPECT_EQ(slurp(merged), slurp(ref));
-
     // File order must not matter: shard files arrive in whatever
     // order the CI fan-in downloaded them.
-    std::vector<std::string> reversed(shardFiles.rbegin(),
-                                      shardFiles.rend());
-    std::ostringstream diag2;
-    ASSERT_TRUE(mergeTrajectories(reversed, merged, diag2))
-        << diag2.str();
-    EXPECT_EQ(slurp(merged), slurp(ref));
-}
+    const std::vector<std::string> reversed(shardFiles.rbegin(),
+                                            shardFiles.rend());
 
-TEST(Merge, CsvShardsReassembleByteIdentical)
-{
-    const std::vector<FakeGrid> grids = {FakeGrid("alpha", 5),
-                                         FakeGrid("beta", 3)};
-    const std::string ref = tempPath("ref.csv");
-    writeUnsharded(ref, grids);
-
-    std::vector<std::string> shardFiles;
-    for (unsigned i = 1; i <= 2; ++i) {
-        const std::string path =
-            tempPath("s" + std::to_string(i) + ".csv");
-        writeShard(path, grids, ShardSpec{i, 2});
-        shardFiles.push_back(path);
+    for (const char *ext : {".gtrj", ".jsonl", ".csv"}) {
+        const std::string ref = tempPath(std::string("ref") + ext);
+        writeUnsharded(ref, grids);
+        const std::string merged =
+            tempPath(std::string("merged") + ext);
+        for (const auto &files : {shardFiles, reversed}) {
+            std::ostringstream diag;
+            ASSERT_TRUE(mergeTrajectories(files, merged, diag))
+                << ext << ": " << diag.str();
+            EXPECT_EQ(slurp(merged), slurp(ref)) << ext;
+        }
     }
-
-    const std::string merged = tempPath("merged.csv");
-    std::ostringstream diag;
-    ASSERT_TRUE(mergeTrajectories(shardFiles, merged, diag))
-        << diag.str();
-    EXPECT_EQ(slurp(merged), slurp(ref));
 }
 
 TEST(Merge, DetectsOverlapGapAndFormatMismatch)
@@ -290,11 +274,12 @@ TEST(Merge, DetectsOverlapGapAndFormatMismatch)
     std::vector<std::string> shardFiles;
     for (unsigned i = 1; i <= 3; ++i) {
         const std::string path =
-            tempPath("e" + std::to_string(i) + ".jsonl");
+            tempPath("e" + std::to_string(i) + ".gtrj");
         writeShard(path, grids, ShardSpec{i, 3});
         shardFiles.push_back(path);
     }
     const std::string merged = tempPath("emerged.jsonl");
+    std::remove(merged.c_str());
 
     // Same shard twice: duplicate canonical indices.
     {
@@ -313,22 +298,31 @@ TEST(Merge, DetectsOverlapGapAndFormatMismatch)
         EXPECT_NE(diag.str().find("missing"), std::string::npos)
             << diag.str();
     }
-    // Mixed formats.
+    // A text shard (what older builds wrote): refused with a message,
+    // and no output file is left behind.
     {
+        const std::string text = tempPath("e2.jsonl");
+        writeShard(text, grids, ShardSpec{2, 3});
         std::ostringstream diag;
-        EXPECT_FALSE(mergeTrajectories(shardFiles,
-                                       tempPath("emerged.csv"),
-                                       diag));
-        EXPECT_NE(diag.str().find("format"), std::string::npos)
+        EXPECT_FALSE(mergeTrajectories(
+            {shardFiles[0], text, shardFiles[2]}, merged, diag));
+        EXPECT_NE(diag.str().find("shard files are .gtrj"),
+                  std::string::npos)
             << diag.str();
+        EXPECT_FALSE(std::filesystem::exists(merged));
     }
-    // Malformed record.
+    // A torn shard (a worker killed mid-frame): refused the same way.
     {
-        const std::string bad = tempPath("bad.jsonl");
-        spit(bad, "{\"scenario\":\"alpha\",\"index\":\n");
+        const std::string torn = tempPath("e2_torn.gtrj");
+        const std::string full = slurp(shardFiles[1]);
+        spit(torn, full.substr(0, full.size() - 5));
         std::ostringstream diag;
-        EXPECT_FALSE(
-            mergeTrajectories({shardFiles[0], bad}, merged, diag));
+        EXPECT_FALSE(mergeTrajectories(
+            {shardFiles[0], torn, shardFiles[2]}, merged, diag));
+        EXPECT_NE(diag.str().find(torn + " record 2"),
+                  std::string::npos)
+            << diag.str();
+        EXPECT_FALSE(std::filesystem::exists(merged));
     }
     // A lone shard file whose records reveal the stride: the file
     // count contradicts it even though indices are a contiguous
@@ -343,24 +337,11 @@ TEST(Merge, DetectsOverlapGapAndFormatMismatch)
     // Shard files from different sweeps: same scenario, different
     // instruction budgets — must not fuse.
     {
-        const std::vector<FakeGrid> other = {FakeGrid("alpha", 6)};
-        const std::string path = tempPath("e_other.jsonl");
-        {
-            TrajectorySink sink(path);
-            std::vector<RunConfig> cfgs = other[0].cfgs;
-            for (RunConfig &c : cfgs)
-                c.instructions = 4000; // grids[] uses 2000
-            const std::vector<std::size_t> indices =
-                shardRunIndices(cfgs.size(), ShardSpec{2, 3});
-            std::vector<RunConfig> sliceCfgs;
-            std::vector<RunResults> sliceResults;
-            for (std::size_t i : indices) {
-                sliceCfgs.push_back(cfgs[i]);
-                sliceResults.push_back(other[0].results[i]);
-            }
-            sink.append("alpha", sliceCfgs, sliceResults, &indices);
-            sink.close();
-        }
+        std::vector<FakeGrid> other = {FakeGrid("alpha", 6)};
+        for (RunConfig &c : other[0].cfgs)
+            c.instructions = 4000; // grids[] uses 2000
+        const std::string path = tempPath("e_other.gtrj");
+        writeShard(path, other, ShardSpec{2, 3});
         std::ostringstream diag;
         EXPECT_FALSE(mergeTrajectories(
             {shardFiles[0], path, shardFiles[2]}, merged, diag));
@@ -368,6 +349,7 @@ TEST(Merge, DetectsOverlapGapAndFormatMismatch)
                   std::string::npos)
             << diag.str();
     }
+    EXPECT_FALSE(std::filesystem::exists(merged));
 }
 
 TEST(Merge, SuffixGapsAreCaughtByStrideOrManifestPlan)
@@ -381,11 +363,11 @@ TEST(Merge, SuffixGapsAreCaughtByStrideOrManifestPlan)
     std::vector<std::string> shardFiles;
     for (unsigned i = 1; i <= 2; ++i) {
         const std::string path =
-            tempPath("sg" + std::to_string(i) + ".jsonl");
+            tempPath("sg" + std::to_string(i) + ".gtrj");
         writeShard(path, grids, ShardSpec{i, 2});
         shardFiles.push_back(path);
     }
-    const std::string merged = tempPath("sg.merged.jsonl");
+    const std::string merged = tempPath("sg.merged.gtrj");
 
     {
         std::ostringstream diag;
