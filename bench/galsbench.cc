@@ -6,18 +6,16 @@
  * galsbench expands the chosen scenarios into their run grids, runs
  * them on the parallel ExperimentEngine and renders paper-style
  * tables or raw JSON-lines / CSV records. It also archives sweeps
- * (trajectory + manifest), shards, merges and verifies them, converts
- * binary trajectories (`parse`) and orchestrates whole sweeps as
- * crash-safe worker subprocesses (`dispatch`, docs/ORCHESTRATION.md).
+ * (trajectory + manifest), resumes a killed `.gtrj` run where it
+ * stopped (`--resume`), shards, merges and verifies sweeps, and
+ * converts binary trajectories (`parse`).
  *
  * `galsbench --help` prints every mode and flag; both are declared
  * once, in the flag table of runner/cli.cc.
  */
 
 #include <algorithm>
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -25,17 +23,13 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "bench/register_all.hh"
 #include "core/snapshot.hh"
 #include "runner/atomic_file.hh"
 #include "runner/cli.hh"
 #include "runner/engine.hh"
-#include "runner/fault.hh"
 #include "runner/gtrj.hh"
 #include "runner/merge.hh"
-#include "runner/orchestrator.hh"
 #include "runner/reporter.hh"
 #include "runner/scenario.hh"
 #include "runner/stats.hh"
@@ -59,19 +53,6 @@ stdoutExitCode()
         return 1;
     }
     return 0;
-}
-
-/** This binary's own path, for dispatch workers to exec. */
-std::string
-selfExePath()
-{
-    char buf[4096];
-    const ssize_t n =
-        ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n <= 0)
-        return "";
-    buf[n] = '\0';
-    return buf;
 }
 
 /**
@@ -171,42 +152,103 @@ listMain(const ScenarioRegistry &registry, const CliOptions &opts)
 }
 
 /**
- * Run one scenario's shard slice with per-record streaming: every
- * finished run is appended and flushed in canonical slice order the
+ * Run a scenario's grid (or shard slice) with per-record streaming:
+ * every finished run is appended and flushed in canonical order the
  * moment it and all its predecessors are done, so a crash at any
- * instant loses at most the record being written. @p skip positions
- * (already on disk from a previous attempt) are neither re-simulated
- * nor re-written. faultTick() after each flush is where the injected
- * test faults fire.
+ * instant loses at most the record being written. The first @p skip
+ * runs (kept on disk by --resume) are neither re-simulated nor
+ * re-written; their slots in the returned results stay empty.
  */
-void
+std::vector<RunResults>
 runSliceStreamed(const ExperimentEngine &engine, TrajectorySink &sink,
                  const std::string &scenario,
-                 const std::vector<RunConfig> &shardRuns,
+                 const std::vector<RunConfig> &runs,
                  const std::vector<std::size_t> &indices,
                  std::size_t skip)
 {
-    const std::size_t n = shardRuns.size();
-    if (skip >= n)
-        return;
+    const std::size_t n = runs.size();
     std::vector<RunResults> results(n);
     std::vector<char> ready(n, 0);
     std::mutex mu;
     std::size_t next = skip;
     engine.runIndexed(n - skip, [&](std::size_t t) {
         const std::size_t j = skip + t;
-        RunResults r = runOne(shardRuns[j]);
+        RunResults r = runOne(runs[j]);
         const std::lock_guard<std::mutex> lock(mu);
         results[j] = std::move(r);
         ready[j] = 1;
         // Ordered flush window: drain the contiguous ready prefix.
         while (next < n && ready[next]) {
-            sink.appendOne(scenario, shardRuns[next], results[next],
+            sink.appendOne(scenario, runs[next], results[next],
                            indices[next]);
-            faultTick();
             ++next;
         }
     });
+    return results;
+}
+
+/** One scenario of the invocation: the runs this process executes
+ *  (the shard's slice, or the whole replicated grid) and their
+ *  canonical indices. */
+struct PlannedScenario
+{
+    const Scenario *scenario;
+    ManifestScenario manifest;
+    std::vector<RunConfig> runs;
+    std::vector<std::size_t> indices;
+};
+
+/** Print @p scenario's stdout report in @p format. */
+void
+report(const Scenario &scenario, const SweepOptions &opts,
+       OutputFormat format, std::size_t gridSize,
+       const std::vector<RunConfig> &runs,
+       const std::vector<RunResults> &results)
+{
+    if (!opts.replicated()) {
+        switch (format) {
+          case OutputFormat::table:
+            scenario.reduce(opts, SweepView{results});
+            break;
+          case OutputFormat::json:
+            writeJsonLines(std::cout, scenario.name, runs, results);
+            break;
+          case OutputFormat::csv:
+            writeCsv(std::cout, scenario.name, runs, results);
+            break;
+          case OutputFormat::markdown:
+            break; // rejected by parseCli(); --list handles md
+        }
+        return;
+    }
+
+    if (gridSize == 0) {
+        // Literature-only scenario (empty grid): nothing to
+        // aggregate, but its table report is still valid.
+        if (format == OutputFormat::table)
+            scenario.reduce(opts, SweepView{results});
+        return;
+    }
+
+    // The first replica block is the grid the aggregated reports
+    // describe.
+    const std::vector<RunConfig> gridCfgs(
+        runs.begin(), runs.begin() + static_cast<std::ptrdiff_t>(gridSize));
+    const ReplicaSummary summary = summarizeReplicas(gridSize, results);
+    switch (format) {
+      case OutputFormat::table:
+        scenario.reduce(opts, SweepView{summary.mean, &summary});
+        writeReplicationTable(std::cout, scenario.name, gridCfgs, summary);
+        break;
+      case OutputFormat::json:
+        writeJsonLinesSummary(std::cout, scenario.name, gridCfgs, summary);
+        break;
+      case OutputFormat::csv:
+        writeCsvSummary(std::cout, scenario.name, gridCfgs, summary);
+        break;
+      case OutputFormat::markdown:
+        break;
+    }
 }
 
 /** Run the selected scenarios: reports on stdout, records to
@@ -215,143 +257,113 @@ int
 runMain(const ScenarioRegistry &registry, const CliOptions &cli)
 {
     const SweepOptions &opts = cli.sweep;
-    const std::string &outputPath = cli.outputPath;
-    const std::string &manifestPath = cli.manifestPath;
     const OutputFormat format = cli.format.value_or(OutputFormat::table);
     if (!cli.snapshotDir.empty())
         setSnapshotDir(cli.snapshotDir);
-    if (cli.fault.active())
-        setFaultPlan(cli.fault);
+
+    // Expand every grid first: the manifest always describes the
+    // canonical full grids (shard manifests differ from the unsharded
+    // one only by the shard object and output path, which is what
+    // --merge-manifest strips), and --resume checks the file against
+    // the invocation's whole record sequence before anything runs.
+    std::vector<PlannedScenario> plan;
+    for (const std::string &name : cli.scenarios) {
+        const Scenario *scenario = registry.find(name);
+        std::size_t gridSize = 0;
+        std::vector<RunConfig> runs =
+            expandReplicatedRuns(*scenario, opts, &gridSize);
+        PlannedScenario p{scenario,
+                          {scenario->name, gridSize,
+                           opts.seedList().size(), runConfigHash(runs)},
+                          {},
+                          shardRunIndices(runs.size(), opts.shard)};
+        // A shard runs only its slice; records carry their canonical
+        // grid indices so --merge can reassemble the single-machine
+        // trajectory byte for byte.
+        p.runs = opts.shard.active() ? selectRuns(runs, p.indices)
+                                     : std::move(runs);
+        plan.push_back(std::move(p));
+    }
 
     // Every scenario was resolved by parseCli() before the sink
     // truncates --output on open: a typo'd scenario name must not
     // destroy a previously archived trajectory.
+    std::size_t kept = 0;
+    if (cli.resume) {
+        std::vector<ExpectedRecord> expected;
+        for (const PlannedScenario &p : plan)
+            for (std::size_t k = 0; k < p.runs.size(); ++k)
+                expected.push_back(
+                    {p.scenario->name, p.indices[k], p.runs[k]});
+        std::string err;
+        if (!resumeTrajectory(cli.outputPath, expected, kept, err)) {
+            std::fprintf(stderr, "galsbench: --resume: %s\n",
+                         err.c_str());
+            return 1;
+        }
+        std::fprintf(stderr,
+                     "galsbench: --resume: %zu of %zu records already "
+                     "in '%s'\n",
+                     kept, expected.size(), cli.outputPath.c_str());
+    }
     std::unique_ptr<TrajectorySink> sink;
-    if (!outputPath.empty())
-        sink = std::make_unique<TrajectorySink>(outputPath,
-                                                cli.resumeSkip > 0);
-    std::vector<ManifestScenario> manifestScenarios;
+    if (!cli.outputPath.empty())
+        sink = std::make_unique<TrajectorySink>(cli.outputPath,
+                                                cli.resume);
 
-    // Covers exit-after=0 / hang-after=0: the fault fires before the
-    // first record of the sweep.
-    faultPoint();
-
-    const std::size_t replicas = opts.seedList().size();
-    std::uint64_t skipLeft = cli.resumeSkip;
     const ExperimentEngine engine(cli.jobs);
-    for (const std::string &name : cli.scenarios) {
-        const Scenario *scenario = registry.find(name);
-        std::size_t gridSize = 0;
-        const std::vector<RunConfig> runs =
-            expandReplicatedRuns(*scenario, opts, &gridSize);
-        // The manifest always describes the canonical full grid —
-        // shard manifests differ from the unsharded one only by the
-        // shard object and output path, which is what --merge-manifest
-        // strips when fusing them back.
-        manifestScenarios.push_back({scenario->name, gridSize,
-                                     replicas, runConfigHash(runs)});
+    std::vector<ManifestScenario> manifestScenarios;
+    for (const PlannedScenario &p : plan) {
+        const Scenario &scenario = *p.scenario;
+        manifestScenarios.push_back(p.manifest);
+        if (opts.shard.active() && !sink) {
+            // Manifest-only shard invocation: the manifest is a
+            // function of the configs alone, so don't burn the
+            // slice's simulation time to discard its results.
+            std::fprintf(stderr,
+                         "galsbench: %s: shard %u/%u manifest only (%zu "
+                         "of %zu runs not executed)\n",
+                         scenario.name.c_str(), opts.shard.index,
+                         opts.shard.count, p.runs.size(),
+                         p.manifest.gridSize * p.manifest.replicas);
+            continue;
+        }
+
+        std::vector<RunResults> results;
+        if (sink && sink->format() == TrajectoryFormat::gtrj) {
+            // The one record path of a .gtrj output: frames flushed
+            // one by one, so a killed run can be resumed.
+            const std::size_t skip = std::min(kept, p.runs.size());
+            kept -= skip;
+            results = runSliceStreamed(engine, *sink, scenario.name,
+                                       p.runs, p.indices, skip);
+        } else {
+            results = engine.run(p.runs);
+            if (sink)
+                sink->append(scenario.name, p.runs, results);
+        }
 
         if (opts.shard.active()) {
-            // Run only this shard's slice; records carry their
-            // canonical grid indices so --merge can reassemble the
-            // single-machine trajectory byte for byte. The paper
-            // tables need the whole grid, so no report is printed
-            // here.
-            const std::vector<std::size_t> indices =
-                shardRunIndices(runs.size(), opts.shard);
-            const std::vector<RunConfig> shardRuns =
-                selectRuns(runs, indices);
-            if (sink) {
-                // Stream + flush frame by frame (parseCli() admits
-                // only a .gtrj shard output): this is what lets
-                // `galsbench dispatch` lose at most one record to a
-                // killed worker.
-                const std::size_t skip =
-                    std::min<std::uint64_t>(skipLeft, shardRuns.size());
-                skipLeft -= skip;
-                runSliceStreamed(engine, *sink, scenario->name,
-                                 shardRuns, indices, skip);
-                std::fprintf(stderr,
-                             "galsbench: %s: shard %u/%u ran %zu of "
-                             "%zu runs\n",
-                             scenario->name.c_str(), opts.shard.index,
-                             opts.shard.count, shardRuns.size(),
-                             runs.size());
-            } else {
-                // Manifest-only shard invocation: the manifest is a
-                // function of the configs alone, so don't burn the
-                // slice's simulation time to discard its results.
-                std::fprintf(stderr,
-                             "galsbench: %s: shard %u/%u manifest "
-                             "only (%zu of %zu runs not executed)\n",
-                             scenario->name.c_str(), opts.shard.index,
-                             opts.shard.count, shardRuns.size(),
-                             runs.size());
-            }
+            // The paper tables need the whole grid, so no report is
+            // printed here.
+            std::fprintf(stderr,
+                         "galsbench: %s: shard %u/%u ran %zu of %zu "
+                         "runs\n",
+                         scenario.name.c_str(), opts.shard.index,
+                         opts.shard.count, p.runs.size(),
+                         p.manifest.gridSize * p.manifest.replicas);
             continue;
         }
-
-        const std::vector<RunResults> results = engine.run(runs);
-
-        if (sink)
-            sink->append(scenario->name, runs, results);
-
-        if (replicas <= 1) {
-            switch (format) {
-              case OutputFormat::table:
-                scenario->reduce(opts, SweepView{results});
-                break;
-              case OutputFormat::json:
-                writeJsonLines(std::cout, scenario->name, runs,
-                               results);
-                break;
-              case OutputFormat::csv:
-                writeCsv(std::cout, scenario->name, runs, results);
-                break;
-              case OutputFormat::markdown:
-                break; // rejected by parseCli(); --list handles md
-            }
-            continue;
-        }
-
-        if (gridSize == 0) {
-            // Literature-only scenario (empty grid): nothing to
-            // aggregate, but its table report is still valid.
-            if (format == OutputFormat::table)
-                scenario->reduce(opts, SweepView{results});
-            continue;
-        }
-
-        // The first replica block is the grid the aggregated
-        // reports describe.
-        const std::vector<RunConfig> gridCfgs(
-            runs.begin(),
-            runs.begin() + static_cast<std::ptrdiff_t>(gridSize));
-        const ReplicaSummary summary =
-            summarizeReplicas(gridSize, results);
-        switch (format) {
-          case OutputFormat::table:
-            scenario->reduce(opts, SweepView{summary.mean, &summary});
-            writeReplicationTable(std::cout, scenario->name, gridCfgs,
-                                  summary);
-            break;
-          case OutputFormat::json:
-            writeJsonLinesSummary(std::cout, scenario->name, gridCfgs,
-                                  summary);
-            break;
-          case OutputFormat::csv:
-            writeCsvSummary(std::cout, scenario->name, gridCfgs,
-                            summary);
-            break;
-          case OutputFormat::markdown:
-            break;
-        }
+        // A resumed run has no results for the records it kept.
+        if (!cli.resume)
+            report(scenario, opts, format, p.manifest.gridSize, p.runs,
+                   results);
     }
 
     if (sink)
         sink->close();
-    if (!manifestPath.empty())
-        writeManifestFile(manifestPath, opts, outputPath,
+    if (!cli.manifestPath.empty())
+        writeManifestFile(cli.manifestPath, opts, cli.outputPath,
                           manifestScenarios);
 
     return stdoutExitCode();
@@ -365,21 +377,7 @@ main(int argc, char **argv)
     ScenarioRegistry registry;
     bench::registerAllScenarios(registry);
 
-    // TEST-ONLY (docs/ORCHESTRATION.md): deterministic worker fault
-    // injection for the orchestrator's crash-safety tests.
-    if (const char *env = std::getenv("GALSSIM_FAULT")) {
-        FaultPlan plan;
-        std::string ferr;
-        if (!parseFaultSpec(env, plan, ferr)) {
-            std::fprintf(stderr, "galsbench: GALSSIM_FAULT: %s\n",
-                         ferr.c_str());
-            return 2;
-        }
-        setFaultPlan(plan);
-    }
-
     CliOptions opts;
-    opts.workerBinary = selfExePath();
     std::string err;
     if (!parseCli(std::vector<std::string>(argv + 1, argv + argc),
                   registry, opts, err)) {
@@ -393,8 +391,6 @@ main(int argc, char **argv)
     }
 
     switch (opts.mode) {
-      case cliDispatch:
-        return runDispatch(registry, opts, std::cerr) ? 0 : 1;
       case cliParse:
         return parseMain(opts);
       case cliMerge:

@@ -38,7 +38,7 @@
  * Snapshots are memoized in a process-wide cache (one producer per
  * key, concurrent requesters block on its completion) and,
  * optionally, in a directory (`--snapshot-dir`) shared between
- * shard workers and dispatch restarts. Disk snapshots are written
+ * shard processes and resumed runs. Disk snapshots are written
  * atomically (temp + rename) and validated by a full test-restore
  * on load; truncated, stale or foreign files are silently ignored
  * and the snapshot is re-produced.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
@@ -78,20 +77,6 @@ count(const CliArg &a, unsigned min = 0)
     return static_cast<unsigned>(v);
 }
 
-/** A positive, finite decimal: NaN or infinity would make the
- *  straggler deadline an undefined conversion. */
-double
-realValue(const CliArg &a)
-{
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(a.text.c_str(), &end);
-    if (end == a.text.c_str() || *end != '\0' || errno == ERANGE ||
-        !std::isfinite(v) || v <= 0.0)
-        fail(a, " expects a positive finite number");
-    return v;
-}
-
 /** @p item applied to every element of a comma-separated value;
  *  empty elements are rejected. */
 template <typename F>
@@ -112,45 +97,14 @@ commaList(const CliArg &a, F item)
     return out;
 }
 
-std::string
-text(std::uint64_t n)
-{
-    return std::to_string(n);
-}
-
-std::string
-text(const std::string &s)
-{
-    return s;
-}
-
 /** Comma-joined, the form commaList() reads back. */
-template <typename T>
 std::string
-text(const std::vector<T> &items)
+joined(const std::vector<std::string> &items)
 {
     std::string out;
     for (std::size_t i = 0; i < items.size(); ++i)
-        out += (i ? "," : "") + text(items[i]);
+        out += (i ? "," : "") + items[i];
     return out;
-}
-
-using Values = std::vector<std::string>;
-
-/** Emit @p x's argv value unless it holds its unset value. */
-template <typename T>
-void
-emitSet(Values &v, const T &x, const T &unset = T())
-{
-    if (!(x == unset))
-        v.push_back(text(x));
-}
-
-/** Emit one argv pair per item (the repeatable flags). */
-void
-emitEach(Values &v, const std::vector<std::string> &items)
-{
-    v.insert(v.end(), items.begin(), items.end());
 }
 
 std::vector<unsigned>
@@ -225,7 +179,7 @@ benchmarkName(const CliArg &a)
 {
     const std::vector<std::string> names = benchmarkNames();
     if (std::find(names.begin(), names.end(), a.text) == names.end())
-        fail(a, " expects one of " + text(names));
+        fail(a, " expects one of " + joined(names));
     return a.text;
 }
 
@@ -251,24 +205,8 @@ formatValue(const CliArg &a)
     fail(a, " expects table, json, csv or md");
 }
 
-/** "SLICE:SPEC" injects SPEC (exit-after=K / hang-after=K) into that
- *  slice's first attempt only, so the retry runs clean. */
-void
-firstAttemptFault(CliOptions &o, const CliArg &a)
-{
-    const std::size_t colon = a.text.find(':');
-    std::string ferr;
-    if (colon == std::string::npos ||
-        !parseFaultSpec(a.text.substr(colon + 1),
-                        o.firstAttemptFaults[count(
-                            {a.flag, a.text.substr(0, colon)})],
-                        ferr))
-        fail(a, " expects SLICE:exit-after=K or SLICE:hang-after=K");
-}
-
-constexpr unsigned sweepModes = cliRun | cliDispatch;
-constexpr unsigned allModes = cliRun | cliDispatch | cliMerge |
-                              cliVerify | cliList | cliParse;
+constexpr unsigned allModes =
+    cliRun | cliMerge | cliVerify | cliList | cliParse;
 
 using Opts = CliOptions;
 using Arg = CliArg;
@@ -278,11 +216,10 @@ const std::vector<CliFlag> flagTable = {
      "list registered scenarios and exit (--format md emits the markdown "
      "catalog that docs/SCENARIOS.md is generated from)",
      [](Opts &o, const Arg &) { o.list = true; }},
-    {"--scenario", CliArity::value, "NAME", sweepModes,
+    {"--scenario", CliArity::value, "NAME", cliRun,
      "run one scenario (repeatable)",
-     [](Opts &o, const Arg &a) { o.scenarios.push_back(a.text); },
-     [](const Opts &o, Values &v) { emitEach(v, o.scenarios); }},
-    {"--all", CliArity::none, "", sweepModes,
+     [](Opts &o, const Arg &a) { o.scenarios.push_back(a.text); }},
+    {"--all", CliArity::none, "", cliRun,
      "run every registered scenario",
      [](Opts &o, const Arg &) { o.runAll = true; }},
     {"--merge", CliArity::files, "F...", cliMerge,
@@ -299,149 +236,78 @@ const std::vector<CliFlag> flagTable = {
     {"--shard", CliArity::value, "I/N", cliRun,
      "run only the I-th of N disjoint slices of every grid (1-based; "
      "needs --output or --manifest; merge the shards for reports)",
-     [](Opts &o, const Arg &a) { o.sweep.shard = shardValue(a); },
-     [](const Opts &o, Values &v) {
-         if (o.sweep.shard.active())
-             v.push_back(std::to_string(o.sweep.shard.index) + "/" +
-                         std::to_string(o.sweep.shard.count));
-     }},
+     [](Opts &o, const Arg &a) { o.sweep.shard = shardValue(a); }},
     {"--jobs", CliArity::value, "N", cliRun | cliVerify,
      "worker threads (0 = all hardware threads; default 1; results are "
      "identical for any N)",
-     [](Opts &o, const Arg &a) { o.jobs = count(a); },
-     [](const Opts &o, Values &v) { v.push_back(text(o.jobs)); }},
+     [](Opts &o, const Arg &a) { o.jobs = count(a); }},
     {"--format", CliArity::value, "F", cliRun | cliList | cliParse,
      "table (default), json or csv; md with --list; json (default) or "
      "csv with parse",
      [](Opts &o, const Arg &a) { o.format = formatValue(a); }},
-    {"--insts", CliArity::value, "N", sweepModes,
+    {"--insts", CliArity::value, "N", cliRun,
      "instructions per run (or GALSSIM_INSTS)",
-     [](Opts &o, const Arg &a) { o.sweep.instructions = positive(a); },
-     [](const Opts &o, Values &v) {
-         v.push_back(text(o.sweep.instructions));
-     }},
-    {"--bench", CliArity::value, "NAME", sweepModes,
+     [](Opts &o, const Arg &a) { o.sweep.instructions = positive(a); }},
+    {"--bench", CliArity::value, "NAME", cliRun,
      "restrict the benchmark sweep (repeatable, or GALSSIM_BENCH)",
-     [](Opts &o, const Arg &a) { o.benchmarks.push_back(benchmarkName(a)); },
-     [](const Opts &o, Values &v) { emitEach(v, o.sweep.benchmarks); }},
-    {"--seed", CliArity::value, "N", sweepModes,
+     [](Opts &o, const Arg &a) { o.benchmarks.push_back(benchmarkName(a)); }},
+    {"--seed", CliArity::value, "N", cliRun,
      "workload seed (default 0)",
      [](Opts &o, const Arg &a) { o.sweep.seed = number(a); }},
-    {"--seeds", CliArity::value, "N", sweepModes,
+    {"--seeds", CliArity::value, "N", cliRun,
      "replicate every grid point over N seeds (seed, seed+1, ...); "
      "reports show mean +/- 95% CI",
      [](Opts &o, const Arg &a) { o.sweep.seedReplicas = count(a, 1); }},
-    {"--seed-list", CliArity::value, "S", sweepModes,
+    {"--seed-list", CliArity::value, "S", cliRun,
      "explicit comma-separated replica seeds (overrides --seed/--seeds)",
      [](Opts &o, const Arg &a) {
          o.sweep.explicitSeeds = commaList(
              a, [&](const std::string &s) { return number({a.flag, s}); });
-     },
-     [](const Opts &o, Values &v) { v.push_back(text(o.sweep.seedList())); }},
-    {"--cores", CliArity::value, "A,B", sweepModes,
+     }},
+    {"--cores", CliArity::value, "A,B", cliRun,
      "restrict the fabric scenarios' core-count sweep (each 1..1024; 1 = "
      "the single-core paper pipeline)",
-     [](Opts &o, const Arg &a) { o.sweep.coreCounts = coreList(a); },
-     [](const Opts &o, Values &v) { emitSet(v, o.sweep.coreCounts); }},
-    {"--topology", CliArity::value, "T", sweepModes,
+     [](Opts &o, const Arg &a) { o.sweep.coreCounts = coreList(a); }},
+    {"--topology", CliArity::value, "T", cliRun,
      "restrict the fabric topology sweep: ring, mesh2d (comma-separated)",
-     [](Opts &o, const Arg &a) { o.sweep.topologies = topologyList(a); },
-     [](const Opts &o, Values &v) { emitSet(v, o.sweep.topologies); }},
-    {"--traffic", CliArity::value, "P", sweepModes,
+     [](Opts &o, const Arg &a) { o.sweep.topologies = topologyList(a); }},
+    {"--traffic", CliArity::value, "P", cliRun,
      "restrict the fabric traffic-matrix sweep: none, permutation, "
      "uniform, incast, hotspot[:K] (comma-separated)",
-     [](Opts &o, const Arg &a) { o.sweep.traffics = trafficList(a); },
-     [](const Opts &o, Values &v) { emitSet(v, o.sweep.traffics); }},
-    {"--interval-ticks", CliArity::value, "K", sweepModes,
+     [](Opts &o, const Arg &a) { o.sweep.traffics = trafficList(a); }},
+    {"--interval-ticks", CliArity::value, "K", cliRun,
      "sample per-interval meters (IPC, per-domain energy, FIFO "
      "occupancy) every K ticks into an \"intervals\" series per record; "
      "K >= the nominal clock period (1000 ticks)",
-     [](Opts &o, const Arg &a) { o.sweep.intervalTicks = intervalTicks(a); },
-     [](const Opts &o, Values &v) { emitSet(v, o.sweep.intervalTicks); }},
-    {"--warmup-insts", CliArity::value, "K", sweepModes,
+     [](Opts &o, const Arg &a) { o.sweep.intervalTicks = intervalTicks(a); }},
+    {"--warmup-insts", CliArity::value, "K", cliRun,
      "split every single-core run into K warmup and (insts - K) measured "
      "instructions (K < --insts; fabric runs have no warmup split); runs "
      "sharing a warmup stem restore one memoized warm snapshot",
-     [](Opts &o, const Arg &a) { o.sweep.warmupInstructions = positive(a); },
-     [](const Opts &o, Values &v) { emitSet(v, o.sweep.warmupInstructions); }},
-    {"--snapshot-dir", CliArity::value, "PATH", sweepModes,
-     "existing directory where separate processes (--shard workers, "
-     "dispatch) exchange warm snapshots; never affects the records, "
+     [](Opts &o, const Arg &a) { o.sweep.warmupInstructions = positive(a); }},
+    {"--snapshot-dir", CliArity::value, "PATH", cliRun,
+     "existing directory where separate processes (--shard runs, a "
+     "resumed run) exchange warm snapshots; never affects the records, "
      "manifests or hashes",
-     [](Opts &o, const Arg &a) { o.snapshotDir = directory(a); },
-     [](const Opts &o, Values &v) { emitSet(v, o.snapshotDir); }},
-    {"--output", CliArity::value, "PATH", sweepModes | cliMerge | cliParse,
+     [](Opts &o, const Arg &a) { o.snapshotDir = directory(a); }},
+    {"--output", CliArity::value, "PATH", cliRun | cliMerge | cliParse,
      "append every per-run record to a trajectory file whose extension "
      "picks the format: .jsonl/.json (JSON lines), .csv, or .gtrj "
-     "(compact binary; a --shard run writes .gtrj only, and --merge "
-     "renders its shards in any of the three); parse writes the "
-     "converted text here instead of stdout",
-     [](Opts &o, const Arg &a) { o.outputPath = a.text; },
-     [](const Opts &o, Values &v) { emitSet(v, o.outputPath); }},
-    {"--manifest", CliArity::value, "PATH", sweepModes | cliMerge,
+     "(compact binary, flushed record by record; a --shard or --resume "
+     "run writes .gtrj only, and --merge renders its shards in any of "
+     "the three); parse writes the converted text here instead of "
+     "stdout",
+     [](Opts &o, const Arg &a) { o.outputPath = a.text; }},
+    {"--manifest", CliArity::value, "PATH", cliRun | cliMerge,
      "write a run manifest (version, engine, seeds, shard, per-scenario "
-     "config hashes)",
-     [](Opts &o, const Arg &a) { o.manifestPath = a.text; },
-     [](const Opts &o, Values &v) { emitSet(v, o.manifestPath); }},
-    {"--slices", CliArity::value, "M", cliDispatch,
-     "grid slices, one --shard I/M worker each (default: --workers)",
-     [](Opts &o, const Arg &a) { o.slices = count(a); }},
-    {"--workers", CliArity::value, "W", cliDispatch,
-     "concurrent worker processes (default: hardware threads)",
-     [](Opts &o, const Arg &a) { o.workers = count(a); }},
-    {"--worker-jobs", CliArity::value, "N", cliDispatch,
-     "--jobs inside each worker (default 1)",
-     [](Opts &o, const Arg &a) { o.workerJobs = count(a); }},
-    {"--retries", CliArity::value, "N", cliDispatch,
-     "re-runs of a failed slice after its first attempt",
-     [](Opts &o, const Arg &a) { o.policy.maxAttempts = count(a) + 1; }},
-    {"--backoff-ms", CliArity::value, "N", cliDispatch,
-     "first retry delay; doubles per failure",
-     [](Opts &o, const Arg &a) { o.policy.backoffBaseMs = number(a); }},
-    {"--backoff-cap-ms", CliArity::value, "N", cliDispatch,
-     "retry delay cap",
-     [](Opts &o, const Arg &a) { o.policy.backoffCapMs = number(a); }},
-    {"--straggler-factor", CliArity::value, "X", cliDispatch,
-     "kill slices running over X times the median finished slice time",
-     [](Opts &o, const Arg &a) { o.policy.stragglerFactor = realValue(a); }},
-    {"--min-deadline-ms", CliArity::value, "N", cliDispatch,
-     "floor of the straggler deadline",
-     [](Opts &o, const Arg &a) { o.policy.minDeadlineMs = number(a); }},
-    {"--status-interval-ms", CliArity::value, "N", cliDispatch,
-     "status.json rewrite period",
-     [](Opts &o, const Arg &a) { o.statusIntervalMs = number(a); }},
-    {"--fresh", CliArity::none, "", cliDispatch,
-     "discard the work directory instead of resuming",
-     [](Opts &o, const Arg &) { o.fresh = true; }},
-    {"--worker-binary", CliArity::value, "PATH", cliDispatch,
-     "the galsbench the workers exec (default: this one)",
-     [](Opts &o, const Arg &a) { o.workerBinary = a.text; }},
-    {"--worker-arg", CliArity::value, "ARG", cliDispatch,
-     "test-only: forwarded verbatim to every worker launch",
-     [](Opts &o, const Arg &a) { o.workerArgs.push_back(a.text); },
-     nullptr, true},
-    {"--fault-first-attempt", CliArity::value, "I:SPEC", cliDispatch,
-     "test-only: inject SPEC into slice I's first attempt only",
-     firstAttemptFault, nullptr, true},
-    {"--resume-skip", CliArity::value, "N", cliRun,
-     "dispatch relaunches: the first N slice records are already on "
-     "disk, so append to --output and neither re-run nor re-write them",
-     [](Opts &o, const Arg &a) { o.resumeSkip = number(a); },
-     [](const Opts &o, Values &v) { emitSet(v, o.resumeSkip); }, true},
-    {"--fault-exit-after", CliArity::value, "N", cliRun,
-     "test-only: die after N flushed records",
-     [](Opts &o, const Arg &a) { o.fault.exitAfter = number(a); },
-     [](const Opts &o, Values &v) {
-         emitSet(v, o.fault.exitAfter, FaultPlan::disabled);
-     },
-     true},
-    {"--fault-hang-after", CliArity::value, "N", cliRun,
-     "test-only: hang after N flushed records",
-     [](Opts &o, const Arg &a) { o.fault.hangAfter = number(a); },
-     [](const Opts &o, Values &v) {
-         emitSet(v, o.fault.hangAfter, FaultPlan::disabled);
-     },
-     true},
+     "config hashes), last and atomically",
+     [](Opts &o, const Arg &a) { o.manifestPath = a.text; }},
+    {"--resume", CliArity::none, "", cliRun,
+     "continue an interrupted run of the same command: keep the records "
+     "of the .gtrj --output that match this sweep, cut a torn tail, run "
+     "only the rest (exit 1, file untouched, if it holds another sweep); "
+     "no stdout report",
+     [](Opts &o, const Arg &) { o.resume = true; }},
     {"--help", CliArity::none, "", allModes,
      "print this text and exit (also -h)",
      [](Opts &o, const Arg &) { o.help = true; }},
@@ -464,7 +330,6 @@ const ModeInfo modeTable[] = {
     {cliVerify, "galsbench", "a verify replay",
      " (the manifest alone defines the replay)"},
     {cliParse, "galsbench parse INPUT.gtrj", "parse"},
-    {cliDispatch, "galsbench dispatch", "dispatch"},
 };
 
 bool
@@ -540,12 +405,23 @@ applyEnvironment(CliOptions &o, const std::vector<const CliFlag *> &seen)
 }
 
 /** The --output extension rule: a typo'd path must not silently
- *  become a JSON-lines file nobody asked for, and a shard writes
- *  gtrj frames, the one format --merge and the dispatch resume scan
- *  read back. */
+ *  become a JSON-lines file nobody asked for, and a shard or a resumed
+ *  run writes gtrj frames, the one format --merge and the resume scan
+ *  read back. The manifest's directory must exist, or the sweep would
+ *  run to completion only to fail writing it. */
 void
-checkOutputPath(const CliOptions &o)
+checkPaths(const CliOptions &o)
 {
+    if (!o.manifestPath.empty()) {
+        const std::filesystem::path dir =
+            std::filesystem::path(o.manifestPath).parent_path();
+        std::error_code ec;
+        if (!dir.empty() && !std::filesystem::is_directory(dir, ec))
+            fail("--manifest directory '" + dir.string() +
+                 "' is not an existing directory");
+    }
+    if (o.resume && o.outputPath.empty())
+        fail("--resume needs the .gtrj --output of the run to continue");
     if (o.outputPath.empty() || o.mode == cliParse)
         return;
     TrajectoryFormat format;
@@ -556,26 +432,19 @@ checkOutputPath(const CliOptions &o)
         fail("--output expects a .gtrj path for a --shard run (--merge "
              "renders .jsonl or .csv from the shards), got '" +
              o.outputPath + "'");
+    if (o.resume && format != TrajectoryFormat::gtrj)
+        fail("--output expects a .gtrj path for a --resume run (parse "
+             "renders .jsonl or .csv from it), got '" +
+             o.outputPath + "'");
 }
 
-/** The checks shared by a scenario run and a dispatch. */
+/** The checks of a scenario run. */
 void
 checkSweep(const ScenarioRegistry &registry, CliOptions &o)
 {
     const SweepOptions &sweep = o.sweep;
     if (!o.benchmarks.empty())
         o.sweep.benchmarks = o.benchmarks;
-    // Every explicit --traffic spec must fit every multi-core --cores
-    // point it will be crossed with.
-    for (const std::string &spec : sweep.traffics)
-        for (unsigned n : sweep.coreCounts) {
-            std::vector<TrafficFlow> flows;
-            const std::string err =
-                n < 2 ? "" : parseTrafficPattern(spec, n, flows);
-            if (!err.empty())
-                fail("--traffic '" + spec + "' with --cores " +
-                     std::to_string(n) + ": " + err);
-        }
     if (o.runAll) {
         // --all replaces any --scenario picks (no duplicate runs).
         o.scenarios.clear();
@@ -585,29 +454,35 @@ checkSweep(const ScenarioRegistry &registry, CliOptions &o)
     for (const std::string &name : o.scenarios)
         if (!registry.find(name))
             fail("unknown scenario '" + name + "' (try --list)");
-    if (sweep.warmupInstructions == 0)
-        return;
     if (sweep.warmupInstructions >= sweep.instructions)
         fail("--warmup-insts (" + std::to_string(sweep.warmupInstructions) +
              ") must be < the instruction count (" +
              std::to_string(sweep.instructions) + ")");
-    // A fabric has no warm snapshots: reject a sweep whose grids hold a
-    // fabric run instead of archiving a warmup those runs never did.
+    // Every fabric run the grids expand to must be buildable (a
+    // --traffic spec naming a core the fabric lacks would otherwise
+    // stop the sweep at that run), and a fabric has no warm snapshots:
+    // reject a warmup split those runs would never do.
     for (const std::string &name : o.scenarios) {
         const Scenario *s = registry.find(name);
         for (const RunConfig &cfg :
-             s->makeRuns ? s->makeRuns(sweep) : std::vector<RunConfig>{})
-            if (cfg.fabric.active())
+             s->makeRuns ? s->makeRuns(sweep) : std::vector<RunConfig>{}) {
+            if (!cfg.fabric.active())
+                continue;
+            const std::string err = cfg.fabric.validate();
+            if (!err.empty())
+                fail("scenario '" + name + "': " + err);
+            if (sweep.warmupInstructions > 0)
                 fail("--warmup-insts applies to single-core runs only; "
                      "scenario '" + name + "' runs a " +
                      std::to_string(cfg.fabric.cores) + "-core fabric");
+        }
     }
 }
 
 void
 checkMode(const ScenarioRegistry &registry, CliOptions &o)
 {
-    checkOutputPath(o);
+    checkPaths(o);
     switch (o.mode) {
       case cliRun:
         checkSweep(registry, o);
@@ -620,20 +495,6 @@ checkMode(const ScenarioRegistry &registry, CliOptions &o)
             fail("--shard runs a grid slice whose reports are "
                  "suppressed; give --output and/or --manifest to keep "
                  "its records");
-        if (o.resumeSkip > 0 &&
-            (!o.sweep.shard.active() || o.outputPath.empty()))
-            fail("--resume-skip only applies to a --shard run with a "
-                 ".gtrj --output");
-        break;
-      case cliDispatch:
-        checkSweep(registry, o);
-        if (o.scenarios.empty())
-            fail("dispatch needs --scenario/--all");
-        if (o.outputPath.empty())
-            fail("dispatch needs --output PATH for the merged trajectory");
-        if (o.workerBinary.empty())
-            fail("cannot resolve own binary path; pass --worker-binary "
-                 "PATH");
         break;
       case cliMerge:
         if (!o.mergeFiles.empty() && o.outputPath.empty())
@@ -714,9 +575,7 @@ parseCli(const std::vector<std::string> &args,
          const ScenarioRegistry &registry, CliOptions &opts,
          std::string &err)
 {
-    if (!args.empty() && args[0] == "dispatch")
-        opts.mode = cliDispatch;
-    else if (!args.empty() && args[0] == "parse")
+    if (!args.empty() && args[0] == "parse")
         opts.mode = cliParse;
     try {
         const std::vector<const CliFlag *> seen =
@@ -746,34 +605,6 @@ parseCli(const std::vector<std::string> &args,
     return true;
 }
 
-std::vector<std::string>
-cliArgv(const CliOptions &opts)
-{
-    std::vector<std::string> argv;
-    for (const CliFlag &f : flagTable) {
-        Values values;
-        if (f.emit)
-            f.emit(opts, values);
-        for (std::string &v : values) {
-            argv.push_back(f.name);
-            argv.push_back(std::move(v));
-        }
-    }
-    return argv;
-}
-
-CliOptions
-workerOptions(const DispatchOptions &opts, ShardSpec shard)
-{
-    CliOptions w;
-    w.scenarios = opts.scenarios;
-    w.sweep = opts.sweep;
-    w.sweep.shard = shard;
-    w.jobs = opts.workerJobs;
-    w.snapshotDir = opts.snapshotDir;
-    return w;
-}
-
 std::string
 cliUsage()
 {
@@ -783,14 +614,12 @@ cliUsage()
                            std::string(m.synopsis);
         // --help, accepted everywhere, is listed once below.
         for (const CliFlag &f : flagTable)
-            if (!f.hidden && (f.modes & m.mode) && f.modes != allModes)
+            if ((f.modes & m.mode) && f.modes != allModes)
                 line += " [" + label(f) + "]";
         wrap(out, line, 0, 16, true);
     }
     out += "\n";
     for (const CliFlag &f : flagTable) {
-        if (f.hidden)
-            continue;
         const std::string head = "  " + label(f);
         out += head.size() < 18 ? head + std::string(18 - head.size(), ' ')
                                 : head + "\n" + std::string(18, ' ');
@@ -798,13 +627,12 @@ cliUsage()
     }
     out += "\n";
     wrap(out,
-         "dispatch runs the sweep as M slices in up to W worker "
-         "subprocesses that flush every record: failed workers are "
-         "retried with capped exponential backoff, hung ones are killed "
-         "past a deadline scaled from the median slice time, and "
-         "re-running the same dispatch resumes from the records that "
-         "survived. Progress: <output>.dispatch/status.json; see "
-         "docs/ORCHESTRATION.md.",
+         "A run killed part way (kill -9, a lost host) is continued by "
+         "re-running the same command with --resume: its .gtrj --output "
+         "keeps every record flushed before the kill, and the manifest "
+         "is written only once the sweep is complete. Across hosts, run "
+         "--shard I/N on each and fuse the shards with --merge and "
+         "--merge-manifest.",
          0, 0);
     return out;
 }

@@ -36,6 +36,13 @@ enum : unsigned char
  *  real records are a few hundred bytes. */
 constexpr std::uint64_t maxPayloadLen = 1ull << 30;
 
+/** The fewest payload bytes a per-core entry (6 varints, 3 doubles)
+ *  and an interval sample (3 varints, 1 + numDomains doubles) take: a
+ *  block count the remaining bytes cannot hold is rejected before it
+ *  sizes an allocation. */
+constexpr std::size_t minCoreBytes = 6 + 3 * 8;
+constexpr std::size_t minIntervalBytes = 3 + (1 + numDomains) * 8;
+
 /**
  * The power-model unit names in std::map iteration (sorted) order:
  * the implicit column order of the positional unit-energy block.
@@ -338,7 +345,7 @@ decodePayload(std::string_view payload, DecodedRecord &out,
     if (flags & flagPerCore) {
         std::uint64_t n = 0;
         if (!readVarint(payload, pos, n) ||
-            n > payload.size() - pos)
+            n > (payload.size() - pos) / minCoreBytes)
             return false;
         out.results.cores.reserve(static_cast<std::size_t>(n));
         for (std::uint64_t i = 0; i < n; ++i) {
@@ -363,7 +370,8 @@ decodePayload(std::string_view payload, DecodedRecord &out,
         std::uint64_t n = 0;
         if (!readVarint(payload, pos, out.cfg.intervalTicks) ||
             out.cfg.intervalTicks == 0 ||
-            !readVarint(payload, pos, n) || n > payload.size() - pos)
+            !readVarint(payload, pos, n) ||
+            n > (payload.size() - pos) / minIntervalBytes)
             return false;
         out.results.intervals.reserve(static_cast<std::size_t>(n));
         for (std::uint64_t i = 0; i < n; ++i) {

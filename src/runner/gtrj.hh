@@ -42,9 +42,10 @@
  * to the same records in an unsharded file — merge fan-in reorders
  * raw frames without re-encoding, and renders a text output from
  * them through toJsonLines()/toCsv() — and a SIGKILL mid-write
- * leaves a detectable torn tail: the orchestrator's resume scan
- * keeps the valid frame prefix and truncates the rest. That is why
- * gtrj is the one format of shard and dispatch slice files.
+ * leaves a detectable torn tail: `--resume` keeps the valid frame
+ * prefix and truncates the rest (scanResume() in
+ * runner/trajectory.hh). That is why gtrj is the one format of shard
+ * files and of resumable runs.
  */
 
 #ifndef RUNNER_GTRJ_HH

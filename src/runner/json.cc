@@ -32,9 +32,15 @@ class Parser
     }
 
   private:
+    /** Deepest object/array nesting read: the parser recurses once
+     *  per level, so an input of 100k '[' must fail, not overflow the
+     *  stack. Manifests nest 3 deep. */
+    static constexpr unsigned maxDepth = 64;
+
     const std::string &s_;
     std::string &error_;
     std::size_t pos_ = 0;
+    unsigned depth_ = 0;
 
     bool
     fail(const std::string &what)
@@ -68,14 +74,27 @@ class Parser
         return true;
     }
 
+    /** object() or array() one level deeper. */
+    template <typename Parse>
+    bool
+    nested(Parse parse)
+    {
+        if (depth_ == maxDepth)
+            return fail("nesting deeper than " + std::to_string(maxDepth));
+        ++depth_;
+        const bool ok = parse();
+        --depth_;
+        return ok;
+    }
+
     bool
     value(Value &out)
     {
         switch (peek()) {
           case '{':
-            return object(out);
+            return nested([&] { return object(out); });
           case '[':
-            return array(out);
+            return nested([&] { return array(out); });
           case '"':
             out.kind = Value::Kind::string;
             return stringToken(out.str);

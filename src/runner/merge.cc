@@ -329,9 +329,8 @@ mergeTrajectories(const std::vector<std::string> &shardFiles,
                 gtrj::nextFrame(text, pos, payload, err);
             if (st == gtrj::FrameStatus::eof)
                 break;
-            // Torn tails are the orchestrator's business (resume
-            // salvage); merge inputs are finished slices and must be
-            // intact.
+            // Torn tails are --resume's business; merge inputs are
+            // finished shards and must be intact.
             gtrj::DecodedRecord dec;
             if (st == gtrj::FrameStatus::torn ||
                 !gtrj::decodePayload(payload, dec, err)) {

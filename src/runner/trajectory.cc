@@ -86,8 +86,8 @@ TrajectorySink::TrajectorySink(const std::string &path,
                    "' for writing");
     if (format_ == TrajectoryFormat::gtrj) {
         // Fresh files get the header now; an append-mode resume only
-        // needs one when the salvage scan truncated the file to
-        // nothing (a torn header counts for nothing).
+        // needs one when resumeTrajectory() cut the file to nothing
+        // (a torn header counts for nothing).
         std::error_code ec;
         const auto size =
             appendMode ? std::filesystem::file_size(path, ec)
@@ -175,6 +175,92 @@ TrajectorySink::close()
     file_.close();
     if (!file_)
         gals_fatal("error closing trajectory file '", path_, "'");
+}
+
+bool
+scanResume(const std::string &path,
+           const std::vector<ExpectedRecord> &expected, ResumeScan &out,
+           std::string &err)
+{
+    out = ResumeScan{};
+    std::error_code ec;
+    if (!std::filesystem::exists(path, ec))
+        return true; // nothing written yet
+    std::string text;
+    if (!readFile(path, text, err))
+        return false;
+
+    const std::string &header = gtrj::fileHeader();
+    if (text.size() < header.size() &&
+        header.compare(0, text.size(), text) == 0)
+        return true; // killed while writing the header
+    std::size_t pos = 0;
+    if (!gtrj::readHeader(text, pos, err)) {
+        err = "'" + path + "' is not a gtrj trajectory this run can "
+              "resume: " + err;
+        return false;
+    }
+    out.bytes = pos;
+    const std::string_view bytes(text);
+    for (const ExpectedRecord &want : expected) {
+        const std::size_t at = pos;
+        std::string_view payload;
+        gtrj::DecodedRecord dec;
+        std::string ferr;
+        const gtrj::FrameStatus st =
+            gtrj::nextFrame(bytes, pos, payload, ferr);
+        if (st == gtrj::FrameStatus::eof)
+            return true;
+        if (st == gtrj::FrameStatus::torn ||
+            !gtrj::decodePayload(payload, dec, ferr))
+            return true; // a torn or undecodable tail, cut at out.bytes
+        // The record's benchmark and base/GALS bit are encoded from
+        // the results; take them from the expected config so that
+        // they are compared too.
+        dec.results.benchmark = want.cfg.benchmark;
+        dec.results.gals = want.cfg.gals;
+        if (gtrj::encodeRecord(want.scenario, want.index, want.cfg,
+                               dec.results) != bytes.substr(at, pos - at)) {
+            err = "'" + path + "' holds another sweep: its record " +
+                  std::to_string(out.records + 1) + " (" + dec.scenario +
+                  " #" + std::to_string(dec.index) + ", " +
+                  dec.cfg.benchmark + ", " +
+                  std::to_string(dec.cfg.instructions) +
+                  " insts) is not this run's (" + want.scenario + " #" +
+                  std::to_string(want.index) + ", " + want.cfg.benchmark +
+                  ", " + std::to_string(want.cfg.instructions) +
+                  " insts)";
+            return false;
+        }
+        out.records += 1;
+        out.bytes = pos;
+    }
+    if (pos < text.size()) {
+        err = "'" + path + "' holds another sweep: bytes past this "
+              "run's " + std::to_string(expected.size()) + " records";
+        return false;
+    }
+    return true;
+}
+
+bool
+resumeTrajectory(const std::string &path,
+                 const std::vector<ExpectedRecord> &expected,
+                 std::size_t &kept, std::string &err)
+{
+    ResumeScan scan;
+    if (!scanResume(path, expected, scan, err))
+        return false;
+    kept = scan.records;
+    std::error_code ec;
+    if (std::filesystem::exists(path, ec))
+        std::filesystem::resize_file(path, scan.bytes, ec);
+    if (ec) {
+        err = "cannot cut '" + path + "' to its valid records: " +
+              ec.message();
+        return false;
+    }
+    return true;
 }
 
 void
@@ -285,9 +371,9 @@ writeManifestFile(const std::string &path, const SweepOptions &opts,
                   const std::string &outputPath,
                   const std::vector<ManifestScenario> &scenarios)
 {
-    // Atomic rename, not in-place truncate: the dispatch
-    // orchestrator treats a slice manifest's *existence* as the
-    // slice-complete marker, so a torn manifest must be impossible.
+    // Atomic rename, not in-place truncate: a manifest's existence
+    // marks its sweep complete, so a torn manifest must be
+    // impossible.
     std::ostringstream os;
     writeManifest(os, opts, outputPath, scenarios);
     std::string err;

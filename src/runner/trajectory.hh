@@ -24,6 +24,13 @@
  * archived by older builds. The shard manifest records the canonical
  * per-scenario grid (full grid size and full-grid config hash) plus
  * a `shard` object naming the slice.
+ *
+ * Crash safety: a gtrj run appends and flushes one frame per record
+ * in canonical order (TrajectorySink::appendOne()), so a SIGKILL at
+ * any instant leaves a valid frame prefix plus at most one torn
+ * frame, and the manifest is written last, atomically. `--resume`
+ * continues such a run: scanResume() keeps the prefix that matches
+ * the invocation's expected records and the run appends the rest.
  */
 
 #ifndef RUNNER_TRAJECTORY_HH
@@ -84,11 +91,10 @@ class TrajectorySink
     /**
      * Open @p path; fatal if the file cannot be created. A gtrj sink
      * writes the file header on open (append mode: only when the
-     * file is empty, i.e. a fresh slice or a resume scan that
-     * truncated everything including a torn header).
-     * @param appendMode keep existing contents and append (the
-     *     dispatch orchestrator's resumed workers extend a salvaged
-     *     frame prefix); gtrj only.
+     * file is empty, i.e. new or cut to nothing by resumeTrajectory()
+     * because even its header was torn).
+     * @param appendMode keep existing contents and append (a
+     *     `--resume` run extends the kept frame prefix); gtrj only.
      */
     explicit TrajectorySink(const std::string &path,
                             bool appendMode = false);
@@ -113,11 +119,11 @@ class TrajectorySink
 
     /**
      * Append ONE record and flush it to disk before returning (gtrj
-     * only). This is the crash-safety primitive behind `galsbench
-     * dispatch`: a worker streaming records through appendOne() in
-     * canonical order loses at most the one record being written
-     * when it is killed, and the surviving prefix is a valid frame
-     * prefix the orchestrator's resume scan can keep.
+     * only). This is the crash-safety primitive behind `--resume`: a
+     * run streaming records through appendOne() in canonical order
+     * loses at most the one record being written when it is killed,
+     * and the surviving prefix is a valid frame prefix the resume
+     * scan keeps.
      * @param canonicalIndex the record's index in the unsharded grid.
      */
     void appendOne(const std::string &scenario, const RunConfig &cfg,
@@ -140,9 +146,54 @@ class TrajectorySink
     bool wroteHeader_ = false;
 };
 
-/** The `"engine"` value every manifest and dispatch plan line
- *  records: the event queue's one pop order. Readers also accept
- *  `"heap"`, the retired backend that popped in the same order. */
+/** One record a `--resume` run expects, at its position in the
+ *  file: the invocation's scenarios in order, each restricted to the
+ *  shard's canonical indices when `--shard` is given. */
+struct ExpectedRecord
+{
+    std::string scenario;
+    std::size_t index = 0; ///< canonical grid index
+    RunConfig cfg;
+};
+
+/** The valid prefix scanResume() found. */
+struct ResumeScan
+{
+    std::size_t records = 0; ///< expected records already in the file
+    /** Length of the file that holds them; 0 when not even the
+     *  header is intact (the reopened sink writes a new one). */
+    std::uint64_t bytes = 0;
+};
+
+/**
+ * Scan the (possibly crash-truncated) gtrj trajectory at @p path
+ * against @p expected. The kept prefix is the file header plus the
+ * longest run of frames that decode and re-encode byte for byte:
+ * gtrj::encodeRecord() of the expected scenario, index and config
+ * with the decoded results must reproduce the frame, so configs are
+ * compared exactly. A torn or undecodable frame ends the prefix (it
+ * and everything after it is the tail to cut); a torn header keeps
+ * nothing; a missing file is an empty prefix. Nothing is allocated
+ * from a length read from the file.
+ * @return false with @p err set when the file cannot be read or
+ *     holds another sweep: a foreign header, a frame that decodes
+ *     but does not match, or records past the expected end.
+ */
+bool scanResume(const std::string &path,
+                const std::vector<ExpectedRecord> &expected,
+                ResumeScan &out, std::string &err);
+
+/** scanResume(), then cut @p path to the kept prefix, ready for an
+ *  append-mode TrajectorySink. @p kept receives the number of
+ *  expected records already on disk. On false the file is
+ *  untouched. */
+bool resumeTrajectory(const std::string &path,
+                      const std::vector<ExpectedRecord> &expected,
+                      std::size_t &kept, std::string &err);
+
+/** The `"engine"` value every manifest records: the event queue's
+ *  one pop order. Readers also accept `"heap"`, the retired backend
+ *  that popped in the same order. */
 inline constexpr const char *manifestEngineName = "calendar";
 
 /** One executed scenario as recorded in a manifest. */

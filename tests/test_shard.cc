@@ -236,6 +236,31 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_EQ(v.find("q")->str, "a\"b\\c");
 }
 
+/** The reader recurses once per nesting level, so depth is capped: a
+ *  100,000-deep input is an error with a message, not a stack
+ *  overflow, while a real manifest (3 deep) still parses. */
+TEST(Json, DeepNestingIsAnErrorNotACrash)
+{
+    json::Value v;
+    std::string err;
+    EXPECT_FALSE(json::parse(std::string(100000, '['), v, err));
+    EXPECT_EQ(err, "nesting deeper than 64 at byte 64");
+    EXPECT_FALSE(json::parse("{\"a\": " + std::string(100000, '['), v, err));
+    EXPECT_EQ(err, "nesting deeper than 64 at byte 69");
+
+    SweepOptions sweep;
+    sweep.coreCounts = {2, 4};
+    sweep.topologies = {"ring"};
+    sweep.shard = ShardSpec{1, 2};
+    std::ostringstream manifest;
+    writeManifest(manifest, sweep, "out.gtrj", {{"fig05", 32, 1, 7}});
+    ASSERT_TRUE(json::parse(manifest.str(), v, err)) << err;
+    EXPECT_EQ(v.find("fabric")->find("cores")->items.size(), 2u);
+    EXPECT_TRUE(json::parse(std::string(64, '[') + std::string(64, ']'), v,
+                            err))
+        << err;
+}
+
 TEST(Merge, GtrjShardsReassembleByteIdenticalInEveryFormat)
 {
     // Two scenarios: one whose grid (2 runs) is smaller than the
