@@ -16,10 +16,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -28,7 +26,6 @@
 #include "runner/atomic_file.hh"
 #include "runner/cli.hh"
 #include "runner/engine.hh"
-#include "runner/gtrj.hh"
 #include "runner/merge.hh"
 #include "runner/reporter.hh"
 #include "runner/scenario.hh"
@@ -70,66 +67,24 @@ parseMain(const CliOptions &opts)
         std::fprintf(stderr, "galsbench: %s\n", err.c_str());
         return 1;
     }
-    const bool ok = opts.format == OutputFormat::csv
-                        ? gtrj::toCsv(in, out, err)
-                        : gtrj::toJsonLines(in, out, err);
-    if (!ok) {
+    if (!renderTrajectory(in,
+                          opts.format == OutputFormat::csv
+                              ? TrajectoryFormat::csv
+                              : TrajectoryFormat::jsonLines,
+                          out, err)) {
         std::fprintf(stderr, "galsbench: parse: %s: %s\n",
                      opts.inputPath.c_str(), err.c_str());
         return 1;
     }
-
     if (opts.outputPath.empty()) {
         std::cout << out;
         return stdoutExitCode();
     }
-    std::ofstream os(opts.outputPath, std::ios::out | std::ios::trunc |
-                                          std::ios::binary);
-    if (os)
-        os.write(out.data(),
-                 static_cast<std::streamsize>(out.size()));
-    os.flush();
-    if (!os) {
-        // A truncated conversion must not pass for the real thing in
-        // a later byte-compare.
-        std::fprintf(stderr, "galsbench: error writing '%s'\n",
-                     opts.outputPath.c_str());
-        std::remove(opts.outputPath.c_str());
+    if (!atomicWriteFile(opts.outputPath, out, err)) {
+        std::fprintf(stderr, "galsbench: %s\n", err.c_str());
         return 1;
     }
     return 0;
-}
-
-/** `--merge` / `--merge-manifest`: fuse shard outputs back into the
- *  canonical unsharded files. */
-int
-mergeMain(const CliOptions &opts)
-{
-    // Manifests first: when both are given, the recovered sweep
-    // shape is the authoritative completeness check for the
-    // trajectory merge.
-    bool ok = true;
-    MergePlan plan;
-    const MergePlan *planPtr = nullptr;
-    if (!opts.mergeManifestFiles.empty()) {
-        ok = mergeManifests(opts.mergeManifestFiles, opts.manifestPath,
-                            opts.outputPath, std::cerr, &plan);
-        planPtr = &plan;
-    }
-    if (ok && !opts.mergeFiles.empty()) {
-        ok = mergeTrajectories(opts.mergeFiles, opts.outputPath,
-                               std::cerr, planPtr);
-        if (!ok && !opts.mergeManifestFiles.empty()) {
-            // Don't leave a canonical-looking manifest behind whose
-            // recorded trajectory was never written.
-            std::remove(opts.manifestPath.c_str());
-            std::fprintf(stderr,
-                         "galsbench: removed '%s' (trajectory merge "
-                         "failed)\n",
-                         opts.manifestPath.c_str());
-        }
-    }
-    return ok ? 0 : 1;
 }
 
 /** `--list`: the scenario catalog. */
@@ -150,53 +105,6 @@ listMain(const ScenarioRegistry &registry, const CliOptions &opts)
                     s.figure.c_str(), s.description.c_str());
     return stdoutExitCode();
 }
-
-/**
- * Run a scenario's grid (or shard slice) with per-record streaming:
- * every finished run is appended and flushed in canonical order the
- * moment it and all its predecessors are done, so a crash at any
- * instant loses at most the record being written. The first @p skip
- * runs (kept on disk by --resume) are neither re-simulated nor
- * re-written; their slots in the returned results stay empty.
- */
-std::vector<RunResults>
-runSliceStreamed(const ExperimentEngine &engine, TrajectorySink &sink,
-                 const std::string &scenario,
-                 const std::vector<RunConfig> &runs,
-                 const std::vector<std::size_t> &indices,
-                 std::size_t skip)
-{
-    const std::size_t n = runs.size();
-    std::vector<RunResults> results(n);
-    std::vector<char> ready(n, 0);
-    std::mutex mu;
-    std::size_t next = skip;
-    engine.runIndexed(n - skip, [&](std::size_t t) {
-        const std::size_t j = skip + t;
-        RunResults r = runOne(runs[j]);
-        const std::lock_guard<std::mutex> lock(mu);
-        results[j] = std::move(r);
-        ready[j] = 1;
-        // Ordered flush window: drain the contiguous ready prefix.
-        while (next < n && ready[next]) {
-            sink.appendOne(scenario, runs[next], results[next],
-                           indices[next]);
-            ++next;
-        }
-    });
-    return results;
-}
-
-/** One scenario of the invocation: the runs this process executes
- *  (the shard's slice, or the whole replicated grid) and their
- *  canonical indices. */
-struct PlannedScenario
-{
-    const Scenario *scenario;
-    ManifestScenario manifest;
-    std::vector<RunConfig> runs;
-    std::vector<std::size_t> indices;
-};
 
 /** Print @p scenario's stdout report in @p format. */
 void
@@ -261,28 +169,17 @@ runMain(const ScenarioRegistry &registry, const CliOptions &cli)
     if (!cli.snapshotDir.empty())
         setSnapshotDir(cli.snapshotDir);
 
-    // Expand every grid first: the manifest always describes the
+    // Plan every grid first: the manifest always describes the
     // canonical full grids (shard manifests differ from the unsharded
     // one only by the shard object and output path, which is what
-    // --merge-manifest strips), and --resume checks the file against
-    // the invocation's whole record sequence before anything runs.
-    std::vector<PlannedScenario> plan;
-    for (const std::string &name : cli.scenarios) {
-        const Scenario *scenario = registry.find(name);
-        std::size_t gridSize = 0;
-        std::vector<RunConfig> runs =
-            expandReplicatedRuns(*scenario, opts, &gridSize);
-        PlannedScenario p{scenario,
-                          {scenario->name, gridSize,
-                           opts.seedList().size(), runConfigHash(runs)},
-                          {},
-                          shardRunIndices(runs.size(), opts.shard)};
-        // A shard runs only its slice; records carry their canonical
-        // grid indices so --merge can reassemble the single-machine
-        // trajectory byte for byte.
-        p.runs = opts.shard.active() ? selectRuns(runs, p.indices)
-                                     : std::move(runs);
-        plan.push_back(std::move(p));
+    // --merge strips), and --resume checks the file against the
+    // invocation's whole record sequence before anything runs.
+    SweepPlan plan;
+    std::string err;
+    if (!planSweep(registry, cli.scenarios, opts, plan, err)) {
+        std::fprintf(stderr, "galsbench: %s\n%s", err.c_str(),
+                     cliUsage().c_str());
+        return 2;
     }
 
     // Every scenario was resolved by parseCli() before the sink
@@ -290,13 +187,7 @@ runMain(const ScenarioRegistry &registry, const CliOptions &cli)
     // destroy a previously archived trajectory.
     std::size_t kept = 0;
     if (cli.resume) {
-        std::vector<ExpectedRecord> expected;
-        for (const PlannedScenario &p : plan)
-            for (std::size_t k = 0; k < p.runs.size(); ++k)
-                expected.push_back(
-                    {p.scenario->name, p.indices[k], p.runs[k]});
-        std::string err;
-        if (!resumeTrajectory(cli.outputPath, expected, kept, err)) {
+        if (!resumeTrajectory(cli.outputPath, plan, kept, err)) {
             std::fprintf(stderr, "galsbench: --resume: %s\n",
                          err.c_str());
             return 1;
@@ -304,7 +195,7 @@ runMain(const ScenarioRegistry &registry, const CliOptions &cli)
         std::fprintf(stderr,
                      "galsbench: --resume: %zu of %zu records already "
                      "in '%s'\n",
-                     kept, expected.size(), cli.outputPath.c_str());
+                     kept, plannedRecords(plan), cli.outputPath.c_str());
     }
     std::unique_ptr<TrajectorySink> sink;
     if (!cli.outputPath.empty())
@@ -329,19 +220,10 @@ runMain(const ScenarioRegistry &registry, const CliOptions &cli)
             continue;
         }
 
-        std::vector<RunResults> results;
-        if (sink && sink->format() == TrajectoryFormat::gtrj) {
-            // The one record path of a .gtrj output: frames flushed
-            // one by one, so a killed run can be resumed.
-            const std::size_t skip = std::min(kept, p.runs.size());
-            kept -= skip;
-            results = runSliceStreamed(engine, *sink, scenario.name,
-                                       p.runs, p.indices, skip);
-        } else {
-            results = engine.run(p.runs);
-            if (sink)
-                sink->append(scenario.name, p.runs, results);
-        }
+        const std::size_t skip = std::min(kept, p.runs.size());
+        kept -= skip;
+        const std::vector<RunResults> results =
+            runSliceStreamed(engine, p, sink.get(), skip);
 
         if (opts.shard.active()) {
             // The paper tables need the whole grid, so no report is
@@ -394,7 +276,10 @@ main(int argc, char **argv)
       case cliParse:
         return parseMain(opts);
       case cliMerge:
-        return mergeMain(opts);
+        return mergeShards(registry, opts.mergeFiles, opts.outputPath,
+                           opts.manifestPath, std::cerr)
+                   ? 0
+                   : 1;
       case cliVerify:
         return verifyManifest(registry, ExperimentEngine(opts.jobs),
                               opts.verifyPath, std::cerr)

@@ -222,13 +222,11 @@ const std::vector<CliFlag> flagTable = {
     {"--all", CliArity::none, "", cliRun,
      "run every registered scenario",
      [](Opts &o, const Arg &) { o.runAll = true; }},
-    {"--merge", CliArity::files, "F...", cliMerge,
-     "merge shard trajectories into the canonical unsharded file at "
-     "--output PATH",
+    {"--merge", CliArity::files, "M...", cliMerge,
+     "merge the shards named by their manifests M...: the canonical "
+     "trajectory to --output (every shard's .gtrj must be complete), the "
+     "canonical manifest to --manifest",
      [](Opts &o, const Arg &a) { o.mergeFiles.push_back(a.text); }},
-    {"--merge-manifest", CliArity::files, "F...", cliMerge,
-     "merge shard manifests into the canonical manifest at --manifest",
-     [](Opts &o, const Arg &a) { o.mergeManifestFiles.push_back(a.text); }},
     {"--verify", CliArity::value, "M", cliVerify,
      "re-run the archived manifest M and byte-compare the regenerated "
      "trajectory with the archived one (exit 1 on any difference)",
@@ -243,7 +241,7 @@ const std::vector<CliFlag> flagTable = {
      [](Opts &o, const Arg &a) { o.jobs = count(a); }},
     {"--format", CliArity::value, "F", cliRun | cliList | cliParse,
      "table (default), json or csv; md with --list; json (default) or "
-     "csv with parse",
+     "csv for parse to stdout",
      [](Opts &o, const Arg &a) { o.format = formatValue(a); }},
     {"--insts", CliArity::value, "N", cliRun,
      "instructions per run (or GALSSIM_INSTS)",
@@ -295,8 +293,8 @@ const std::vector<CliFlag> flagTable = {
      "picks the format: .jsonl/.json (JSON lines), .csv, or .gtrj "
      "(compact binary, flushed record by record; a --shard or --resume "
      "run writes .gtrj only, and --merge renders its shards in any of "
-     "the three); parse writes the converted text here instead of "
-     "stdout",
+     "the three); text files are written once, at the end; parse "
+     "writes .jsonl/.json or .csv here instead of stdout",
      [](Opts &o, const Arg &a) { o.outputPath = a.text; }},
     {"--manifest", CliArity::value, "PATH", cliRun | cliMerge,
      "write a run manifest (version, engine, seeds, shard, per-scenario "
@@ -326,7 +324,7 @@ const ModeInfo modeTable[] = {
     {cliRun, "galsbench", "a scenario run"},
     {cliList, "galsbench", "the scenario list"},
     {cliMerge, "galsbench", "a merge",
-     " (the inputs alone define the merge)"},
+     " (the shard manifests alone define the merge)"},
     {cliVerify, "galsbench", "a verify replay",
      " (the manifest alone defines the replay)"},
     {cliParse, "galsbench parse INPUT.gtrj", "parse"},
@@ -407,19 +405,29 @@ applyEnvironment(CliOptions &o, const std::vector<const CliFlag *> &seen)
 /** The --output extension rule: a typo'd path must not silently
  *  become a JSON-lines file nobody asked for, and a shard or a resumed
  *  run writes gtrj frames, the one format --merge and the resume scan
- *  read back. The manifest's directory must exist, or the sweep would
- *  run to completion only to fail writing it. */
+ *  read back. The directories written into must exist, or the sweep
+ *  would run to completion only to fail writing there, and the
+ *  manifest must not replace the trajectory it describes. */
 void
 checkPaths(const CliOptions &o)
 {
-    if (!o.manifestPath.empty()) {
-        const std::filesystem::path dir =
-            std::filesystem::path(o.manifestPath).parent_path();
+    namespace fs = std::filesystem;
+    for (const auto &[flag, path] : {std::pair{"--output", &o.outputPath},
+                                     std::pair{"--manifest", &o.manifestPath}}) {
+        const fs::path dir = fs::path(*path).parent_path();
         std::error_code ec;
-        if (!dir.empty() && !std::filesystem::is_directory(dir, ec))
-            fail("--manifest directory '" + dir.string() +
-                 "' is not an existing directory");
+        if (!dir.empty() && !fs::is_directory(dir, ec))
+            fail(flag + (" directory '" + dir.string() +
+                         "' is not an existing directory"));
     }
+    const auto resolved = [](const std::string &path) {
+        std::error_code ec;
+        return fs::weakly_canonical(fs::absolute(path, ec), ec);
+    };
+    if (!o.outputPath.empty() && !o.manifestPath.empty() &&
+        resolved(o.outputPath) == resolved(o.manifestPath))
+        fail("--output and --manifest name the same file '" +
+             o.outputPath + "'");
     if (o.resume && o.outputPath.empty())
         fail("--resume needs the .gtrj --output of the run to continue");
     if (o.outputPath.empty() || o.mode == cliParse)
@@ -458,25 +466,6 @@ checkSweep(const ScenarioRegistry &registry, CliOptions &o)
         fail("--warmup-insts (" + std::to_string(sweep.warmupInstructions) +
              ") must be < the instruction count (" +
              std::to_string(sweep.instructions) + ")");
-    // Every fabric run the grids expand to must be buildable (a
-    // --traffic spec naming a core the fabric lacks would otherwise
-    // stop the sweep at that run), and a fabric has no warm snapshots:
-    // reject a warmup split those runs would never do.
-    for (const std::string &name : o.scenarios) {
-        const Scenario *s = registry.find(name);
-        for (const RunConfig &cfg :
-             s->makeRuns ? s->makeRuns(sweep) : std::vector<RunConfig>{}) {
-            if (!cfg.fabric.active())
-                continue;
-            const std::string err = cfg.fabric.validate();
-            if (!err.empty())
-                fail("scenario '" + name + "': " + err);
-            if (sweep.warmupInstructions > 0)
-                fail("--warmup-insts applies to single-core runs only; "
-                     "scenario '" + name + "' runs a " +
-                     std::to_string(cfg.fabric.cores) + "-core fabric");
-        }
-    }
 }
 
 void
@@ -497,29 +486,33 @@ checkMode(const ScenarioRegistry &registry, CliOptions &o)
                  "its records");
         break;
       case cliMerge:
-        if (!o.mergeFiles.empty() && o.outputPath.empty())
-            fail("--merge needs --output PATH for the merged trajectory");
-        for (const std::string &path : o.mergeFiles)
-            if (trajectoryFormatForPath(path) != TrajectoryFormat::gtrj)
-                fail("--merge expects .gtrj shard files, got '" + path +
-                     "' (re-run a text shard written by an older build)");
-        if (!o.mergeManifestFiles.empty() && o.manifestPath.empty())
-            fail("--merge-manifest needs --manifest PATH for the merged "
-                 "manifest");
-        // Silently skipping the manifest would archive a merged
-        // trajectory a later --verify has nothing to replay against;
-        // the converse would record a trajectory never produced.
-        if (o.mergeManifestFiles.empty() && !o.manifestPath.empty())
-            fail("--manifest in merge mode needs the shard "
-                 "manifests via --merge-manifest");
-        if (o.mergeFiles.empty() && !o.outputPath.empty())
-            fail("--output in merge mode needs the shard trajectories "
-                 "via --merge");
+        if (o.outputPath.empty() && o.manifestPath.empty())
+            fail("--merge needs --output and/or --manifest for what it "
+                 "merges");
+        for (const std::string &path : o.mergeFiles) {
+            TrajectoryFormat format;
+            if (trajectoryFormatForCliPath(path, format) &&
+                std::filesystem::path(path).extension() != ".json")
+                fail("--merge takes the shard manifests (each names its "
+                     "shard's .gtrj), got the trajectory '" + path + "'");
+        }
         break;
       case cliParse:
         if (o.inputPath.empty())
             fail("parse needs an input .gtrj file");
-        if (o.format != OutputFormat::json && o.format != OutputFormat::csv) {
+        if (!o.outputPath.empty()) {
+            TrajectoryFormat format;
+            if (o.format)
+                fail("parse --format applies to stdout; --output picks "
+                     "the format by its extension");
+            if (!trajectoryFormatForCliPath(o.outputPath, format) ||
+                format == TrajectoryFormat::gtrj)
+                fail("parse --output expects a .jsonl, .json or .csv "
+                     "path, got '" + o.outputPath + "'");
+            o.format = format == TrajectoryFormat::csv ? OutputFormat::csv
+                                                       : OutputFormat::json;
+        } else if (o.format != OutputFormat::json &&
+                   o.format != OutputFormat::csv) {
             if (o.format)
                 fail("parse --format expects 'json' or 'csv'");
             o.format = OutputFormat::json;
@@ -584,8 +577,7 @@ parseCli(const std::vector<std::string> &args,
             return true;
         if (opts.mode == cliRun && opts.list)
             opts.mode = cliList;
-        else if (opts.mode == cliRun && (!opts.mergeFiles.empty() ||
-                                         !opts.mergeManifestFiles.empty()))
+        else if (opts.mode == cliRun && !opts.mergeFiles.empty())
             opts.mode = cliMerge;
         else if (opts.mode == cliRun && !opts.verifyPath.empty())
             opts.mode = cliVerify;
@@ -631,8 +623,9 @@ cliUsage()
          "re-running the same command with --resume: its .gtrj --output "
          "keeps every record flushed before the kill, and the manifest "
          "is written only once the sweep is complete. Across hosts, run "
-         "--shard I/N on each and fuse the shards with --merge and "
-         "--merge-manifest.",
+         "--shard I/N with --output and --manifest on each, then fuse them "
+         "with --merge and the shard manifests; a shard cut short by a "
+         "kill is completed with --resume first.",
          0, 0);
     return out;
 }

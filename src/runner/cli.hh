@@ -25,7 +25,7 @@ namespace gals::runner
 enum CliMode : unsigned
 {
     cliRun = 1u << 0,    ///< --scenario / --all
-    cliMerge = 1u << 1,  ///< --merge / --merge-manifest
+    cliMerge = 1u << 1,  ///< --merge SHARD_MANIFESTS
     cliVerify = 1u << 2, ///< --verify MANIFEST
     cliList = 1u << 3,   ///< --list
     cliParse = 1u << 4,  ///< `galsbench parse INPUT.gtrj ...`
@@ -53,8 +53,7 @@ struct CliOptions
     /** Keep the valid record prefix of a .gtrj --output and run only
      *  the rest. */
     bool resume = false;
-    std::vector<std::string> mergeFiles;
-    std::vector<std::string> mergeManifestFiles;
+    std::vector<std::string> mergeFiles; ///< the shard manifests
     std::string verifyPath;
     std::string inputPath; ///< `parse` mode's INPUT.gtrj
 };
@@ -95,11 +94,12 @@ const std::vector<CliFlag> &cliFlags();
  * --insts and --bench entries where the command line leaves those
  * flags out, then the per-mode checks — flags the mode does not
  * accept, missing or malformed outputs (a --shard or --resume output
- * and the --merge inputs are .gtrj), a manifest directory that does
- * not exist, --warmup-insts against --insts and the scenarios, and
- * every fabric run of the grid against FabricConfig::validate().
- * Resolves --all and checks every scenario name. Stops at --help /
- * -h with opts.help set.
+ * is .gtrj, --merge takes manifests, parse writes text), an --output
+ * or --manifest directory that does not exist, --output and
+ * --manifest naming one file, and --warmup-insts against --insts.
+ * Resolves --all and checks every scenario name; the grids themselves
+ * are checked by planSweep(). Stops at --help / -h with opts.help
+ * set.
  * @return false with @p err set on a usage error (exit 2).
  */
 bool parseCli(const std::vector<std::string> &args,

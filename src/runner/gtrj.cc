@@ -468,8 +468,8 @@ toCsv(std::string_view buf, std::string &out, std::string &err)
     bool wroteHeader = false;
     if (!convert(buf, err, [&os, &wroteHeader](
                                const DecodedRecord &rec) {
-            // Header from the first record, as the CSV sink defers it
-            // to the first non-empty grid.
+            // Header from the first record: an empty grid has no
+            // record to take the energy_nj.* column set from.
             if (!wroteHeader) {
                 writeCsvHeader(os, rec.results);
                 wroteHeader = true;

@@ -39,13 +39,14 @@
  *
  * Frames are self-delimiting and encoded statelessly (no
  * inter-record compression), so a shard's frames are byte-identical
- * to the same records in an unsharded file — merge fan-in reorders
- * raw frames without re-encoding, and renders a text output from
- * them through toJsonLines()/toCsv() — and a SIGKILL mid-write
- * leaves a detectable torn tail: `--resume` keeps the valid frame
- * prefix and truncates the rest (scanResume() in
- * runner/trajectory.hh). That is why gtrj is the one format of shard
- * files and of resumable runs.
+ * to the same records in an unsharded file — `--merge` interleaves
+ * the raw frames of complete shards without re-encoding — and a
+ * SIGKILL mid-write leaves a detectable torn tail: `--resume` keeps
+ * the valid frame prefix and truncates the rest (scanResume() in
+ * runner/trajectory.hh). That is why gtrj is the record stream of
+ * every run: a `.jsonl`/`.json`/`.csv` file — a run's, `parse`'s or
+ * `--merge`'s — is rendered from frames through toJsonLines() /
+ * toCsv(), and shard files and resumable runs are gtrj only.
  */
 
 #ifndef RUNNER_GTRJ_HH
@@ -134,8 +135,8 @@ std::size_t countFrames(std::string_view buf);
 bool toJsonLines(std::string_view buf, std::string &out,
                  std::string &err);
 
-/** Same conversion to CSV (header row from the first record, as the
- *  CSV TrajectorySink writes it); false on bad input. */
+/** Same conversion to CSV (header row from the first record); false
+ *  on bad input. */
 bool toCsv(std::string_view buf, std::string &out, std::string &err);
 
 } // namespace gals::runner::gtrj

@@ -1,25 +1,30 @@
 /**
  * @file
- * Shard fan-in and archive replay: `--merge`, `--merge-manifest`
- * and `--verify`.
+ * Shard fan-in and archive replay: `--merge` and `--verify`.
+ *
+ * Both start from manifests, and both rebuild the sweep's plan from
+ * them (planSweep(), runner/trajectory.hh): a manifest names its
+ * sweep options, its per-scenario grids and config hashes, and the
+ * trajectory it describes. The plan is checked against the manifest
+ * (grid size, replicas, config hash per scenario) before any record
+ * is read or simulated.
  *
  * A sharded sweep (`galsbench --shard i/N`) leaves N `.gtrj`
- * trajectory files and N manifests, each covering a disjoint
+ * trajectory files and N manifests, each shard covering a disjoint
  * round-robin slice of the run grid but carrying the records'
- * *canonical* grid indices. mergeTrajectories() fuses the shard
- * frames back into the single-machine ordering and writes them as
- * `.gtrj`, or renders them as JSON lines or CSV through the parse
- * path — cmp-identical to an unsharded run in any of the three
- * formats — and mergeManifests() fuses the shard manifests into the
- * canonical manifest. verifyManifest() closes the loop: it re-runs an archived
- * manifest (instruction budget, seeds, benchmarks, shard) against the
- * current binary, checks the per-scenario grid shapes and config
- * hashes first, and byte-compares the regenerated
- * trajectory against the archived file, reporting a per-record diff
- * on mismatch.
+ * *canonical* grid indices. mergeShards() is N complete resumes,
+ * interleaved: every shard's file must hold exactly its plan's
+ * records (scanResume()), and their frames are then interleaved back
+ * into the single-machine order and written as `.gtrj`, or rendered
+ * as JSON lines or CSV through the parse path — cmp-identical to an
+ * unsharded run in any of the three formats — next to the canonical
+ * manifest. verifyManifest() closes the loop: it replays an archived
+ * manifest against the current binary and byte-compares the
+ * regenerated trajectory with the archived file, reporting a
+ * per-record diff on mismatch.
  *
- * All three return false with a diagnostic instead of dying, so the
- * CLI can exit non-zero cleanly and tests can assert on messages.
+ * Both return false with a diagnostic instead of dying, so the CLI
+ * can exit non-zero cleanly and tests can assert on messages.
  */
 
 #ifndef RUNNER_MERGE_HH
@@ -34,75 +39,35 @@ namespace gals::runner
 
 class ExperimentEngine;
 class ScenarioRegistry;
-struct ManifestScenario;
-
-/** What a complete merge must contain, as recovered from the shard
- *  manifests: the authoritative completeness cross-check for
- *  mergeTrajectories(). */
-struct MergePlan
-{
-    unsigned shardCount = 0;
-    /** Canonical scenario entries (full grid sizes / replicas), in
-     *  execution order. */
-    std::vector<ManifestScenario> scenarios;
-};
 
 /**
- * Merge `.gtrj` shard trajectory files into @p outputPath in
- * canonical (unsharded) record order. The output's extension picks
- * its format (trajectoryFormatForPath()): `.gtrj` gets the merged
- * frames raw, `.jsonl`/`.json`/`.csv` their gtrj::toJsonLines() /
- * gtrj::toCsv() rendering. Fails, writing nothing, on an input that
- * is not an intact gtrj file (a text shard of an older build, a torn
- * tail), on malformed records, on overlapping shards (duplicate
- * canonical index), on shard files whose records disagree on a
- * scenario's instruction budget (inputs from different sweeps), and on
- * incomplete merges: interior index gaps, a file count that
- * contradicts the shard stride visible in the records, and — when
- * @p expected is given (recovered from the shard manifests by
- * mergeManifests()) — any deviation from the manifest's scenario
- * set and per-scenario run counts. When neither a plan nor stride
- * evidence exists (no scenario has two records in any one file — a
- * grid no larger than the shard count), completeness is unprovable
- * from the records, and the merge is refused. Records alone can
- * never prove the *tail* of a sweep survived (a lost last record
- * leaves a set indistinguishable from a complete smaller grid), so
- * a manifest-less merge prints a note and the shard manifests —
- * `--merge-manifest` in the same invocation — remain the
- * authoritative completeness check (what CI uses).
+ * Merge the shards named by the shard manifests @p manifests. The
+ * manifests must agree on version, sweep options and scenario grids,
+ * and name shards 1..N exactly once; the `"engine"` field may read
+ * `"calendar"` or the retired `"heap"` (the same pop order). With an
+ * @p outputPath, each manifest's `output` locates its shard's `.gtrj`
+ * (next to the manifest first, as `--verify` finds it), which must
+ * hold every record of its shard's plan and nothing else — a short or
+ * torn shard is refused with a hint to `--resume` it, a frame of
+ * another sweep as such. Only once every shard has passed is the
+ * output written, atomically, in the format its extension picks; the
+ * merged manifest at @p manifestPath (may be empty) comes last. It
+ * reads `"calendar"`, drops the shard object and records
+ * @p outputPath (may be empty: shards run with `--manifest` only),
+ * which makes it byte-identical to the manifest of an unsharded run.
  * @param diag human-readable progress and errors.
- * @return true iff the merged file was written.
+ * @return true iff every requested file was written.
  */
-bool mergeTrajectories(const std::vector<std::string> &shardFiles,
-                       const std::string &outputPath,
-                       std::ostream &diag,
-                       const MergePlan *expected = nullptr);
-
-/**
- * Merge shard manifests into the canonical manifest at
- * @p manifestPath: every shard manifest must agree on version,
- * sweep options and scenario grids, and the shard indices must cover
- * 1..N exactly. The `"engine"` field may read `"calendar"` or the
- * retired `"heap"` (the same pop order). The merged manifest reads
- * `"calendar"`, drops the shard object and records @p outputPath
- * (the merged trajectory's path; may be empty) — making it
- * byte-identical to the manifest an unsharded `--output outputPath`
- * run writes. @p plan, when given, receives the recovered canonical
- * sweep shape for mergeTrajectories() to cross-check against.
- */
-bool mergeManifests(const std::vector<std::string> &shardFiles,
-                    const std::string &manifestPath,
-                    const std::string &outputPath,
-                    std::ostream &diag, MergePlan *plan = nullptr);
+bool mergeShards(const ScenarioRegistry &registry,
+                 const std::vector<std::string> &manifests,
+                 const std::string &outputPath,
+                 const std::string &manifestPath, std::ostream &diag);
 
 /**
  * Replay an archived manifest and byte-compare the regenerated
  * trajectory against the archived one (the manifest's `output` path,
- * resolved relative to the manifest file's directory). Before
- * spending any simulation time, each scenario's regenerated grid
- * must match the manifest's grid size, replica count and full-grid
- * config hash — catching config drift early. @p engine supplies the
- * worker pool (any job count: records are index-slotted).
+ * resolved next to the manifest first). @p engine supplies the worker
+ * pool (any job count: records are index-slotted).
  * @return true iff every record matches byte for byte.
  */
 bool verifyManifest(const ScenarioRegistry &registry,

@@ -21,8 +21,8 @@ SweepOptions::seedList() const
     if (!explicitSeeds.empty())
         return explicitSeeds;
     std::vector<std::uint64_t> seeds;
-    seeds.reserve(seedReplicas == 0 ? 1 : seedReplicas);
-    for (unsigned r = 0; r < std::max(1u, seedReplicas); ++r)
+    seeds.reserve(replicaCount());
+    for (std::size_t r = 0; r < replicaCount(); ++r)
         seeds.push_back(seed + r);
     return seeds;
 }
@@ -79,7 +79,7 @@ appendPair(std::vector<RunConfig> &runs, const std::string &benchmark,
 
 std::vector<RunConfig>
 expandReplicatedRuns(const Scenario &s, const SweepOptions &opts,
-                     std::size_t *gridSize)
+                     std::size_t *gridSize, std::size_t maxRuns)
 {
     std::vector<RunConfig> all;
     std::size_t grid = 0;
@@ -93,6 +93,10 @@ expandReplicatedRuns(const Scenario &s, const SweepOptions &opts,
         if (first) {
             grid = runs.size();
             first = false;
+            if (grid > maxRuns / opts.replicaCount()) {
+                all = std::move(runs);
+                break;
+            }
         } else {
             gals_assert(runs.size() == grid, "scenario '", s.name,
                         "': replica grid size ", runs.size(),

@@ -18,6 +18,7 @@
 #ifndef RUNNER_SCENARIO_HH
 #define RUNNER_SCENARIO_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -104,9 +105,16 @@ struct SweepOptions
      *  given, else seed, seed+1, ..., seed+seedReplicas-1. */
     std::vector<std::uint64_t> seedList() const;
 
+    /** seedList().size(), without building the list. */
+    std::size_t replicaCount() const
+    {
+        return explicitSeeds.empty() ? std::max(1u, seedReplicas)
+                                     : explicitSeeds.size();
+    }
+
     /** True when the sweep runs more than one replica per grid
      *  point. */
-    bool replicated() const { return seedList().size() > 1; }
+    bool replicated() const { return replicaCount() > 1; }
 
     /** The benchmark sweep set: @ref benchmarks, or all shipped
      *  benchmarks when empty. */
@@ -219,10 +227,13 @@ PairResults pairAt(const std::vector<RunResults> &results,
  * grid shape may not depend on the seed).
  *
  * @param gridSize out: the per-replica grid size G (may be null).
+ * @param maxRuns stop after the first replica when G times the
+ *     replica count exceeds this; the caller compares the two.
  */
-std::vector<RunConfig> expandReplicatedRuns(const Scenario &s,
-                                            const SweepOptions &opts,
-                                            std::size_t *gridSize);
+std::vector<RunConfig>
+expandReplicatedRuns(const Scenario &s, const SweepOptions &opts,
+                     std::size_t *gridSize,
+                     std::size_t maxRuns = static_cast<std::size_t>(-1));
 
 /** The subset of @p runs at @p indices (ascending canonical order —
  *  the shardRunIndices() slice), for executing one shard of a

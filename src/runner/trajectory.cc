@@ -3,11 +3,13 @@
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
+#include <mutex>
 #include <sstream>
 #include <system_error>
 #include <utility>
 
 #include "runner/atomic_file.hh"
+#include "runner/engine.hh"
 #include "runner/gtrj.hh"
 #include "runner/reporter.hh"
 #include "runner/scenario.hh"
@@ -70,76 +72,47 @@ trajectoryFormatName(TrajectoryFormat format)
     }
 }
 
+bool
+renderTrajectory(std::string_view frames, TrajectoryFormat format,
+                 std::string &out, std::string &err)
+{
+    switch (format) {
+      case TrajectoryFormat::gtrj:
+        out.assign(frames);
+        return true;
+      case TrajectoryFormat::csv:
+        return gtrj::toCsv(frames, out, err);
+      default:
+        return gtrj::toJsonLines(frames, out, err);
+    }
+}
+
+TrajectorySink::TrajectorySink() : frames_(gtrj::fileHeader()) {}
+
 TrajectorySink::TrajectorySink(const std::string &path,
                                bool appendMode)
-    : path_(path), format_(trajectoryFormatForPath(path)),
-      file_(path, std::ios::out | std::ios::binary |
-                      (appendMode ? std::ios::app
-                                  : std::ios::trunc)),
-      os_(&file_)
+    : path_(path), format_(trajectoryFormatForPath(path))
 {
-    if (appendMode && format_ != TrajectoryFormat::gtrj)
-        gals_fatal("append mode needs a gtrj trajectory, not '", path_,
-                   "'");
+    if (format_ != TrajectoryFormat::gtrj) {
+        if (appendMode)
+            gals_fatal("append mode needs a gtrj trajectory, not '",
+                       path_, "'");
+        frames_ = gtrj::fileHeader();
+        return;
+    }
+    // An append-mode resume only needs a header when
+    // resumeTrajectory() cut the file to nothing (a torn header counts
+    // for nothing).
+    std::error_code ec;
+    const bool fresh = !appendMode ||
+                       std::filesystem::file_size(path, ec) == 0 || ec;
+    file_.open(path, std::ios::out | std::ios::binary |
+                         (appendMode ? std::ios::app : std::ios::trunc));
     if (!file_)
         gals_fatal("cannot open trajectory file '", path_,
                    "' for writing");
-    if (format_ == TrajectoryFormat::gtrj) {
-        // Fresh files get the header now; an append-mode resume only
-        // needs one when resumeTrajectory() cut the file to nothing
-        // (a torn header counts for nothing).
-        std::error_code ec;
-        const auto size =
-            appendMode ? std::filesystem::file_size(path, ec)
-                       : std::uintmax_t(0);
-        if (!appendMode || ec || size == 0)
-            *os_ << gtrj::fileHeader();
-    }
-}
-
-TrajectorySink::TrajectorySink(std::ostream &os,
-                               TrajectoryFormat format,
-                               const std::string &path)
-    : path_(path), format_(format), os_(&os)
-{
-    if (format_ == TrajectoryFormat::gtrj)
-        *os_ << gtrj::fileHeader();
-}
-
-void
-TrajectorySink::append(const std::string &scenario,
-                       const std::vector<RunConfig> &cfgs,
-                       const std::vector<RunResults> &results,
-                       const std::vector<std::size_t> *indices)
-{
-    if (format_ == TrajectoryFormat::jsonLines) {
-        writeJsonLines(*os_, scenario, cfgs, results, indices);
-    } else if (format_ == TrajectoryFormat::gtrj) {
-        gals_assert(cfgs.size() == results.size(),
-                    "trajectory sink: ", cfgs.size(), " configs vs ",
-                    results.size(), " results");
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            const std::size_t index = indices ? (*indices)[i] : i;
-            const std::string frame = gtrj::encodeRecord(
-                scenario, index, cfgs[i], results[i]);
-            os_->write(frame.data(),
-                       static_cast<std::streamsize>(frame.size()));
-        }
-    } else if (!results.empty()) {
-        // Defer the header to the first non-empty grid: an empty one
-        // (a literature-only scenario, or a shard slice with no
-        // records) has no record to take the energy_nj.* column set
-        // from.
-        if (!wroteHeader_) {
-            writeCsvHeader(*os_, results.front());
-            wroteHeader_ = true;
-        }
-        writeCsvRows(*os_, scenario, cfgs, results, indices);
-    }
-    // Fail the sweep now, not after simulating the remaining
-    // scenarios: a bad stream here means records are already lost.
-    if (!*os_)
-        gals_fatal("error writing trajectory file '", path_, "'");
+    if (fresh)
+        file_ << gtrj::fileHeader();
 }
 
 void
@@ -148,112 +121,208 @@ TrajectorySink::appendOne(const std::string &scenario,
                           const RunResults &result,
                           std::size_t canonicalIndex)
 {
-    if (format_ != TrajectoryFormat::gtrj)
-        gals_fatal("appendOne() streams gtrj frames only, not '", path_,
-                   "'");
-    const std::vector<RunConfig> cfgs{cfg};
-    const std::vector<RunResults> results{result};
-    const std::vector<std::size_t> indices{canonicalIndex};
-    append(scenario, cfgs, results, &indices);
+    const std::string frame =
+        gtrj::encodeRecord(scenario, canonicalIndex, cfg, result);
+    if (!file_.is_open()) {
+        frames_ += frame;
+        return;
+    }
     // The flush is the contract: once appendOne() returns, the
     // record survives a SIGKILL of this process.
-    os_->flush();
-    if (!*os_)
+    file_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+    file_.flush();
+    if (!file_)
         gals_fatal("error writing trajectory file '", path_, "'");
 }
 
 void
 TrajectorySink::close()
 {
-    if (os_ == &file_ && !file_.is_open())
+    if (file_.is_open()) {
+        file_.close();
+        if (!file_)
+            gals_fatal("error closing trajectory file '", path_, "'");
         return;
-    os_->flush();
-    if (!*os_)
-        gals_fatal("error writing trajectory file '", path_, "'");
-    if (os_ != &file_)
+    }
+    if (path_.empty() || format_ == TrajectoryFormat::gtrj)
         return;
-    file_.close();
-    if (!file_)
-        gals_fatal("error closing trajectory file '", path_, "'");
+    std::string text, err;
+    if (!renderTrajectory(frames_, format_, text, err) ||
+        !atomicWriteFile(path_, text, err))
+        gals_fatal("trajectory file '", path_, "': ", err);
 }
 
 bool
-scanResume(const std::string &path,
-           const std::vector<ExpectedRecord> &expected, ResumeScan &out,
+planSweep(const ScenarioRegistry &registry,
+          const std::vector<std::string> &names, const SweepOptions &opts,
+          SweepPlan &plan, std::string &err)
+{
+    // Bounded before the list of seeds, or any grid past its first
+    // replica, is built.
+    const std::size_t replicas = opts.replicaCount();
+    const std::string cap = std::to_string(maxPlannedRuns) +
+                            " runs one invocation may plan";
+    if (replicas > maxPlannedRuns) {
+        err = std::to_string(replicas) + " seed replicas: more than the " +
+              cap;
+        return false;
+    }
+    std::size_t planned = 0;
+    for (const std::string &name : names) {
+        const Scenario *scenario = registry.find(name);
+        if (!scenario) {
+            err = "unknown scenario '" + name + "'";
+            return false;
+        }
+        std::size_t gridSize = 0;
+        std::vector<RunConfig> runs = expandReplicatedRuns(
+            *scenario, opts, &gridSize, maxPlannedRuns - planned);
+        if (gridSize > (maxPlannedRuns - planned) / replicas) {
+            err = "scenario '" + name + "' (" + std::to_string(gridSize) +
+                  " runs x " + std::to_string(replicas) +
+                  " replicas) takes the sweep past the " + cap;
+            return false;
+        }
+        planned += runs.size();
+        // Every fabric run must be buildable (a --traffic spec naming
+        // a core the fabric lacks would otherwise stop the sweep at
+        // that run), and a fabric has no warm snapshots.
+        for (const RunConfig &cfg : runs) {
+            if (!cfg.fabric.active())
+                continue;
+            const std::string ferr = cfg.fabric.validate();
+            if (!ferr.empty()) {
+                err = "scenario '" + name + "': " + ferr;
+                return false;
+            }
+            if (opts.warmupInstructions > 0) {
+                err = "--warmup-insts applies to single-core runs only; "
+                      "scenario '" + name + "' runs a " +
+                      std::to_string(cfg.fabric.cores) + "-core fabric";
+                return false;
+            }
+        }
+        PlannedScenario p{scenario,
+                          {name, gridSize, replicas, runConfigHash(runs)},
+                          {},
+                          shardRunIndices(runs.size(), opts.shard)};
+        p.runs = opts.shard.active() ? selectRuns(runs, p.indices)
+                                     : std::move(runs);
+        plan.push_back(std::move(p));
+    }
+    return true;
+}
+
+std::size_t
+plannedRecords(const SweepPlan &plan)
+{
+    std::size_t n = 0;
+    for (const PlannedScenario &p : plan)
+        n += p.runs.size();
+    return n;
+}
+
+std::vector<RunResults>
+runSliceStreamed(const ExperimentEngine &engine, const PlannedScenario &p,
+                 TrajectorySink *sink, std::size_t skip)
+{
+    if (!sink)
+        return engine.run(p.runs);
+    const std::size_t n = p.runs.size();
+    std::vector<RunResults> results(n);
+    std::vector<char> ready(n, 0);
+    std::mutex mu;
+    std::size_t next = skip;
+    engine.runIndexed(n - skip, [&](std::size_t t) {
+        const std::size_t j = skip + t;
+        RunResults r = runOne(p.runs[j]);
+        const std::lock_guard<std::mutex> lock(mu);
+        results[j] = std::move(r);
+        ready[j] = 1;
+        // Ordered flush window: drain the contiguous ready prefix.
+        while (next < n && ready[next]) {
+            sink->appendOne(p.manifest.name, p.runs[next], results[next],
+                            p.indices[next]);
+            ++next;
+        }
+    });
+    return results;
+}
+
+bool
+scanResume(std::string_view text, const SweepPlan &plan, ResumeScan &out,
            std::string &err)
 {
     out = ResumeScan{};
-    std::error_code ec;
-    if (!std::filesystem::exists(path, ec))
-        return true; // nothing written yet
-    std::string text;
-    if (!readFile(path, text, err))
-        return false;
-
     const std::string &header = gtrj::fileHeader();
     if (text.size() < header.size() &&
         header.compare(0, text.size(), text) == 0)
         return true; // killed while writing the header
     std::size_t pos = 0;
     if (!gtrj::readHeader(text, pos, err)) {
-        err = "'" + path + "' is not a gtrj trajectory this run can "
-              "resume: " + err;
+        err = "is not a gtrj trajectory: " + err;
         return false;
     }
     out.bytes = pos;
-    const std::string_view bytes(text);
-    for (const ExpectedRecord &want : expected) {
-        const std::size_t at = pos;
-        std::string_view payload;
-        gtrj::DecodedRecord dec;
-        std::string ferr;
-        const gtrj::FrameStatus st =
-            gtrj::nextFrame(bytes, pos, payload, ferr);
-        if (st == gtrj::FrameStatus::eof)
-            return true;
-        if (st == gtrj::FrameStatus::torn ||
-            !gtrj::decodePayload(payload, dec, ferr))
-            return true; // a torn or undecodable tail, cut at out.bytes
-        // The record's benchmark and base/GALS bit are encoded from
-        // the results; take them from the expected config so that
-        // they are compared too.
-        dec.results.benchmark = want.cfg.benchmark;
-        dec.results.gals = want.cfg.gals;
-        if (gtrj::encodeRecord(want.scenario, want.index, want.cfg,
-                               dec.results) != bytes.substr(at, pos - at)) {
-            err = "'" + path + "' holds another sweep: its record " +
-                  std::to_string(out.records + 1) + " (" + dec.scenario +
-                  " #" + std::to_string(dec.index) + ", " +
-                  dec.cfg.benchmark + ", " +
-                  std::to_string(dec.cfg.instructions) +
-                  " insts) is not this run's (" + want.scenario + " #" +
-                  std::to_string(want.index) + ", " + want.cfg.benchmark +
-                  ", " + std::to_string(want.cfg.instructions) +
-                  " insts)";
-            return false;
+    for (const PlannedScenario &p : plan)
+        for (std::size_t k = 0; k < p.runs.size(); ++k) {
+            const RunConfig &cfg = p.runs[k];
+            const std::size_t at = pos;
+            std::string_view payload;
+            gtrj::DecodedRecord dec;
+            std::string ferr;
+            const gtrj::FrameStatus st =
+                gtrj::nextFrame(text, pos, payload, ferr);
+            if (st == gtrj::FrameStatus::eof)
+                return true;
+            if (st == gtrj::FrameStatus::torn ||
+                !gtrj::decodePayload(payload, dec, ferr))
+                return true; // a torn or undecodable tail, cut at out.bytes
+            // The record's benchmark and base/GALS bit are encoded from
+            // the results; take them from the planned config so that
+            // they are compared too.
+            dec.results.benchmark = cfg.benchmark;
+            dec.results.gals = cfg.gals;
+            if (gtrj::encodeRecord(p.manifest.name, p.indices[k], cfg,
+                                   dec.results) != text.substr(at, pos - at)) {
+                err = "holds another sweep: its record " +
+                      std::to_string(out.records + 1) + " (" + dec.scenario +
+                      " #" + std::to_string(dec.index) + ", " +
+                      dec.cfg.benchmark + ", " +
+                      std::to_string(dec.cfg.instructions) +
+                      " insts) is not this sweep's (" + p.manifest.name +
+                      " #" + std::to_string(p.indices[k]) + ", " +
+                      cfg.benchmark + ", " +
+                      std::to_string(cfg.instructions) + " insts)";
+                return false;
+            }
+            out.records += 1;
+            out.bytes = pos;
         }
-        out.records += 1;
-        out.bytes = pos;
-    }
     if (pos < text.size()) {
-        err = "'" + path + "' holds another sweep: bytes past this "
-              "run's " + std::to_string(expected.size()) + " records";
+        err = "holds another sweep: bytes past this sweep's " +
+              std::to_string(out.records) + " records";
         return false;
     }
     return true;
 }
 
 bool
-resumeTrajectory(const std::string &path,
-                 const std::vector<ExpectedRecord> &expected,
+resumeTrajectory(const std::string &path, const SweepPlan &plan,
                  std::size_t &kept, std::string &err)
 {
-    ResumeScan scan;
-    if (!scanResume(path, expected, scan, err))
-        return false;
-    kept = scan.records;
     std::error_code ec;
-    if (std::filesystem::exists(path, ec))
+    const bool exists = std::filesystem::exists(path, ec);
+    std::string text;
+    if (exists && !readFile(path, text, err))
+        return false;
+    ResumeScan scan;
+    if (!scanResume(text, plan, scan, err)) {
+        err = "'" + path + "' " + err;
+        return false;
+    }
+    kept = scan.records;
+    if (exists)
         std::filesystem::resize_file(path, scan.bytes, ec);
     if (ec) {
         err = "cannot cut '" + path + "' to its valid records: " +

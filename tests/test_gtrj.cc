@@ -531,7 +531,6 @@ TEST(GtrjSink, StreamedAppendMatchesHandBuiltFile)
                                        sampleResults(1)};
     {
         TrajectorySink sink(path);
-        EXPECT_EQ(sink.format(), TrajectoryFormat::gtrj);
         sink.appendOne("fig05", cfgs[0], results[0], 0);
         sink.appendOne("fig05", cfgs[1], results[1], 1);
         sink.close();

@@ -14,10 +14,13 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <sstream>
 
+#include "power/power_model.hh"
 #include "runner/reporter.hh"
 #include "runner/scenario.hh"
 #include "runner/stats.hh"
@@ -629,21 +632,28 @@ TEST(Manifest, ConfigHashPinnedForPreFabricConfigs)
     EXPECT_NE(runConfigHash(hot), runConfigHash(active));
 }
 
-TEST(Trajectory, CsvHeaderDeferredPastEmptyGrids)
+/** A text trajectory is rendered from the sink's frames at close():
+ *  nothing is on disk before, and the CSV header then comes from the
+ *  first record, with its energy_nj.* columns. */
+TEST(Trajectory, TextFileIsRenderedAtClose)
 {
-    // A literature-only scenario (empty grid) appended first must
-    // not pin a header without the energy_nj.* columns.
     const std::string path =
         testing::TempDir() + "/traj_header.csv";
+    std::remove(path.c_str());
+    // The gtrj encoder stores the power model's whole unit set.
+    RunResults r = awkwardResults();
+    r.unitEnergyNj.clear();
+    for (unsigned u = 0; u < numUnits; ++u)
+        r.unitEnergyNj[unitName(static_cast<Unit>(u))] = 1.0 + u;
     TrajectorySink sink(path);
-    sink.append("table1", {}, {});
-    sink.append("fig05", {awkwardConfig()}, {awkwardResults()});
+    sink.appendOne("fig05", awkwardConfig(), r, 0);
+    EXPECT_FALSE(std::ifstream(path).good());
     sink.close();
 
     std::ifstream in(path);
     std::string header;
     ASSERT_TRUE(std::getline(in, header));
-    EXPECT_NE(header.find("energy_nj.alu"), std::string::npos)
+    EXPECT_NE(header.find("energy_nj.int_alus"), std::string::npos)
         << header;
     std::string row;
     std::size_t rows = 0;

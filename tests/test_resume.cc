@@ -43,6 +43,7 @@
 #include "runner/gtrj.hh"
 #include "runner/json.hh"
 #include "runner/merge.hh"
+#include "runner/reporter.hh"
 #include "runner/trajectory.hh"
 
 extern char **environ;
@@ -110,28 +111,31 @@ fakeGtrjFrame(const std::string &scenario, std::uint64_t index,
                               fakeConfig(benchmark, instructions), r);
 }
 
-std::vector<ExpectedRecord>
+/** A one-scenario plan of fakeConfig() runs at @p indices. */
+SweepPlan
 expectations(const std::string &scenario,
-             std::initializer_list<std::uint64_t> indices)
+             std::initializer_list<std::size_t> indices)
 {
-    std::vector<ExpectedRecord> out;
-    for (std::uint64_t i : indices)
-        out.push_back({scenario, i, fakeConfig()});
-    return out;
+    PlannedScenario p;
+    p.manifest.name = scenario;
+    p.indices = indices;
+    p.runs.assign(p.indices.size(), fakeConfig());
+    return {p};
 }
 
 TEST(ResumeScan, MissingFileIsAnEmptyPrefix)
 {
-    ResumeScan scan;
+    const std::string path = tempPath("scan_missing.gtrj");
+    fs::remove(path);
+    std::size_t kept = 1;
     std::string err;
-    fs::remove(tempPath("scan_missing.gtrj"));
-    ASSERT_TRUE(scanResume(tempPath("scan_missing.gtrj"),
-                           expectations("s", {0, 3}), scan, err));
-    EXPECT_EQ(scan.records, 0u);
-    EXPECT_EQ(scan.bytes, 0u);
+    ASSERT_TRUE(resumeTrajectory(path, expectations("s", {0, 3}), kept, err))
+        << err;
+    EXPECT_EQ(kept, 0u);
+    EXPECT_FALSE(fs::exists(path));
 }
 
-/** Records past the expected end mean the file holds a larger sweep:
+/** Records past the planned end mean the file holds a larger sweep:
  *  the run refuses it rather than cutting records it did not write. */
 TEST(ResumeScan, RecordsPastTheExpectedEndAreAnotherSweep)
 {
@@ -144,25 +148,25 @@ TEST(ResumeScan, RecordsPastTheExpectedEndAreAnotherSweep)
     ResumeScan scan;
     std::string err;
     std::size_t kept = 0;
-    EXPECT_FALSE(scanResume(path, expectations("s", {0, 3}), scan, err));
+    EXPECT_FALSE(scanResume(text, expectations("s", {0, 3}), scan, err));
     EXPECT_NE(err.find("another sweep"), std::string::npos) << err;
     EXPECT_FALSE(resumeTrajectory(path, expectations("s", {0, 3}), kept,
                                   err));
+    EXPECT_NE(err.find(path), std::string::npos) << err;
     EXPECT_EQ(slurp(path), text); // untouched
 }
 
 TEST(ResumeScan, FullFileIsKeptWhole)
 {
-    const std::string path = tempPath("scan_full.gtrj");
-    spit(path, gtrj::fileHeader() + fakeGtrjFrame("s", 0) +
-                   fakeGtrjFrame("s", 3, "fpppp"));
-    std::vector<ExpectedRecord> expected = expectations("s", {0, 3});
-    expected[1].cfg.benchmark = "fpppp";
+    const std::string text = gtrj::fileHeader() + fakeGtrjFrame("s", 0) +
+                             fakeGtrjFrame("s", 3, "fpppp");
+    SweepPlan plan = expectations("s", {0, 3});
+    plan[0].runs[1].benchmark = "fpppp";
     ResumeScan scan;
     std::string err;
-    ASSERT_TRUE(scanResume(path, expected, scan, err)) << err;
+    ASSERT_TRUE(scanResume(text, plan, scan, err)) << err;
     EXPECT_EQ(scan.records, 2u);
-    EXPECT_EQ(scan.bytes, slurp(path).size());
+    EXPECT_EQ(scan.bytes, text.size());
 }
 
 TEST(ResumeScan, TornTrailingFrameIsCut)
@@ -175,7 +179,8 @@ TEST(ResumeScan, TornTrailingFrameIsCut)
     spit(path, keep + second.substr(0, second.size() / 2));
     ResumeScan scan;
     std::string err;
-    ASSERT_TRUE(scanResume(path, expectations("s", {0, 3}), scan, err))
+    ASSERT_TRUE(
+        scanResume(slurp(path), expectations("s", {0, 3}), scan, err))
         << err;
     EXPECT_EQ(scan.records, 1u);
     EXPECT_EQ(scan.bytes, keep.size());
@@ -190,41 +195,40 @@ TEST(ResumeScan, TornTrailingFrameIsCut)
 
 TEST(ResumeScan, TornHeaderKeepsNothing)
 {
-    const std::string path = tempPath("scan_header.gtrj");
-    spit(path, gtrj::fileHeader().substr(0, 2));
     ResumeScan scan;
     std::string err;
-    ASSERT_TRUE(scanResume(path, expectations("s", {0}), scan, err))
+    ASSERT_TRUE(scanResume(gtrj::fileHeader().substr(0, 2),
+                           expectations("s", {0}), scan, err))
         << err;
     EXPECT_EQ(scan.records, 0u);
     EXPECT_EQ(scan.bytes, 0u); // the reopened sink rewrites it
 
     // A header that is not a prefix of ours is a foreign file.
-    spit(path, "{\"not\": \"gtrj\"}\n");
-    EXPECT_FALSE(scanResume(path, expectations("s", {0}), scan, err));
+    EXPECT_FALSE(scanResume("{\"not\": \"gtrj\"}\n",
+                            expectations("s", {0}), scan, err));
 }
 
-/** A frame that decodes but is not the expected record — another
+/** A frame that decodes but is not the planned record — another
  *  index, another instruction budget — is another sweep's: the scan
  *  refuses it instead of silently cutting valid records away. */
 TEST(ResumeScan, MismatchedFrameIsAnotherSweep)
 {
-    const std::string path = tempPath("scan_mismatch.gtrj");
-    spit(path, gtrj::fileHeader() + fakeGtrjFrame("s", 0) +
-                   fakeGtrjFrame("s", 7) + fakeGtrjFrame("s", 5));
     ResumeScan scan;
     std::string err;
-    EXPECT_FALSE(
-        scanResume(path, expectations("s", {0, 3, 5}), scan, err));
+    EXPECT_FALSE(scanResume(gtrj::fileHeader() + fakeGtrjFrame("s", 0) +
+                                fakeGtrjFrame("s", 7) +
+                                fakeGtrjFrame("s", 5),
+                            expectations("s", {0, 3, 5}), scan, err));
     EXPECT_NE(err.find("another sweep"), std::string::npos) << err;
 
-    spit(path, gtrj::fileHeader() + fakeGtrjFrame("s", 0, "adpcm", 3000));
-    EXPECT_FALSE(scanResume(path, expectations("s", {0}), scan, err));
+    EXPECT_FALSE(
+        scanResume(gtrj::fileHeader() + fakeGtrjFrame("s", 0, "adpcm", 3000),
+                   expectations("s", {0}), scan, err));
     EXPECT_NE(err.find("3000 insts"), std::string::npos) << err;
 
     // The benchmark is encoded from the results, and compared too.
-    spit(path, gtrj::fileHeader() + fakeGtrjFrame("s", 0, "gcc"));
-    EXPECT_FALSE(scanResume(path, expectations("s", {0}), scan, err));
+    EXPECT_FALSE(scanResume(gtrj::fileHeader() + fakeGtrjFrame("s", 0, "gcc"),
+                            expectations("s", {0}), scan, err));
     EXPECT_NE(err.find("gcc"), std::string::npos) << err;
 }
 
@@ -232,15 +236,13 @@ TEST(ResumeScan, MismatchedFrameIsAnotherSweep)
  *  sweep: it and everything after it is cut and re-run. */
 TEST(ResumeScan, UndecodableFrameEndsThePrefix)
 {
-    const std::string path = tempPath("scan_undecodable.gtrj");
     const std::string keep = gtrj::fileHeader() + fakeGtrjFrame("s", 0);
     std::string bad = fakeGtrjFrame("s", 3);
     bad[1] = '\x7f'; // the scenario name's length runs off the payload
-    spit(path, keep + bad + fakeGtrjFrame("s", 5));
     ResumeScan scan;
     std::string err;
-    ASSERT_TRUE(
-        scanResume(path, expectations("s", {0, 3, 5}), scan, err))
+    ASSERT_TRUE(scanResume(keep + bad + fakeGtrjFrame("s", 5),
+                           expectations("s", {0, 3, 5}), scan, err))
         << err;
     EXPECT_EQ(scan.records, 1u);
     EXPECT_EQ(scan.bytes, keep.size());
@@ -309,20 +311,16 @@ smallSweep()
     return sweep;
 }
 
-/** The unsharded trajectory of smallSweep(), generated in-process. */
+/** smallSweep()'s fig05 grid and its results, as an archive of an
+ *  older build wrote them: JSON lines straight from the reporter. */
 void
-writeReference(const ScenarioRegistry &registry,
-               const std::string &path)
+writeReference(const std::vector<RunConfig> &runs, const std::string &path,
+               const std::vector<std::size_t> *indices = nullptr)
 {
-    const SweepOptions sweep = smallSweep();
-    TrajectorySink sink(path);
-    const ExperimentEngine engine(1);
-    const Scenario *scenario = registry.find("fig05");
-    ASSERT_NE(scenario, nullptr);
-    const std::vector<RunConfig> runs =
-        expandReplicatedRuns(*scenario, sweep, nullptr);
-    sink.append("fig05", runs, engine.run(runs));
-    sink.close();
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    writeJsonLines(os, "fig05", runs, ExperimentEngine(1).run(runs),
+                   indices);
+    ASSERT_TRUE(os.good()) << path;
 }
 
 /** An archive whose manifest reads `"engine": "heap"` (written before
@@ -332,13 +330,12 @@ TEST(ArchiveCompat, HeapEraManifestStillVerifies)
 {
     ScenarioRegistry registry;
     bench::registerAllScenarios(registry);
-    const std::string traj = tempPath("compat.jsonl");
-    writeReference(registry, traj);
-
     const SweepOptions sweep = smallSweep();
     std::size_t gridSize = 0;
     const std::vector<RunConfig> runs = expandReplicatedRuns(
         *registry.find("fig05"), sweep, &gridSize);
+    const std::string traj = tempPath("compat.jsonl");
+    writeReference(runs, traj);
     const std::string manifest = tempPath("compat.manifest.json");
     writeManifestFile(manifest, sweep, traj,
                       {{"fig05", gridSize, 2, runConfigHash(runs)}});
@@ -382,12 +379,7 @@ TEST(ArchiveCompat, TextShardManifestStillVerifies)
     const std::vector<RunConfig> shardRuns = selectRuns(runs, indices);
 
     const std::string traj = tempPath("text_shard.jsonl");
-    {
-        TrajectorySink sink(traj);
-        sink.append("fig05", shardRuns,
-                    ExperimentEngine(1).run(shardRuns), &indices);
-        sink.close();
-    }
+    writeReference(shardRuns, traj, &indices);
     const std::string manifest = tempPath("text_shard.manifest.json");
     writeManifestFile(manifest, sweep, traj,
                       {{"fig05", gridSize, 2, runConfigHash(runs)}});
@@ -439,10 +431,11 @@ galsbench(const std::string &dir, const std::string &args)
  *  usage errors (exit 2) that write nothing: a warmup split on a
  *  fabric sweep, a fabric beyond the core cap or with a traffic spec
  *  naming a core it lacks, an interval meter finer than the nominal
- *  clock period, a manifest directory that does not exist, the
- *  retired --engine, dispatch and --resume-skip, an unknown
- *  benchmark, and environment defaults that the flags they stand for
- *  would reject. */
+ *  clock period, a manifest directory that does not exist, more runs
+ *  than maxPlannedRuns, a manifest at the trajectory's path, trajectory
+ *  files given to --merge, the retired --engine, --merge-manifest,
+ *  dispatch and --resume-skip, an unknown benchmark, and environment
+ *  defaults that the flags they stand for would reject. */
 TEST(CliUsage, UnsupportedSweepsExitTwo)
 {
     if (galsbenchBinary().empty())
@@ -469,6 +462,15 @@ TEST(CliUsage, UnsupportedSweepsExitTwo)
         {"GALSSIM_INSTS=0 ", "--scenario quickstart"},
         {"GALSSIM_INSTS=abc ", "--scenario quickstart"},
         {"GALSSIM_INSTS=5x ", "--scenario quickstart"},
+        // More runs than one invocation may plan.
+        {"", "--scenario fig05 --insts 100 --seeds 4000000000"},
+        // The manifest would replace the trajectory it describes.
+        {"", "--scenario quickstart --manifest out.jsonl"},
+        {"", "--scenario quickstart --manifest ./out.jsonl"},
+        {"", "--merge s1.json s2.json --manifest out.jsonl"},
+        // --merge takes the shard manifests.
+        {"", "--merge s1.gtrj s2.gtrj"},
+        {"", "--merge s1.json --merge-manifest s1.json"},
     };
     for (const auto &[env, args] : cases) {
         const std::string cmd = "cd '" + dir + "' && " + env + "'" +
@@ -507,9 +509,11 @@ TEST(CliUsage, UnsupportedSweepsExitTwo)
         ::unsetenv("GALSSIM_INSTS");
 }
 
-/** Flags a mode does not accept, text shard or resume outputs and
- *  text merge inputs (shards and resumable runs are .gtrj) are usage
- *  errors (exit 2) that write nothing. */
+/** Flags a mode does not accept, text shard or resume outputs,
+ *  trajectories given to --merge, a merge with nothing to write, an
+ *  --output directory that does not exist, and a parse --output that
+ *  is not text or is given with --format are usage errors (exit 2)
+ *  that write nothing. */
 TEST(CliUsage, EachModeRejectsWhatItCannotUse)
 {
     if (galsbenchBinary().empty())
@@ -530,6 +534,11 @@ TEST(CliUsage, EachModeRejectsWhatItCannotUse)
         "--scenario quickstart --resume --output out.csv",
         "--scenario quickstart --shard 1/2 --resume --manifest m.json",
         "--merge a.jsonl b.jsonl --output out.jsonl",
+        "--merge a.json b.json",
+        "--scenario quickstart --output nodir/out.jsonl",
+        "parse in.gtrj --output out.gtrj",
+        "parse in.gtrj --output out.txt",
+        "parse in.gtrj --format csv --output out.csv",
     };
     for (const std::string &args : cases)
         EXPECT_EQ(galsbench(dir, args), 2) << args;
@@ -664,6 +673,62 @@ TEST(ResumeExact, AnotherSweepIsRefusedAndLeftUntouched)
     EXPECT_FALSE(fs::exists(dir + "/out.json"));
 }
 
+/**
+ * Shards of two sweeps, a shard file replaced by another sweep's and
+ * a shard cut at a frame boundary are refused with exit 1, and no
+ * merged trajectory or manifest is left behind; once --resume has
+ * completed the cut shard, the merge equals the unsharded run.
+ */
+TEST(MergeExact, OnlyCompleteShardsOfOneSweepMerge)
+{
+    if (galsbenchBinary().empty())
+        GTEST_SKIP() << "galsbench binary not found (set GALSBENCH)";
+    const std::string dir = tempPath("merge");
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const std::string sweep = "--scenario fig05 --seeds 2 --insts 2000 ";
+    const std::string gcc = sweep + "--bench gcc ";
+    ASSERT_EQ(galsbench(dir, gcc + "--shard 1/2 --output a1.gtrj "
+                                   "--manifest a1.json"),
+              0);
+    ASSERT_EQ(galsbench(dir, gcc + "--shard 2/2 --output a2.gtrj "
+                                   "--manifest a2.json"),
+              0);
+    ASSERT_EQ(galsbench(dir, sweep + "--bench go --shard 2/2 --output "
+                                     "b2.gtrj --manifest b2.json"),
+              0);
+    ASSERT_EQ(galsbench(dir, gcc + "--output m.jsonl --manifest m.json"), 0);
+    fs::rename(dir + "/m.jsonl", dir + "/ref.jsonl");
+    fs::rename(dir + "/m.json", dir + "/ref.json");
+
+    const std::string merged = " --output m.jsonl --manifest m.json";
+    const auto refused = [&](const std::string &args) {
+        EXPECT_EQ(galsbench(dir, args + merged), 1) << args;
+        EXPECT_FALSE(fs::exists(dir + "/m.jsonl")) << args;
+        EXPECT_FALSE(fs::exists(dir + "/m.json")) << args;
+    };
+    refused("--merge a1.json b2.json");
+    const std::string a2 = slurp(dir + "/a2.gtrj");
+    spit(dir + "/a2.gtrj", slurp(dir + "/b2.gtrj"));
+    refused("--merge a1.json a2.json");
+
+    std::size_t pos = 0;
+    std::string err;
+    std::string_view payload;
+    ASSERT_TRUE(gtrj::readHeader(a2, pos, err)) << err;
+    ASSERT_EQ(gtrj::nextFrame(a2, pos, payload, err), gtrj::FrameStatus::ok);
+    spit(dir + "/a2.gtrj", a2.substr(0, pos));
+    refused("--merge a1.json a2.json");
+
+    ASSERT_EQ(galsbench(dir, gcc + "--shard 2/2 --output a2.gtrj "
+                                   "--manifest a2.json --resume"),
+              0);
+    EXPECT_EQ(slurp(dir + "/a2.gtrj"), a2);
+    ASSERT_EQ(galsbench(dir, "--merge a1.json a2.json" + merged), 0);
+    EXPECT_EQ(slurp(dir + "/m.jsonl"), slurp(dir + "/ref.jsonl"));
+    EXPECT_EQ(slurp(dir + "/m.json"), slurp(dir + "/ref.json"));
+}
+
 /** Frames currently in @p path (a torn tail just ends the count). */
 std::size_t
 framesIn(const std::string &path)
@@ -732,9 +797,8 @@ TEST(ResumeExact, SigkilledChildResumesByteIdentical)
                   slurp(dir + "/ref/out.gtrj.json"))
             << frames;
         for (const char *ext : {"jsonl", "csv"}) {
-            ASSERT_EQ(galsbench(res, std::string("parse out.gtrj --format ") +
-                                         (ext[0] == 'c' ? "csv" : "json") +
-                                         " --output out." + ext),
+            ASSERT_EQ(galsbench(res, std::string("parse out.gtrj --output "
+                                                 "out.") + ext),
                       0);
             EXPECT_EQ(slurp(res + "/out." + ext),
                       slurp(dir + "/ref/out." + ext))

@@ -1,6 +1,7 @@
 /**
  * @file
- * A seeded mutation harness for the `--resume` scanner.
+ * Seeded mutation harnesses for the `--resume` scanner and for the
+ * shard manifests `--merge` reads.
  *
  * Two real trajectories — fig05 over two seeds and a fabric_smoke
  * sweep, simulated in-process at a small budget — are cut, bit-flipped
@@ -11,9 +12,16 @@
  * refused with a message and left untouched. Every pure truncation
  * must reproduce the complete file. The largest single allocation
  * made while scanning is bounded by the input's size, so no length
- * read from the input sizes an allocation. The harness runs under
+ * read from the input sizes an allocation.
+ *
+ * The second harness mutates a real set of three shard manifests —
+ * truncations, byte flips, splices and inflated seed lists, grid
+ * sizes and shard counts — and merges each set: it must merge
+ * byte-identically to the unmutated set or be refused with a message,
+ * leaving no output behind, and no allocation may exceed what the
+ * planned-run cap (maxPlannedRuns) allows. Both harnesses run under
  * the sanitizer CI leg, where a crash or an out-of-bounds read fails
- * it.
+ * them.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +30,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <new>
 #include <random>
@@ -34,6 +43,7 @@
 #include "runner/atomic_file.hh"
 #include "runner/engine.hh"
 #include "runner/gtrj.hh"
+#include "runner/merge.hh"
 #include "runner/scenario.hh"
 #include "runner/trajectory.hh"
 
@@ -52,6 +62,14 @@ allocate(std::size_t n)
             ;
     }
     return std::malloc(n ? n : 1);
+}
+
+/** Out of line, so that the compiler does not pair an inlined
+ *  operator new with this free() and warn about the mismatch. */
+[[gnu::noinline]] void
+release(void *p) noexcept
+{
+    std::free(p);
 }
 
 } // namespace
@@ -84,12 +102,12 @@ operator new[](std::size_t n, const std::nothrow_t &) noexcept
     return allocate(n);
 }
 
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
-void operator delete(void *p, const std::nothrow_t &) noexcept { std::free(p); }
-void operator delete[](void *p, const std::nothrow_t &) noexcept { std::free(p); }
+void operator delete(void *p) noexcept { release(p); }
+void operator delete[](void *p) noexcept { release(p); }
+void operator delete(void *p, std::size_t) noexcept { release(p); }
+void operator delete[](void *p, std::size_t) noexcept { release(p); }
+void operator delete(void *p, const std::nothrow_t &) noexcept { release(p); }
+void operator delete[](void *p, const std::nothrow_t &) noexcept { release(p); }
 
 using namespace gals;
 using namespace gals::runner;
@@ -97,12 +115,12 @@ using namespace gals::runner;
 namespace
 {
 
-/** A complete sweep: its trajectory bytes, the records a resume of it
- *  expects, and the results that complete a cut copy. */
+/** A complete one-scenario sweep: its trajectory bytes, its plan
+ *  and the results that complete a cut copy. */
 struct Reference
 {
     std::string bytes;
-    std::vector<ExpectedRecord> expected;
+    SweepPlan plan;
     std::vector<RunResults> results;
 };
 
@@ -111,17 +129,12 @@ makeReference(const std::string &scenario, SweepOptions sweep)
 {
     ScenarioRegistry registry;
     bench::registerAllScenarios(registry);
-    const std::vector<RunConfig> runs =
-        expandReplicatedRuns(*registry.find(scenario), sweep, nullptr);
     Reference ref;
-    ref.results = ExperimentEngine(2).run(runs);
-    std::ostringstream os;
-    TrajectorySink sink(os, TrajectoryFormat::gtrj);
-    sink.append(scenario, runs, ref.results);
-    sink.close();
-    ref.bytes = os.str();
-    for (std::size_t i = 0; i < runs.size(); ++i)
-        ref.expected.push_back({scenario, i, runs[i]});
+    std::string err;
+    EXPECT_TRUE(planSweep(registry, {scenario}, sweep, ref.plan, err)) << err;
+    TrajectorySink sink;
+    ref.results = runSliceStreamed(ExperimentEngine(2), ref.plan[0], &sink);
+    ref.bytes = sink.frames();
     return ref;
 }
 
@@ -220,7 +233,7 @@ resumeOne(const Reference &ref, const std::string &input, bool truncation,
     std::string err;
     largestAllocation = 0;
     trackAllocations = true;
-    const bool ok = resumeTrajectory(path, ref.expected, kept, err);
+    const bool ok = resumeTrajectory(path, ref.plan, kept, err);
     trackAllocations = false;
     EXPECT_LE(largestAllocation.load(), 4 * input.size() + 65536) << what;
 
@@ -233,12 +246,13 @@ resumeOne(const Reference &ref, const std::string &input, bool truncation,
         return;
     }
     ++outcome.completed;
-    ASSERT_LE(kept, ref.expected.size()) << what;
+    const PlannedScenario &p = ref.plan[0];
+    ASSERT_LE(kept, p.runs.size()) << what;
     {
         TrajectorySink sink(path, true);
-        for (std::size_t k = kept; k < ref.expected.size(); ++k)
-            sink.appendOne(ref.expected[k].scenario, ref.expected[k].cfg,
-                           ref.results[k], ref.expected[k].index);
+        for (std::size_t k = kept; k < p.runs.size(); ++k)
+            sink.appendOne(p.manifest.name, p.runs[k], ref.results[k],
+                           p.indices[k]);
         sink.close();
     }
     const std::string done = slurp(path);
@@ -251,9 +265,9 @@ resumeOne(const Reference &ref, const std::string &input, bool truncation,
     // need not equal the reference; it must still be a whole
     // trajectory of this sweep.
     ResumeScan scan;
-    ASSERT_TRUE(scanResume(path, ref.expected, scan, err))
+    ASSERT_TRUE(scanResume(done, ref.plan, scan, err))
         << what << ": " << err;
-    EXPECT_EQ(scan.records, ref.expected.size()) << what;
+    EXPECT_EQ(scan.records, p.runs.size()) << what;
     EXPECT_EQ(scan.bytes, done.size()) << what;
 }
 
@@ -268,8 +282,8 @@ TEST(ResumeFuzz, CutsFlipsAndSplicesCompleteOrAreRefused)
     const std::vector<Reference> refs = {makeReference("fig05", fig05),
                                          makeReference("fabric_smoke",
                                                        fabric)};
-    ASSERT_EQ(refs[0].expected.size(), 64u);
-    ASSERT_GE(refs[1].expected.size(), 2u);
+    ASSERT_EQ(refs[0].plan[0].runs.size(), 64u);
+    ASSERT_GE(refs[1].plan[0].runs.size(), 2u);
 
     std::mt19937_64 rng(20020525);
     const auto below = [&](std::size_t n) {
@@ -361,6 +375,185 @@ TEST(ResumeFuzz, CutsFlipsAndSplicesCompleteOrAreRefused)
     EXPECT_GE(cases, 300u);
     std::printf("resume fuzz: %u cases, %u completed, %u refused\n",
                 cases, outcome.completed, outcome.refused);
+}
+
+/** @p text with its first @p field value (the text after `"field": `
+ *  up to the next ',' or '}') replaced by @p value. */
+std::string
+withField(std::string text, const std::string &field,
+          const std::string &value)
+{
+    const std::string key = "\"" + field + "\": ";
+    const std::size_t at = text.find(key);
+    EXPECT_NE(at, std::string::npos) << field;
+    const std::size_t from = at + key.size();
+    std::size_t to = from;
+    for (int depth = 0; to < text.size(); ++to) {
+        const char c = text[to];
+        depth += c == '[' ? 1 : c == ']' ? -1 : 0;
+        if (depth == 0 && (c == ',' || c == '}' || c == '\n'))
+            break;
+        if (depth == 0 && c == ']') {
+            ++to;
+            break;
+        }
+    }
+    return text.replace(from, to - from, value);
+}
+
+/** "[0, 1, ..., n-1]". */
+std::string
+seedList(std::size_t n)
+{
+    std::string out = "[";
+    for (std::size_t i = 0; i < n; ++i)
+        out += (i ? ", " : "") + std::to_string(i);
+    return out + "]";
+}
+
+TEST(MergeFuzz, ManifestMutationsMergeExactlyOrAreRefused)
+{
+    namespace fs = std::filesystem;
+    ScenarioRegistry registry;
+    bench::registerAllScenarios(registry);
+    SweepOptions sweep;
+    sweep.instructions = 1000;
+    sweep.benchmarks = {"gcc", "go"};
+    sweep.seedReplicas = 2;
+    const std::string dir = tempPath("merge/");
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+
+    // A real three-shard sweep, and the unsharded run a merge of it
+    // must equal.
+    const auto writeRun = [&](const SweepOptions &opts,
+                              const std::string &output,
+                              const std::string &manifest) {
+        SweepPlan plan;
+        std::string err;
+        ASSERT_TRUE(planSweep(registry, {"fig05"}, opts, plan, err)) << err;
+        TrajectorySink sink(output);
+        runSliceStreamed(ExperimentEngine(2), plan[0], &sink);
+        sink.close();
+        writeManifestFile(manifest, opts, output, {plan[0].manifest});
+    };
+    std::vector<std::string> paths, originals;
+    for (unsigned i = 1; i <= 3; ++i) {
+        SweepOptions opts = sweep;
+        opts.shard = ShardSpec{i, 3};
+        const std::string stem = dir + "s" + std::to_string(i);
+        writeRun(opts, stem + ".gtrj", stem + ".json");
+        paths.push_back(stem + ".json");
+        originals.push_back(slurp(stem + ".json"));
+    }
+    const std::string merged = dir + "merged.jsonl";
+    const std::string mergedManifest = dir + "merged.json";
+    writeRun(sweep, merged, mergedManifest);
+    const std::string refOut = slurp(merged);
+    const std::string refManifest = slurp(mergedManifest);
+
+    // Past the cap a plan is refused after one replica, so the largest
+    // planned vector holds maxPlannedRuns configs, at most doubled by
+    // its growth.
+    const std::size_t bound = 2 * maxPlannedRuns * sizeof(RunConfig);
+    Outcome outcome;
+    unsigned cases = 0;
+    std::size_t largest = 0;
+    const auto mergeOne = [&](const std::vector<std::string> &texts,
+                              const std::string &what) {
+        for (std::size_t i = 0; i < paths.size(); ++i)
+            spit(paths[i], texts[i]);
+        fs::remove(merged);
+        fs::remove(mergedManifest);
+        std::ostringstream diag;
+        largestAllocation = 0;
+        trackAllocations = true;
+        const bool ok =
+            mergeShards(registry, paths, merged, mergedManifest, diag);
+        trackAllocations = false;
+        largest = std::max(largest, largestAllocation.load());
+        EXPECT_LE(largestAllocation.load(), bound) << what;
+        ++cases;
+        if (ok) {
+            ++outcome.completed;
+            EXPECT_EQ(slurp(merged), refOut) << what;
+            EXPECT_EQ(slurp(mergedManifest), refManifest) << what;
+            return;
+        }
+        ++outcome.refused;
+        EXPECT_NE(diag.str().find("merge: "), std::string::npos) << what;
+        EXPECT_FALSE(fs::exists(merged)) << what;
+        EXPECT_FALSE(fs::exists(mergedManifest)) << what;
+    };
+    mergeOne(originals, "unmutated");
+    ASSERT_EQ(outcome.completed, 1u);
+
+    std::mt19937_64 rng(20020526);
+    const auto below = [&](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    for (int i = 0; i < 80; ++i) {
+        std::vector<std::string> texts = originals;
+        std::string &t = texts[below(3)];
+        t.resize(below(t.size()));
+        mergeOne(texts, "truncation " + std::to_string(t.size()));
+    }
+    for (int i = 0; i < 120; ++i) {
+        std::vector<std::string> texts = originals;
+        std::string &t = texts[below(3)];
+        std::string what = "flip";
+        for (std::size_t n = 1 + below(4); n > 0; --n) {
+            const std::size_t at = below(t.size());
+            t[at] = static_cast<char>(t[at] ^ static_cast<char>(1 + below(255)));
+            what += " " + std::to_string(at);
+        }
+        mergeOne(texts, what);
+    }
+    for (int i = 0; i < 80; ++i) {
+        std::vector<std::string> texts = originals;
+        const std::size_t into = below(3);
+        const std::string &donor = originals[below(3)];
+        const std::size_t cut = below(texts[into].size() + 1);
+        const std::size_t from = below(donor.size() + 1);
+        texts[into] = texts[into].substr(0, cut) + donor.substr(from);
+        mergeOne(texts, "splice " + std::to_string(cut) + "+" +
+                            std::to_string(from));
+    }
+
+    // Inflated values, in one manifest or in all three (only the
+    // latter gets past the agreement checks to the plan).
+    const std::string huge = "18446744073709551615";
+    const std::vector<std::pair<std::string, std::string>> inflations = {
+        {"seeds", seedList(200000)},
+        {"seeds", seedList(65537)},
+        {"seeds", seedList(65536)},
+        {"seeds", seedList(32768)},
+        {"seeds", "[0, " + huge + "]"},
+        {"grid", "4294967296000"},
+        {"grid", huge},
+        {"replicas", huge},
+        {"count", "4294967299"},
+        {"count", huge},
+        {"count", "1000000"},
+        {"index", "4000000000"},
+        {"instructions", huge},
+    };
+    for (const auto &[field, value] : inflations)
+        for (bool all : {false, true}) {
+            std::vector<std::string> texts = originals;
+            for (std::size_t i = 0; i < texts.size(); ++i)
+                if (all || i == 1)
+                    texts[i] = withField(texts[i], field, value);
+            mergeOne(texts, field + " = " + value.substr(0, 24) +
+                                (all ? " in all" : " in one"));
+        }
+
+    EXPECT_GT(outcome.completed, 1u);
+    EXPECT_GT(outcome.refused, 0u);
+    EXPECT_GE(cases, 300u);
+    std::printf("merge fuzz: %u cases, %u merged, %u refused, largest "
+                "allocation %zu bytes\n",
+                cases, outcome.completed, outcome.refused, largest);
 }
 
 } // namespace

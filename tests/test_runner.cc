@@ -262,19 +262,16 @@ archiveSweep(const std::string &dir, const std::string &trajName)
     opts.benchmarks = {"gcc"};
     opts.explicitSeeds = {0, 1};
 
-    const Scenario *scenario = registry().find("quickstart");
-    std::size_t gridSize = 0;
-    const auto runs = expandReplicatedRuns(*scenario, opts, &gridSize);
-    const auto results = ExperimentEngine(2).run(runs);
-
+    SweepPlan plan;
+    std::string err;
+    EXPECT_TRUE(planSweep(registry(), {"quickstart"}, opts, plan, err))
+        << err;
     TrajectorySink sink(dir + trajName);
-    sink.append(scenario->name, runs, results);
+    runSliceStreamed(ExperimentEngine(2), plan.at(0), &sink);
     sink.close();
 
     const std::string manifestPath = dir + trajName + ".manifest";
-    writeManifestFile(manifestPath, opts, trajName,
-                      {{scenario->name, gridSize, 2,
-                        runConfigHash(runs)}});
+    writeManifestFile(manifestPath, opts, trajName, {plan[0].manifest});
     return manifestPath;
 }
 
@@ -388,6 +385,60 @@ TEST(Verify, MissingTrajectoryOrUnknownScenarioFailCleanly)
     EXPECT_NE(diag2.str().find("unknown scenario"),
               std::string::npos)
         << diag2.str();
+}
+
+/** A manifest describing more runs than one invocation may plan is
+ *  refused with a message before its grids are expanded. */
+TEST(Verify, PlanPastTheRunCapIsRefused)
+{
+    const std::string dir = ::testing::TempDir();
+    SweepOptions opts;
+    opts.instructions = 1500;
+    for (std::uint64_t seed = 0; seed <= maxPlannedRuns; ++seed)
+        opts.explicitSeeds.push_back(seed);
+    const std::string manifest = dir + "verify_cap.manifest";
+    writeManifestFile(manifest, opts, "verify_cap.jsonl",
+                      {{"fig05", 32, opts.explicitSeeds.size(), 0}});
+    std::ostringstream diag;
+    EXPECT_FALSE(
+        verifyManifest(registry(), ExperimentEngine(1), manifest, diag));
+    EXPECT_NE(diag.str().find("more than the 65536 runs"),
+              std::string::npos)
+        << diag.str();
+}
+
+/** A core count past the fabric cap is a malformed manifest, not a
+ *  value to truncate into range. */
+TEST(Verify, CoreCountPastTheCapIsMalformed)
+{
+    const std::string dir = ::testing::TempDir();
+    SweepOptions opts;
+    opts.instructions = 1500;
+    opts.coreCounts = {2};
+    const std::string manifest = dir + "verify_cores.manifest";
+    writeManifestFile(manifest, opts, "verify_cores.jsonl",
+                      {{"fabric_smoke", 1, 1, 0}});
+    std::string text;
+    {
+        std::ifstream is(manifest, std::ios::binary);
+        std::ostringstream buf;
+        buf << is.rdbuf();
+        text = buf.str();
+    }
+    const std::string cores = "\"cores\": [2]";
+    ASSERT_NE(text.find(cores), std::string::npos) << text;
+    text.replace(text.find(cores), cores.size(),
+                 "\"cores\": [4294967298]"); // 2 mod 2^32
+    {
+        std::ofstream os(manifest, std::ios::binary | std::ios::trunc);
+        os << text;
+    }
+    std::ostringstream diag;
+    EXPECT_FALSE(
+        verifyManifest(registry(), ExperimentEngine(1), manifest, diag));
+    EXPECT_NE(diag.str().find("fabric core count not in 1..1024"),
+              std::string::npos)
+        << diag.str();
 }
 
 TEST(PairHelpers, AppendPairConvention)

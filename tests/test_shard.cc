@@ -3,11 +3,11 @@
  * Tests for grid sharding and shard fan-in: shardRunIndices() must
  * partition any grid completely, disjointly and near-evenly; the
  * JSON reader must round-trip our own record formats; and
- * mergeTrajectories()/mergeManifests() must reassemble .gtrj shard
- * files byte-identical to the unsharded originals in every output
- * format — including scenario-order recovery, the overlap/gap error
- * paths and the refusal of text or torn shards. Everything here runs
- * on fabricated results, no simulation.
+ * mergeShards() must reassemble complete .gtrj shards, named by their
+ * manifests, byte-identical to the unsharded originals in every
+ * output format, and refuse duplicate, missing, short, torn, text and
+ * foreign shards without writing anything. Everything here runs on
+ * fabricated scenarios and results, no simulation.
  */
 
 #include <gtest/gtest.h>
@@ -108,36 +108,106 @@ struct FakeGrid
     }
 };
 
-/** Write the unsharded trajectory of @p grids to @p path. */
-void
-writeUnsharded(const std::string &path,
-               const std::vector<FakeGrid> &grids)
+/** A registry of two fabricated scenarios: "alpha" (7 runs) and
+ *  "beta" (2 runs, fewer than the shard count of the merge tests, so
+ *  one shard holds none of its records). */
+const ScenarioRegistry &
+fakeRegistry()
 {
-    TrajectorySink sink(path);
-    for (const FakeGrid &g : grids)
-        sink.append(g.name, g.cfgs, g.results);
-    sink.close();
+    static const ScenarioRegistry registry = [] {
+        ScenarioRegistry r;
+        for (const auto &[name, n] :
+             {std::pair<const char *, std::size_t>{"alpha", 7},
+              {"beta", 2}}) {
+            Scenario s;
+            s.name = name;
+            s.makeRuns = [n = n](const SweepOptions &opts) {
+                std::vector<RunConfig> runs;
+                for (std::size_t i = 0; i < n; ++i) {
+                    runs.push_back(fakeConfig(i));
+                    runs.back().instructions = opts.instructions;
+                    runs.back().seed = opts.seed;
+                }
+                return runs;
+            };
+            r.add(std::move(s));
+        }
+        return r;
+    }();
+    return registry;
 }
 
-/** Write shard @p shard of @p grids to @p path, the way galsbench
- *  does: slice per scenario, records carrying canonical indices. */
-void
-writeShard(const std::string &path, const std::vector<FakeGrid> &grids,
-           const ShardSpec &shard)
+/** A sweep of both fake scenarios. */
+SweepOptions
+fakeSweep()
 {
-    TrajectorySink sink(path);
-    for (const FakeGrid &g : grids) {
-        const std::vector<std::size_t> indices =
-            shardRunIndices(g.cfgs.size(), shard);
-        std::vector<RunConfig> cfgs;
-        std::vector<RunResults> results;
-        for (std::size_t i : indices) {
-            cfgs.push_back(g.cfgs[i]);
-            results.push_back(g.results[i]);
-        }
-        sink.append(g.name, cfgs, results, &indices);
+    SweepOptions opts;
+    opts.instructions = 2000;
+    opts.explicitSeeds = {3, 5};
+    return opts;
+}
+
+/**
+ * Write @p opts's sweep of the fake scenarios the way galsbench does:
+ * the planned records (the shard's slice under opts.shard) to
+ * @p output in its extension's format, unless empty, then the
+ * manifest.
+ */
+void
+writeSweep(const SweepOptions &opts, const std::string &output,
+           const std::string &manifest)
+{
+    SweepPlan plan;
+    std::string err;
+    ASSERT_TRUE(
+        planSweep(fakeRegistry(), {"alpha", "beta"}, opts, plan, err))
+        << err;
+    std::vector<ManifestScenario> entries;
+    for (const PlannedScenario &p : plan)
+        entries.push_back(p.manifest);
+    if (!output.empty()) {
+        TrajectorySink sink(output);
+        for (const PlannedScenario &p : plan)
+            for (std::size_t k = 0; k < p.runs.size(); ++k) {
+                RunResults r = fakeResult(p.indices[k]);
+                r.benchmark = p.runs[k].benchmark;
+                r.gals = p.runs[k].gals;
+                sink.appendOne(p.manifest.name, p.runs[k], r,
+                               p.indices[k]);
+            }
+        sink.close();
     }
-    sink.close();
+    writeManifestFile(manifest, opts, output, entries);
+}
+
+/** Shard @p i of @p n of @p opts: its .gtrj and its manifest, named
+ *  after @p stem; returns the manifest path. */
+std::string
+writeShard(SweepOptions opts, const std::string &stem, unsigned i,
+           unsigned n, bool withOutput = true)
+{
+    opts.shard = ShardSpec{i, n};
+    const std::string base = tempPath(stem + std::to_string(i));
+    writeSweep(opts, withOutput ? base + ".gtrj" : "", base + ".json");
+    return base + ".json";
+}
+
+/** mergeShards() of the fake registry, expected to fail with
+ *  @p message and to write neither output. */
+void
+expectRefused(const std::vector<std::string> &manifests,
+              const std::string &message)
+{
+    const std::string merged = tempPath("refused.jsonl");
+    const std::string mergedManifest = tempPath("refused.json");
+    std::remove(merged.c_str());
+    std::remove(mergedManifest.c_str());
+    std::ostringstream diag;
+    EXPECT_FALSE(mergeShards(fakeRegistry(), manifests, merged,
+                             mergedManifest, diag));
+    EXPECT_NE(diag.str().find(message), std::string::npos) << diag.str();
+    EXPECT_FALSE(std::filesystem::exists(merged)) << message;
+    EXPECT_FALSE(std::filesystem::exists(mergedManifest)) << message;
 }
 
 } // namespace
@@ -261,273 +331,142 @@ TEST(Json, DeepNestingIsAnErrorNotACrash)
         << err;
 }
 
-TEST(Merge, GtrjShardsReassembleByteIdenticalInEveryFormat)
+TEST(Merge, ShardsReassembleByteIdenticalInEveryFormat)
 {
-    // Two scenarios: one whose grid (2 runs) is smaller than the
-    // shard count, so one shard holds no record of it at all.
-    const std::vector<FakeGrid> grids = {FakeGrid("alpha", 7),
-                                         FakeGrid("beta", 2)};
-    std::vector<std::string> shardFiles;
-    for (unsigned i = 1; i <= 3; ++i) {
-        const std::string path =
-            tempPath("s" + std::to_string(i) + ".gtrj");
-        writeShard(path, grids, ShardSpec{i, 3});
-        shardFiles.push_back(path);
-    }
-    // File order must not matter: shard files arrive in whatever
-    // order the CI fan-in downloaded them.
-    const std::vector<std::string> reversed(shardFiles.rbegin(),
-                                            shardFiles.rend());
+    std::vector<std::string> manifests;
+    for (unsigned i = 1; i <= 3; ++i)
+        manifests.push_back(writeShard(fakeSweep(), "s", i, 3));
+    // Manifest order must not matter: shards arrive in whatever order
+    // the CI fan-in downloaded them.
+    const std::vector<std::string> reversed(manifests.rbegin(),
+                                            manifests.rend());
 
     for (const char *ext : {".gtrj", ".jsonl", ".csv"}) {
+        const std::string merged = tempPath(std::string("merged") + ext);
         const std::string ref = tempPath(std::string("ref") + ext);
-        writeUnsharded(ref, grids);
-        const std::string merged =
-            tempPath(std::string("merged") + ext);
-        for (const auto &files : {shardFiles, reversed}) {
+        // The reference manifest records the merged output's path.
+        writeSweep(fakeSweep(), merged, ref + ".json");
+        std::filesystem::rename(merged, ref);
+        for (const auto &files : {manifests, reversed}) {
             std::ostringstream diag;
-            ASSERT_TRUE(mergeTrajectories(files, merged, diag))
+            ASSERT_TRUE(mergeShards(fakeRegistry(), files, merged,
+                                    merged + ".json", diag))
                 << ext << ": " << diag.str();
             EXPECT_EQ(slurp(merged), slurp(ref)) << ext;
+            EXPECT_EQ(slurp(merged + ".json"), slurp(ref + ".json")) << ext;
         }
     }
 }
 
-TEST(Merge, DetectsOverlapGapAndFormatMismatch)
+/** Shards run with --manifest only merge into the manifest alone;
+ *  asking for the trajectory too is refused. */
+TEST(Merge, ManifestOnlyShardsMergeTheManifest)
 {
-    const std::vector<FakeGrid> grids = {FakeGrid("alpha", 6)};
-    std::vector<std::string> shardFiles;
-    for (unsigned i = 1; i <= 3; ++i) {
-        const std::string path =
-            tempPath("e" + std::to_string(i) + ".gtrj");
-        writeShard(path, grids, ShardSpec{i, 3});
-        shardFiles.push_back(path);
-    }
-    const std::string merged = tempPath("emerged.jsonl");
-    std::remove(merged.c_str());
-
-    // Same shard twice: duplicate canonical indices.
-    {
-        std::ostringstream diag;
-        EXPECT_FALSE(mergeTrajectories(
-            {shardFiles[0], shardFiles[1], shardFiles[1]}, merged,
-            diag));
-        EXPECT_NE(diag.str().find("overlapping"), std::string::npos)
-            << diag.str();
-    }
-    // A shard missing: index gaps.
-    {
-        std::ostringstream diag;
-        EXPECT_FALSE(mergeTrajectories(
-            {shardFiles[0], shardFiles[2]}, merged, diag));
-        EXPECT_NE(diag.str().find("missing"), std::string::npos)
-            << diag.str();
-    }
-    // A text shard (what older builds wrote): refused with a message,
-    // and no output file is left behind.
-    {
-        const std::string text = tempPath("e2.jsonl");
-        writeShard(text, grids, ShardSpec{2, 3});
-        std::ostringstream diag;
-        EXPECT_FALSE(mergeTrajectories(
-            {shardFiles[0], text, shardFiles[2]}, merged, diag));
-        EXPECT_NE(diag.str().find("shard files are .gtrj"),
-                  std::string::npos)
-            << diag.str();
-        EXPECT_FALSE(std::filesystem::exists(merged));
-    }
-    // A torn shard (a worker killed mid-frame): refused the same way.
-    {
-        const std::string torn = tempPath("e2_torn.gtrj");
-        const std::string full = slurp(shardFiles[1]);
-        spit(torn, full.substr(0, full.size() - 5));
-        std::ostringstream diag;
-        EXPECT_FALSE(mergeTrajectories(
-            {shardFiles[0], torn, shardFiles[2]}, merged, diag));
-        EXPECT_NE(diag.str().find(torn + " record 2"),
-                  std::string::npos)
-            << diag.str();
-        EXPECT_FALSE(std::filesystem::exists(merged));
-    }
-    // A lone shard file whose records reveal the stride: the file
-    // count contradicts it even though indices are a contiguous
-    // prefix... of nothing — shard 1 alone starts at 0 with step 3.
-    {
-        std::ostringstream diag;
-        EXPECT_FALSE(
-            mergeTrajectories({shardFiles[0]}, merged, diag));
-        EXPECT_NE(diag.str().find("missing"), std::string::npos)
-            << diag.str();
-    }
-    // Shard files from different sweeps: same scenario, different
-    // instruction budgets — must not fuse.
-    {
-        std::vector<FakeGrid> other = {FakeGrid("alpha", 6)};
-        for (RunConfig &c : other[0].cfgs)
-            c.instructions = 4000; // grids[] uses 2000
-        const std::string path = tempPath("e_other.gtrj");
-        writeShard(path, other, ShardSpec{2, 3});
-        std::ostringstream diag;
-        EXPECT_FALSE(mergeTrajectories(
-            {shardFiles[0], path, shardFiles[2]}, merged, diag));
-        EXPECT_NE(diag.str().find("different sweeps"),
-                  std::string::npos)
-            << diag.str();
-    }
-    EXPECT_FALSE(std::filesystem::exists(merged));
-}
-
-TEST(Merge, SuffixGapsAreCaughtByStrideOrManifestPlan)
-{
-    // The adversarial case: a 2-run grid over 2 shards leaves one
-    // record per file, so the records alone carry no stride
-    // evidence. A lone shard 1 must be refused outright, and with
-    // the manifest plan the missing-suffix merge is caught by the
-    // declared run count.
-    const std::vector<FakeGrid> grids = {FakeGrid("alpha", 2)};
-    std::vector<std::string> shardFiles;
-    for (unsigned i = 1; i <= 2; ++i) {
-        const std::string path =
-            tempPath("sg" + std::to_string(i) + ".gtrj");
-        writeShard(path, grids, ShardSpec{i, 2});
-        shardFiles.push_back(path);
-    }
-    const std::string merged = tempPath("sg.merged.gtrj");
-
-    {
-        std::ostringstream diag;
-        EXPECT_FALSE(
-            mergeTrajectories({shardFiles[0]}, merged, diag));
-        EXPECT_NE(diag.str().find("cannot be proven"),
-                  std::string::npos)
-            << diag.str();
-        // Even with both files, no record-level evidence proves
-        // completeness — without the manifest plan the merge must
-        // refuse rather than silently accept a possibly-truncated
-        // set.
-        std::ostringstream diag2;
-        EXPECT_FALSE(mergeTrajectories(shardFiles, merged, diag2));
-        EXPECT_NE(diag2.str().find("cannot be proven"),
-                  std::string::npos)
-            << diag2.str();
-    }
-    {
-        MergePlan plan;
-        plan.shardCount = 2;
-        plan.scenarios = {{"alpha", 2, 1, 0}};
-        std::ostringstream diag;
-        EXPECT_FALSE(mergeTrajectories({shardFiles[0]}, merged,
-                                       diag, &plan));
-        std::ostringstream diag2;
-        EXPECT_TRUE(mergeTrajectories(shardFiles, merged, diag2,
-                                      &plan))
-            << diag2.str();
-        // Plan with a wrong run count: records can't satisfy it.
-        plan.scenarios = {{"alpha", 3, 1, 0}};
-        std::ostringstream diag3;
-        EXPECT_FALSE(mergeTrajectories(shardFiles, merged, diag3,
-                                       &plan));
-        EXPECT_NE(diag3.str().find("declare"), std::string::npos)
-            << diag3.str();
-    }
-}
-
-TEST(Merge, ManifestsReassembleByteIdentical)
-{
-    SweepOptions opts;
-    opts.instructions = 2000;
-    opts.explicitSeeds = {3, 5};
-    opts.benchmarks = {"gcc", "fpppp"};
-    const std::vector<ManifestScenario> scenarios = {
-        {"alpha", 4, 2, 0x0123456789abcdefull},
-        {"beta", 2, 2, 0xfedcba9876543210ull},
-    };
-
-    const std::string ref = tempPath("ref.manifest.json");
-    writeManifestFile(ref, opts, "BENCH.jsonl", scenarios);
-
-    std::vector<std::string> shardFiles;
-    for (unsigned i = 1; i <= 3; ++i) {
-        SweepOptions shardOpts = opts;
-        shardOpts.shard = ShardSpec{i, 3};
-        const std::string path =
-            tempPath("m" + std::to_string(i) + ".json");
-        writeManifestFile(path, shardOpts,
-                          "shard_" + std::to_string(i) + ".jsonl",
-                          scenarios);
-        shardFiles.push_back(path);
-    }
-
-    const std::string merged = tempPath("merged.manifest.json");
+    std::vector<std::string> manifests;
+    for (unsigned i = 1; i <= 3; ++i)
+        manifests.push_back(writeShard(fakeSweep(), "mo", i, 3, false));
+    const std::string ref = tempPath("mo.ref.json");
+    writeSweep(fakeSweep(), "", ref);
+    const std::string merged = tempPath("mo.merged.json");
     std::ostringstream diag;
-    ASSERT_TRUE(
-        mergeManifests(shardFiles, merged, "BENCH.jsonl", diag))
+    ASSERT_TRUE(mergeShards(fakeRegistry(), manifests, "", merged, diag))
         << diag.str();
     EXPECT_EQ(slurp(merged), slurp(ref));
+    expectRefused(manifests, "names no trajectory");
 }
 
-TEST(Merge, ManifestsRejectMismatchesAndIncompleteSets)
+TEST(Merge, RefusesAnIncompleteOrForeignShardSet)
 {
-    SweepOptions opts;
-    opts.instructions = 2000;
-    opts.explicitSeeds = {0};
-    const std::vector<ManifestScenario> scenarios = {
-        {"alpha", 4, 1, 0x1111111111111111ull}};
+    std::vector<std::string> m;
+    for (unsigned i = 1; i <= 3; ++i)
+        m.push_back(writeShard(fakeSweep(), "e", i, 3));
 
-    std::vector<std::string> shardFiles;
-    for (unsigned i = 1; i <= 2; ++i) {
-        SweepOptions shardOpts = opts;
-        shardOpts.shard = ShardSpec{i, 2};
-        const std::string path =
-            tempPath("mm" + std::to_string(i) + ".json");
-        writeManifestFile(path, shardOpts, "s.jsonl", scenarios);
-        shardFiles.push_back(path);
-    }
-    const std::string merged = tempPath("mm.merged.json");
-
-    // A shard missing.
-    {
-        std::ostringstream diag;
-        EXPECT_FALSE(
-            mergeManifests({shardFiles[0]}, merged, "", diag));
-    }
-    // The same shard twice.
-    {
-        std::ostringstream diag;
-        EXPECT_FALSE(mergeManifests({shardFiles[0], shardFiles[0]},
-                                    merged, "", diag));
-        EXPECT_NE(diag.str().find("twice"), std::string::npos)
-            << diag.str();
-    }
-    // Disagreeing sweeps (different instruction budget).
-    {
-        SweepOptions other = opts;
-        other.instructions = 4000;
-        other.shard = ShardSpec{2, 2};
-        const std::string path = tempPath("mm2b.json");
-        writeManifestFile(path, other, "s.jsonl", scenarios);
-        std::ostringstream diag;
-        EXPECT_FALSE(mergeManifests({shardFiles[0], path}, merged,
-                                    "", diag));
-        EXPECT_NE(diag.str().find("disagrees"), std::string::npos)
-            << diag.str();
-    }
+    expectRefused({m[0], m[1], m[1]}, "appears twice");
+    expectRefused({m[0], m[2]}, "declare 3 shards but 2");
+    // Another sweep's shard: its manifest disagrees.
+    SweepOptions other = fakeSweep();
+    other.instructions = 4000;
+    const std::string foreign = writeShard(other, "e_other", 2, 3);
+    expectRefused({m[0], foreign, m[2]}, "disagrees");
     // An unsharded manifest is not a shard.
-    {
-        const std::string path = tempPath("mm.unsharded.json");
-        writeManifestFile(path, opts, "s.jsonl", scenarios);
+    const std::string whole = tempPath("e_whole.json");
+    writeSweep(fakeSweep(), "", whole);
+    expectRefused({whole}, "not a shard");
+
+    // Another sweep's frames behind a valid manifest.
+    const std::string shard2 = tempPath("e2.gtrj");
+    const std::string saved = slurp(shard2);
+    spit(shard2, slurp(tempPath("e_other2.gtrj")));
+    expectRefused(m, "holds another sweep");
+    // A text shard, as an older build wrote them.
+    spit(shard2, "{\"scenario\": \"alpha\"}\n");
+    expectRefused(m, "is not a gtrj trajectory");
+    spit(shard2, saved);
+
+    // An unwritable destination reports back instead of dying.
+    std::ostringstream diag;
+    EXPECT_FALSE(mergeShards(fakeRegistry(), m, "",
+                             "/nonexistent-dir/merged.json", diag));
+    EXPECT_NE(diag.str().find("cannot open"), std::string::npos)
+        << diag.str();
+}
+
+/** The records alone cannot show that a shard lost its last record;
+ *  the plan can. A shard cut at any frame boundary, or torn inside a
+ *  frame, is refused until --resume completes it. */
+TEST(Merge, ShortShardIsRefusedUntilResumed)
+{
+    std::vector<std::string> m;
+    for (unsigned i = 1; i <= 2; ++i)
+        m.push_back(writeShard(fakeSweep(), "sg", i, 2));
+    const std::string shard2 = tempPath("sg2.gtrj");
+    const std::string full = slurp(shard2);
+    const std::string merged = tempPath("sg.merged.gtrj");
+    const std::string ref = tempPath("sg.ref.gtrj");
+    writeSweep(fakeSweep(), ref, ref + ".json");
+
+    SweepOptions opts = fakeSweep();
+    opts.shard = ShardSpec{2, 2};
+    SweepPlan plan;
+    std::string err;
+    ASSERT_TRUE(
+        planSweep(fakeRegistry(), {"alpha", "beta"}, opts, plan, err))
+        << err;
+    const std::size_t records = plannedRecords(plan);
+    ASSERT_EQ(records, 9u); // 7 of alpha's 14 runs, 2 of beta's 4
+
+    for (std::size_t cut : {std::size_t(0), std::size_t(5), full.size() / 2,
+                            full.size() - 1}) {
+        spit(shard2, full.substr(0, cut));
+        ResumeScan scan;
+        ASSERT_TRUE(scanResume(full.substr(0, cut), plan, scan, err)) << err;
+        ASSERT_LT(scan.records, records);
+        expectRefused(m, " holds " + std::to_string(scan.records) +
+                             " of its 9 records; complete it with --resume");
+
+        // Resume: keep the valid prefix, append the rest.
+        std::size_t kept = 0;
+        ASSERT_TRUE(resumeTrajectory(shard2, plan, kept, err)) << err;
+        {
+            TrajectorySink sink(shard2, true);
+            std::size_t k = 0;
+            for (const PlannedScenario &p : plan)
+                for (std::size_t j = 0; j < p.runs.size(); ++j, ++k) {
+                    if (k < kept)
+                        continue;
+                    RunResults r = fakeResult(p.indices[j]);
+                    r.benchmark = p.runs[j].benchmark;
+                    r.gals = p.runs[j].gals;
+                    sink.appendOne(p.manifest.name, p.runs[j], r,
+                                   p.indices[j]);
+                }
+            sink.close();
+        }
+        ASSERT_EQ(slurp(shard2), full) << cut;
         std::ostringstream diag;
-        EXPECT_FALSE(mergeManifests({path}, merged, "", diag));
-        EXPECT_NE(diag.str().find("not a shard"), std::string::npos)
+        ASSERT_TRUE(mergeShards(fakeRegistry(), m, merged, "", diag))
             << diag.str();
-    }
-    // An unwritable destination returns false instead of dying.
-    {
-        std::ostringstream diag;
-        EXPECT_FALSE(mergeManifests(
-            shardFiles, "/nonexistent-dir/merged.json", "", diag));
-        EXPECT_NE(diag.str().find("cannot open"), std::string::npos)
-            << diag.str();
+        EXPECT_EQ(slurp(merged), slurp(ref)) << cut;
     }
 }
 
@@ -536,26 +475,14 @@ TEST(Merge, ManifestsRejectMismatchesAndIncompleteSets)
  *  with calendar ones, and the merged manifest reads "calendar". */
 TEST(Merge, HeapEraShardManifestsMergeToCalendar)
 {
-    SweepOptions opts;
-    opts.instructions = 2000;
-    opts.explicitSeeds = {0};
-    const std::vector<ManifestScenario> scenarios = {
-        {"alpha", 4, 1, 0x2222222222222222ull}};
-
     const std::string ref = tempPath("he.ref.json");
-    writeManifestFile(ref, opts, "he.jsonl", scenarios);
+    writeSweep(fakeSweep(), "", ref);
     const std::string calendarField = "\"engine\": \"calendar\"";
     ASSERT_NE(slurp(ref).find(calendarField), std::string::npos);
 
     std::vector<std::string> shardFiles;
-    for (unsigned i = 1; i <= 2; ++i) {
-        SweepOptions shardOpts = opts;
-        shardOpts.shard = ShardSpec{i, 2};
-        const std::string path =
-            tempPath("he" + std::to_string(i) + ".json");
-        writeManifestFile(path, shardOpts, "s.jsonl", scenarios);
-        shardFiles.push_back(path);
-    }
+    for (unsigned i = 1; i <= 2; ++i)
+        shardFiles.push_back(writeShard(fakeSweep(), "he", i, 2, false));
     const auto withEngine = [&](const std::string &path,
                                 const std::string &engine) {
         std::string text = slurp(path);
@@ -567,16 +494,15 @@ TEST(Merge, HeapEraShardManifestsMergeToCalendar)
 
     const std::string merged = tempPath("he.merged.json");
     std::ostringstream diag;
-    ASSERT_TRUE(mergeManifests(shardFiles, merged, "he.jsonl", diag))
+    ASSERT_TRUE(mergeShards(fakeRegistry(), shardFiles, "", merged, diag))
         << diag.str();
     EXPECT_EQ(slurp(merged), slurp(ref));
 
     // Any other engine name is still rejected.
     withEngine(shardFiles[1], "bogus");
     std::ostringstream bad;
-    EXPECT_FALSE(mergeManifests(shardFiles, merged, "he.jsonl", bad));
-    EXPECT_NE(bad.str().find("unknown engine 'bogus'"),
-              std::string::npos)
+    EXPECT_FALSE(mergeShards(fakeRegistry(), shardFiles, "", merged, bad));
+    EXPECT_NE(bad.str().find("unknown engine 'bogus'"), std::string::npos)
         << bad.str();
 }
 
