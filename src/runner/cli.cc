@@ -10,6 +10,7 @@
 
 #include "cpu/core_config.hh"
 #include "fabric/fabric_config.hh"
+#include "runner/engine.hh"
 #include "runner/trajectory.hh"
 #include "workload/profile.hh"
 
@@ -228,17 +229,22 @@ const std::vector<CliFlag> flagTable = {
      "canonical manifest to --manifest",
      [](Opts &o, const Arg &a) { o.mergeFiles.push_back(a.text); }},
     {"--verify", CliArity::value, "M", cliVerify,
-     "re-run the archived manifest M and byte-compare the regenerated "
-     "trajectory with the archived one (exit 1 on any difference)",
+     "check the archived manifest M byte for byte against the one its "
+     "plan writes, re-run it and byte-compare the regenerated trajectory "
+     "with the archived one (exit 1 on any difference)",
      [](Opts &o, const Arg &a) { o.verifyPath = a.text; }},
     {"--shard", CliArity::value, "I/N", cliRun,
      "run only the I-th of N disjoint slices of every grid (1-based; "
      "needs --output or --manifest; merge the shards for reports)",
      [](Opts &o, const Arg &a) { o.sweep.shard = shardValue(a); }},
     {"--jobs", CliArity::value, "N", cliRun | cliVerify,
-     "worker threads (0 = all hardware threads; default 1; results are "
-     "identical for any N)",
-     [](Opts &o, const Arg &a) { o.jobs = count(a); }},
+     "worker threads (0 = all hardware threads; at most 1024; default 1; "
+     "results are identical for any N)",
+     [](Opts &o, const Arg &a) {
+         o.jobs = count(a);
+         if (o.jobs > maxJobs)
+             fail(a, " must be at most " + std::to_string(maxJobs));
+     }},
     {"--format", CliArity::value, "F", cliRun | cliList | cliParse,
      "table (default), json or csv; md with --list; json (default) or "
      "csv for parse to stdout",

@@ -32,6 +32,11 @@
 namespace gals::runner
 {
 
+/** Most worker threads a command line may ask for: runIndexed()
+ *  starts one thread per job (up to the batch size), and a thread
+ *  the system refuses aborts the process. */
+inline constexpr unsigned maxJobs = 1024;
+
 /** Parallel experiment executor. */
 class ExperimentEngine
 {

@@ -1,8 +1,7 @@
 #include "runner/merge.hh"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <ostream>
@@ -38,24 +37,75 @@ splitLines(const std::string &text)
     return lines;
 }
 
-/** A manifest read back from disk. */
+/**
+ * Print the first lines where @p archived and @p expected differ,
+ * each as its archived and its expected text, then how many lines
+ * differ in total. @p name(i) names line i.
+ */
+template <typename Name>
+void
+reportLineDiff(std::ostream &diag, const char *tag,
+               const std::string &archived, const std::string &expected,
+               Name name)
+{
+    const std::vector<std::string> a = splitLines(archived);
+    const std::vector<std::string> e = splitLines(expected);
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < std::max(a.size(), e.size()); ++i) {
+        const std::string *x = i < a.size() ? &a[i] : nullptr;
+        const std::string *y = i < e.size() ? &e[i] : nullptr;
+        if (x && y && *x == *y)
+            continue;
+        if (++differing <= 4)
+            diag << tag << "   " << name(i) << ":\n"
+                 << tag << "     archived: " << (x ? *x : "<missing>")
+                 << "\n"
+                 << tag << "     expected: " << (y ? *y : "<missing>")
+                 << "\n";
+    }
+    diag << tag << "   " << differing << " differing line"
+         << (differing == 1 ? "" : "s") << " in total\n";
+}
+
+/**
+ * A manifest read back from disk: its bytes, and the inputs
+ * writeManifest() cannot work out from a plan. Everything else the
+ * file holds is checked by re-rendering it (replanManifest()).
+ */
 struct ParsedManifest
 {
-    std::string version;    ///< galssim_version
-    SweepOptions opts;      ///< instructions, seeds, benchmarks, shard
+    std::string path;
+    std::string text;       ///< the file's bytes
+    std::string engine;     ///< manifestEngineName or "heap"
+    SweepOptions opts;      ///< instructions, seeds, benchmarks, shard...
     std::string output;     ///< trajectory path; empty when null
-    std::vector<ManifestScenario> scenarios;
+    std::vector<std::string> names; ///< scenarios, in sweep order
 };
+
+/** Append the JSON array of strings @p v to @p out; false for any
+ *  other value. */
+bool
+readStrings(const json::Value &v, std::vector<std::string> &out)
+{
+    if (v.kind != json::Value::Kind::array)
+        return false;
+    for (const json::Value &s : v.items) {
+        if (s.kind != json::Value::Kind::string)
+            return false;
+        out.push_back(s.str);
+    }
+    return true;
+}
 
 bool
 readManifest(const std::string &path, ParsedManifest &out,
              std::string &err)
 {
-    std::string text;
-    if (!readFile(path, text, err))
+    out.path = path;
+    if (!readFile(path, out.text, err))
         return false;
     json::Value v;
-    if (!json::parse(text, v, err)) {
+    if (!json::parse(out.text, v, err)) {
         err = path + ": " + err;
         return false;
     }
@@ -80,11 +130,15 @@ readManifest(const std::string &path, ParsedManifest &out,
         seeds->kind != json::Value::Kind::array)
         return fail("missing/malformed version, engine, "
                     "instructions or seeds");
+    if (ver->str != galssimVersion())
+        return fail("written by galssim " + ver->str +
+                    ", this binary is " + galssimVersion() +
+                    " — results are not comparable");
     // "heap" archives predate the backend's retirement and popped in
     // the same order, so they still verify and merge.
     if (eng->str != manifestEngineName && eng->str != "heap")
         return fail("unknown engine '" + eng->str + "'");
-    out.version = ver->str;
+    out.engine = eng->str;
 
     for (const json::Value &s : seeds->items) {
         std::uint64_t seed = 0;
@@ -96,24 +150,17 @@ readManifest(const std::string &path, ParsedManifest &out,
         return fail("empty seeds list");
     out.opts.seed = out.opts.explicitSeeds.front();
 
-    if (const json::Value *bench = v.find("benchmarks")) {
-        if (bench->kind != json::Value::Kind::array)
+    if (const json::Value *bench = v.find("benchmarks"))
+        if (!readStrings(*bench, out.opts.benchmarks))
             return fail("malformed benchmarks");
-        for (const json::Value &b : bench->items) {
-            if (b.kind != json::Value::Kind::string)
-                return fail("non-string benchmark");
-            out.opts.benchmarks.push_back(b.str);
-        }
-    }
 
     if (const json::Value *fab = v.find("fabric")) {
         const json::Value *cores = fab->find("cores");
         const json::Value *topos = fab->find("topologies");
         const json::Value *traffics = fab->find("traffics");
         if (!cores || cores->kind != json::Value::Kind::array ||
-            !topos || topos->kind != json::Value::Kind::array ||
-            !traffics ||
-            traffics->kind != json::Value::Kind::array)
+            !topos || !readStrings(*topos, out.opts.topologies) ||
+            !traffics || !readStrings(*traffics, out.opts.traffics))
             return fail("malformed fabric object");
         for (const json::Value &c : cores->items) {
             std::uint64_t n = 0;
@@ -121,16 +168,6 @@ readManifest(const std::string &path, ParsedManifest &out,
                 return fail("fabric core count not in 1.." +
                             std::to_string(FabricConfig::maxCores));
             out.opts.coreCounts.push_back(static_cast<unsigned>(n));
-        }
-        for (const json::Value &t : topos->items) {
-            if (t.kind != json::Value::Kind::string)
-                return fail("non-string fabric topology");
-            out.opts.topologies.push_back(t.str);
-        }
-        for (const json::Value &t : traffics->items) {
-            if (t.kind != json::Value::Kind::string)
-                return fail("non-string fabric traffic");
-            out.opts.traffics.push_back(t.str);
         }
     }
 
@@ -166,45 +203,59 @@ readManifest(const std::string &path, ParsedManifest &out,
     if (!scens || scens->kind != json::Value::Kind::array)
         return fail("missing scenarios");
     for (const json::Value &s : scens->items) {
-        ManifestScenario ms;
         const json::Value *name = s.find("name");
-        const json::Value *grid = s.find("grid");
-        const json::Value *replicas = s.find("replicas");
-        const json::Value *hash = s.find("config_hash");
-        std::uint64_t g = 0, r = 0;
-        if (!name || name->kind != json::Value::Kind::string ||
-            !grid || !grid->asU64(g) || !replicas ||
-            !replicas->asU64(r) || !hash ||
-            hash->kind != json::Value::Kind::string)
+        if (!name || name->kind != json::Value::Kind::string)
             return fail("malformed scenario entry");
-        ms.name = name->str;
-        ms.gridSize = g;
-        ms.replicas = r;
-        errno = 0;
-        char *end = nullptr;
-        ms.configHash =
-            std::strtoull(hash->str.c_str(), &end, 16);
-        if (hash->str.size() != 16 || errno == ERANGE ||
-            *end != '\0')
-            return fail("malformed config_hash");
-        out.scenarios.push_back(std::move(ms));
+        out.names.push_back(name->str);
     }
     return true;
 }
 
-bool
-sameScenarios(const std::vector<ManifestScenario> &a,
-              const std::vector<ManifestScenario> &b)
+/** The manifest writeManifest() writes for @p plan under @p opts,
+ *  recording @p output. */
+std::string
+renderManifest(const SweepOptions &opts, const std::string &output,
+               const SweepPlan &plan)
 {
-    if (a.size() != b.size())
+    std::vector<ManifestScenario> entries;
+    for (const PlannedScenario &p : plan)
+        entries.push_back(p.manifest);
+    std::ostringstream os;
+    writeManifest(os, opts, output, entries);
+    return os.str();
+}
+
+/**
+ * Plan @p m's sweep (planSweep()) and require @p m's bytes to be the
+ * manifest that plan writes, before any record is read or simulated:
+ * one comparison checks every field the writer works out (grids,
+ * replicas, runs, config hashes, output format) and the layout. A
+ * heap-era manifest must be the calendar one with its engine renamed.
+ * On a mismatch the first differing lines are printed after @p tag.
+ */
+bool
+replanManifest(const ScenarioRegistry &registry, const ParsedManifest &m,
+               SweepPlan &plan, const char *tag, std::ostream &diag)
+{
+    std::string err;
+    if (!planSweep(registry, m.names, m.opts, plan, err)) {
+        diag << tag << " " << m.path << ": " << err << "\n";
         return false;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        if (a[i].name != b[i].name ||
-            a[i].gridSize != b[i].gridSize ||
-            a[i].replicas != b[i].replicas ||
-            a[i].configHash != b[i].configHash)
-            return false;
-    return true;
+    }
+    std::string expected = renderManifest(m.opts, m.output, plan);
+    const std::string engine = "\"engine\": \"";
+    expected.replace(expected.find(engine) + engine.size(),
+                     std::strlen(manifestEngineName), m.engine);
+    if (m.text == expected)
+        return true;
+    diag << tag << " '" << m.path
+         << "' is not the manifest this binary writes for its sweep "
+            "(edited, or the simulator or a scenario changed since it "
+            "was archived)\n";
+    reportLineDiff(diag, tag, m.text, expected, [](std::size_t i) {
+        return "line " + std::to_string(i + 1);
+    });
+    return false;
 }
 
 /**
@@ -235,42 +286,6 @@ trajectoryPathOf(const std::string &manifestPath, const std::string &output)
         if (std::ifstream(candidate).good())
             return candidate;
     return output;
-}
-
-/**
- * Plan @p m's sweep (planSweep()) and check it against the archive
- * before any simulation or record scan: each scenario's regenerated
- * grid must match the manifest's grid size, replica count and
- * full-grid config hash.
- */
-bool
-planManifest(const ScenarioRegistry &registry, const ParsedManifest &m,
-             SweepPlan &plan, std::string &err)
-{
-    std::vector<std::string> names;
-    for (const ManifestScenario &ms : m.scenarios)
-        names.push_back(ms.name);
-    if (!planSweep(registry, names, m.opts, plan, err))
-        return false;
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-        const ManifestScenario &want = m.scenarios[i];
-        const ManifestScenario &got = plan[i].manifest;
-        if (got.gridSize != want.gridSize || got.replicas != want.replicas) {
-            err = "scenario '" + want.name + "': grid " +
-                  std::to_string(got.gridSize) + "x" +
-                  std::to_string(got.replicas) + " != archived " +
-                  std::to_string(want.gridSize) + "x" +
-                  std::to_string(want.replicas);
-            return false;
-        }
-        if (got.configHash != want.configHash) {
-            err = "scenario '" + want.name +
-                  "': config hash mismatch — the simulator or scenario "
-                  "definition changed since the archive was written";
-            return false;
-        }
-    }
-    return true;
 }
 
 /** The frames of a gtrj buffer scanResume() accepted whole. */
@@ -312,29 +327,28 @@ mergeShards(const ScenarioRegistry &registry,
                         "' is not a shard manifest (no shard object)");
     }
 
-    const ParsedManifest &first = parsed.front();
-    if (first.version != galssimVersion())
-        return fail("manifests were written by galssim " + first.version +
-                    ", this binary is " + galssimVersion());
-    const unsigned count = first.opts.shard.count;
+    const unsigned count = parsed.front().opts.shard.count;
     if (manifests.size() != count)
         return fail("manifests declare " + std::to_string(count) +
                     " shards but " + std::to_string(manifests.size()) +
                     " were given");
+    // Each shard's manifest must re-render from its own plan, and all
+    // of them describe one sweep: without the shard object and the
+    // output, they render the same.
+    std::vector<SweepPlan> plans(count);
     std::vector<bool> seen(count + 1, false);
+    SweepOptions whole;
+    std::string sweep;
     for (std::size_t i = 0; i < parsed.size(); ++i) {
         const ParsedManifest &m = parsed[i];
-        if (m.version != first.version ||
-            m.opts.instructions != first.opts.instructions ||
-            m.opts.explicitSeeds != first.opts.explicitSeeds ||
-            m.opts.benchmarks != first.opts.benchmarks ||
-            m.opts.coreCounts != first.opts.coreCounts ||
-            m.opts.topologies != first.opts.topologies ||
-            m.opts.traffics != first.opts.traffics ||
-            m.opts.intervalTicks != first.opts.intervalTicks ||
-            m.opts.warmupInstructions != first.opts.warmupInstructions ||
-            m.opts.shard.count != count ||
-            !sameScenarios(m.scenarios, first.scenarios))
+        if (!replanManifest(registry, m, plans[i], "merge:", diag))
+            return false;
+        whole = m.opts;
+        whole.shard = ShardSpec();
+        const std::string unsharded = renderManifest(whole, "", plans[i]);
+        if (i == 0)
+            sweep = unsharded;
+        if (unsharded != sweep || m.opts.shard.count != count)
             return fail("'" + manifests[i] + "' disagrees with '" +
                         manifests.front() + "' (different sweep?)");
         if (seen[m.opts.shard.index])
@@ -345,17 +359,12 @@ mergeShards(const ScenarioRegistry &registry,
 
     // Each shard must be a complete resume of its own plan: every
     // planned record present, and nothing else in the file.
-    std::vector<SweepPlan> plans(count);
     std::vector<std::string> texts(count);
-    for (std::size_t i = 0; i < parsed.size(); ++i) {
+    for (std::size_t i = 0; i < parsed.size() && !outputPath.empty(); ++i) {
         const ParsedManifest &m = parsed[i];
         const std::string shard = "shard " +
                                   std::to_string(m.opts.shard.index) +
                                   "/" + std::to_string(count);
-        if (!planManifest(registry, m, plans[i], err))
-            return fail(manifests[i] + ": " + err);
-        if (outputPath.empty())
-            continue;
         if (m.output.empty())
             return fail("'" + manifests[i] + "' names no trajectory (" +
                         shard + " ran with --manifest only)");
@@ -382,7 +391,7 @@ mergeShards(const ScenarioRegistry &registry,
             frames.push_back(framesOf(text));
         std::string merged = gtrj::fileHeader();
         std::size_t records = 0;
-        for (std::size_t s = 0; s < first.scenarios.size(); ++s) {
+        for (std::size_t s = 0; s < plans[0].size(); ++s) {
             const ManifestScenario &ms = plans[0][s].manifest;
             std::vector<std::string_view> slots(ms.gridSize * ms.replicas);
             for (std::size_t i = 0; i < count; ++i)
@@ -401,13 +410,11 @@ mergeShards(const ScenarioRegistry &registry,
              << " shards -> '" << outputPath << "'\n";
     }
     if (!manifestPath.empty()) {
-        SweepOptions opts = first.opts;
-        opts.shard = ShardSpec(); // the merged manifest is unsharded
         // Not writeManifestFile(): an unwritable path must report back,
         // not gals_fatal the process.
-        std::ostringstream os;
-        writeManifest(os, opts, outputPath, first.scenarios);
-        if (!atomicWriteFile(manifestPath, os.str(), err))
+        if (!atomicWriteFile(manifestPath,
+                             renderManifest(whole, outputPath, plans[0]),
+                             err))
             return fail(err);
         diag << "merge: " << count << " shard manifests -> '"
              << manifestPath << "'\n";
@@ -429,15 +436,11 @@ verifyManifest(const ScenarioRegistry &registry,
     SweepPlan plan;
     if (!readManifest(manifestPath, m, err))
         return fail(err);
-    if (m.version != galssimVersion())
-        return fail("manifest was written by galssim " + m.version +
-                    ", this binary is " + galssimVersion() +
-                    " — results are not comparable");
     if (m.output.empty())
         return fail("manifest records no trajectory (the archived run "
                     "had no --output)");
-    if (!planManifest(registry, m, plan, err))
-        return fail(manifestPath + ": " + err);
+    if (!replanManifest(registry, m, plan, "verify:", diag))
+        return false;
     const std::string archivePath = trajectoryPathOf(manifestPath, m.output);
     std::string archived;
     if (!readFile(archivePath, archived, err))
@@ -450,8 +453,8 @@ verifyManifest(const ScenarioRegistry &registry,
              << " runs re-executed\n";
     }
     const TrajectoryFormat format = trajectoryFormatForPath(m.output);
-    std::string actual;
-    if (!renderTrajectory(sink.frames(), format, actual, err))
+    std::string replay;
+    if (!renderTrajectory(sink.frames(), format, replay, err))
         return fail(err);
 
     // The CSV header row is not a record; keep the diagnostics'
@@ -462,13 +465,12 @@ verifyManifest(const ScenarioRegistry &registry,
         return lines > headerLines ? lines - headerLines : 0;
     };
 
-    const std::string &expected = archived;
-    if (expected == actual) {
+    if (archived == replay) {
         diag << "verify: OK — '" << archivePath << "' ("
              << (format == TrajectoryFormat::gtrj
-                     ? gtrj::countFrames(actual)
-                     : recordCount(splitLines(actual).size()))
-             << " records, " << actual.size()
+                     ? gtrj::countFrames(replay)
+                     : recordCount(splitLines(replay).size()))
+             << " records, " << replay.size()
              << " bytes) is byte-identical to the replay\n";
         return true;
     }
@@ -479,61 +481,37 @@ verifyManifest(const ScenarioRegistry &registry,
     // Line diffs over binary frames locate nothing a human can read;
     // render both sides as JSON lines first. If either side does not
     // even decode, fall back to the first differing byte.
-    std::string expText = expected, actText = actual;
     if (format == TrajectoryFormat::gtrj) {
-        std::string e2, a2, derr;
-        if (!gtrj::toJsonLines(expected, e2, derr) ||
-            !gtrj::toJsonLines(actual, a2, derr)) {
+        std::string a2, r2, derr;
+        if (!gtrj::toJsonLines(archived, a2, derr) ||
+            !gtrj::toJsonLines(replay, r2, derr)) {
             std::size_t off = 0;
-            const std::size_t lim =
-                std::min(expected.size(), actual.size());
-            while (off < lim && expected[off] == actual[off])
+            const std::size_t lim = std::min(archived.size(), replay.size());
+            while (off < lim && archived[off] == replay[off])
                 ++off;
             diag << "verify:   archived "
-                 << gtrj::countFrames(expected) << " frames / "
-                 << expected.size() << " bytes, replay "
-                 << gtrj::countFrames(actual) << " frames / "
-                 << actual.size()
+                 << gtrj::countFrames(archived) << " frames / "
+                 << archived.size() << " bytes, replay "
+                 << gtrj::countFrames(replay) << " frames / "
+                 << replay.size()
                  << " bytes; first differing byte at offset " << off
                  << " (" << derr << ")\n";
             return false;
         }
-        expText.swap(e2);
-        actText.swap(a2);
+        archived.swap(a2);
+        replay.swap(r2);
     }
 
-    const std::vector<std::string> expLines = splitLines(expText);
-    const std::vector<std::string> actLines = splitLines(actText);
-    if (expLines.size() != actLines.size())
-        diag << "verify:   archived has "
-             << recordCount(expLines.size()) << " records, replay has "
-             << recordCount(actLines.size()) << "\n";
-    const std::size_t n =
-        std::max(expLines.size(), actLines.size());
-    std::size_t shown = 0, differing = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::string *e =
-            i < expLines.size() ? &expLines[i] : nullptr;
-        const std::string *a =
-            i < actLines.size() ? &actLines[i] : nullptr;
-        if (e && a && *e == *a)
-            continue;
-        ++differing;
-        if (shown < 4) {
-            ++shown;
-            if (i < headerLines)
-                diag << "verify:   header:\n";
-            else
-                diag << "verify:   record " << i - headerLines
-                     << ":\n";
-            diag << "verify:     archived: "
-                 << (e ? *e : "<missing>") << "\n"
-                 << "verify:     replay:   "
-                 << (a ? *a : "<missing>") << "\n";
-        }
-    }
-    diag << "verify:   " << differing << " differing line"
-         << (differing == 1 ? "" : "s") << " in total\n";
+    const std::size_t archivedLines = splitLines(archived).size();
+    const std::size_t replayLines = splitLines(replay).size();
+    if (archivedLines != replayLines)
+        diag << "verify:   archived has " << recordCount(archivedLines)
+             << " records, replay has " << recordCount(replayLines)
+             << "\n";
+    reportLineDiff(diag, "verify:", archived, replay, [&](std::size_t i) {
+        return i < headerLines ? std::string("header")
+                               : "record " + std::to_string(i - headerLines);
+    });
     return false;
 }
 

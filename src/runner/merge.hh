@@ -2,12 +2,15 @@
  * @file
  * Shard fan-in and archive replay: `--merge` and `--verify`.
  *
- * Both start from manifests, and both rebuild the sweep's plan from
- * them (planSweep(), runner/trajectory.hh): a manifest names its
- * sweep options, its per-scenario grids and config hashes, and the
- * trajectory it describes. The plan is checked against the manifest
- * (grid size, replicas, config hash per scenario) before any record
- * is read or simulated.
+ * Both start from manifests, and a manifest is checked the way its
+ * trajectory is: its inputs are read (sweep options, scenario names,
+ * the trajectory it describes), the sweep is planned from them
+ * (planSweep(), runner/trajectory.hh), and the manifest that plan
+ * writes (writeManifest()) must equal the file byte for byte, before
+ * any record is read or simulated. Nothing the writer works out
+ * (grids, run counts, config hashes, output format) is parsed, so an
+ * edit to any byte is a mismatch, reported as the first differing
+ * lines, archived against expected.
  *
  * A sharded sweep (`galsbench --shard i/N`) leaves N `.gtrj`
  * trajectory files and N manifests, each shard covering a disjoint
@@ -41,9 +44,10 @@ class ExperimentEngine;
 class ScenarioRegistry;
 
 /**
- * Merge the shards named by the shard manifests @p manifests. The
- * manifests must agree on version, sweep options and scenario grids,
- * and name shards 1..N exactly once; the `"engine"` field may read
+ * Merge the shards named by the shard manifests @p manifests. Each
+ * manifest must re-render from its own plan, all of them must render
+ * the same once their shard object and output are dropped, and they
+ * must name shards 1..N exactly once; the `"engine"` field may read
  * `"calendar"` or the retired `"heap"` (the same pop order). With an
  * @p outputPath, each manifest's `output` locates its shard's `.gtrj`
  * (next to the manifest first, as `--verify` finds it), which must
@@ -64,11 +68,12 @@ bool mergeShards(const ScenarioRegistry &registry,
                  const std::string &manifestPath, std::ostream &diag);
 
 /**
- * Replay an archived manifest and byte-compare the regenerated
- * trajectory against the archived one (the manifest's `output` path,
- * resolved next to the manifest first). @p engine supplies the worker
- * pool (any job count: records are index-slotted).
- * @return true iff every record matches byte for byte.
+ * Replay an archived manifest: re-render it from its plan and
+ * byte-compare, then byte-compare the regenerated trajectory against
+ * the archived one (the manifest's `output` path, resolved next to
+ * the manifest first). @p engine supplies the worker pool (any job
+ * count: records are index-slotted).
+ * @return true iff the manifest and every record match byte for byte.
  */
 bool verifyManifest(const ScenarioRegistry &registry,
                     const ExperimentEngine &engine,

@@ -615,8 +615,13 @@ StreamGenerator::snapshotRestore(SnapshotReader &r)
     if (r.ok() && opIdx_ >= blocks_[curBlock_].ops.size())
         r.fail("generator op index out of range");
 
-    for (std::uint32_t &c : callStack_)
-        c = static_cast<std::uint32_t>(r.u64());
+    // Return addresses become curBlock_ on a return.
+    for (std::uint32_t &c : callStack_) {
+        const std::uint64_t block = r.u64();
+        if (block >= numBlocks_)
+            r.fail("generator call stack entry out of range");
+        c = static_cast<std::uint32_t>(block);
+    }
     callTop_ = static_cast<unsigned>(r.u64());
     callDepth_ = static_cast<unsigned>(r.u64());
     if (callTop_ >= callStackDepth || callDepth_ > callStackDepth)
@@ -630,10 +635,14 @@ StreamGenerator::snapshotRestore(SnapshotReader &r)
     for (std::uint64_t &line : hotLineRing_)
         line = r.u64();
     hotLineHead_ = static_cast<std::size_t>(r.u64());
+    if (hotLineHead_ >= hotLineRing_.size())
+        r.fail("generator hot ring head out of range");
     r.expectU64(r.u64(), warmLineRing_.size(), "warm ring size");
     for (std::uint64_t &line : warmLineRing_)
         line = r.u64();
     warmLineHead_ = static_cast<std::size_t>(r.u64());
+    if (warmLineHead_ >= warmLineRing_.size())
+        r.fail("generator warm ring head out of range");
     freshLine_ = r.u64();
     wpLine_ = r.u64();
 }

@@ -545,6 +545,36 @@ TEST(CliUsage, EachModeRejectsWhatItCannotUse)
     EXPECT_TRUE(fs::is_empty(dir));
 }
 
+/** Every job is a thread, and a thread the system refuses aborts the
+ *  process, so --jobs past maxJobs is a usage error in run and verify
+ *  mode. Checked through the parser alone: no thread is started. */
+TEST(CliUsage, JobsPastTheCapAreRefused)
+{
+    ScenarioRegistry registry;
+    bench::registerAllScenarios(registry);
+    for (const std::vector<std::string> &mode :
+         {std::vector<std::string>{"--scenario", "fig05", "--seeds", "2048"},
+          std::vector<std::string>{"--verify", "m.manifest.json"}}) {
+        for (const std::string jobs : {"0", "1024"}) {
+            std::vector<std::string> args = mode;
+            args.insert(args.end(), {"--jobs", jobs});
+            CliOptions opts;
+            std::string err;
+            EXPECT_TRUE(parseCli(args, registry, opts, err)) << err;
+            EXPECT_EQ(opts.jobs, std::stoul(jobs));
+        }
+        for (const std::string jobs : {"1025", "65536", "4294967295"}) {
+            std::vector<std::string> args = mode;
+            args.insert(args.end(), {"--jobs", jobs});
+            CliOptions opts;
+            std::string err;
+            EXPECT_FALSE(parseCli(args, registry, opts, err)) << jobs;
+            EXPECT_EQ(err, "--jobs must be at most 1024, got '" + jobs + "'");
+        }
+    }
+    EXPECT_EQ(maxJobs, 1024u);
+}
+
 /** `--help` exits 0 and names every flag of the table. */
 TEST(CliUsage, HelpListsEveryFlag)
 {

@@ -275,6 +275,31 @@ archiveSweep(const std::string &dir, const std::string &trajName)
     return manifestPath;
 }
 
+std::string
+readText(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    return buf.str();
+}
+
+void
+writeText(const std::string &path, const std::string &text)
+{
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << text;
+}
+
+/** The line of @p text that holds byte @p pos, without its newline. */
+std::string
+lineAt(const std::string &text, std::size_t pos)
+{
+    const std::size_t from = text.rfind('\n', pos);
+    const std::size_t begin = from == std::string::npos ? 0 : from + 1;
+    return text.substr(begin, text.find('\n', pos) - begin);
+}
+
 } // namespace
 
 TEST(Verify, ReplayOfArchivedManifestIsByteIdentical)
@@ -351,8 +376,68 @@ TEST(Verify, ConfigDriftFailsBeforeSimulating)
     std::ostringstream diag;
     EXPECT_FALSE(verifyManifest(registry(), ExperimentEngine(2),
                                 manifest, diag));
-    EXPECT_NE(diag.str().find("config hash mismatch"),
+    EXPECT_NE(diag.str().find("is not the manifest this binary writes"),
               std::string::npos)
+        << diag.str();
+    EXPECT_NE(diag.str().find("archived: " + lineAt(text, digit)),
+              std::string::npos)
+        << diag.str();
+    EXPECT_EQ(diag.str().find("runs re-executed"), std::string::npos)
+        << diag.str();
+}
+
+/** Every byte of a manifest is checked, the fields the writer works
+ *  out from the plan included: an edited run count, output format or
+ *  whitespace byte is refused before anything is simulated, and the
+ *  message shows the archived line against the expected one. */
+TEST(Verify, EditedManifestIsRefusedWithTheDifferingLine)
+{
+    const std::string dir = ::testing::TempDir();
+    const std::string manifest = archiveSweep(dir, "verify_edit.jsonl");
+    const std::string text = readText(manifest);
+
+    const std::string runsKey = "\"runs\": ";
+    ASSERT_NE(text.find(runsKey), std::string::npos) << text;
+    const std::size_t runsAt = text.find(runsKey) + runsKey.size();
+    const std::size_t runsEnd = text.find(',', runsAt);
+    const std::string runs = text.substr(runsAt, runsEnd - runsAt);
+    const std::string formatKey = "\"output_format\": \"jsonl\"";
+    const std::size_t formatAt = text.find(formatKey);
+    ASSERT_NE(formatAt, std::string::npos) << text;
+    const std::string instsKey = "\"instructions\":";
+    ASSERT_NE(text.find(instsKey), std::string::npos) << text;
+    const std::size_t spaceAt = text.find(instsKey) + instsKey.size();
+    ASSERT_EQ(text[spaceAt], ' ') << text;
+
+    const std::vector<std::pair<std::size_t, std::string>> edits = {
+        {runsAt, text.substr(0, runsAt) +
+                     std::to_string(std::stoull(runs) + 1) +
+                     text.substr(runsEnd)},
+        {formatAt, text.substr(0, formatAt) +
+                       "\"output_format\": \"csv\"" +
+                       text.substr(formatAt + formatKey.size())},
+        {spaceAt, text.substr(0, spaceAt) + "\t" + text.substr(spaceAt + 1)},
+    };
+    for (const auto &[at, edited] : edits) {
+        writeText(manifest, edited);
+        std::ostringstream diag;
+        EXPECT_FALSE(verifyManifest(registry(), ExperimentEngine(1),
+                                    manifest, diag));
+        const std::string out = diag.str();
+        EXPECT_NE(out.find("archived: " + lineAt(edited, at)),
+                  std::string::npos)
+            << out;
+        EXPECT_NE(out.find("expected: " + lineAt(text, at)),
+                  std::string::npos)
+            << out;
+        EXPECT_NE(out.find("1 differing line in total"), std::string::npos)
+            << out;
+        EXPECT_EQ(out.find("runs re-executed"), std::string::npos) << out;
+    }
+    writeText(manifest, text);
+    std::ostringstream diag;
+    EXPECT_TRUE(verifyManifest(registry(), ExperimentEngine(1), manifest,
+                               diag))
         << diag.str();
 }
 

@@ -411,6 +411,54 @@ TEST(Merge, RefusesAnIncompleteOrForeignShardSet)
         << diag.str();
 }
 
+/** A shard manifest must be, byte for byte, the one its plan writes:
+ *  an edited run count, output format or whitespace byte is refused,
+ *  and the message shows the archived line against the expected one. */
+TEST(Merge, EditedShardManifestIsRefusedWithTheDifferingLine)
+{
+    std::vector<std::string> m;
+    for (unsigned i = 1; i <= 3; ++i)
+        m.push_back(writeShard(fakeSweep(), "ed", i, 3));
+    const std::string text = slurp(m[1]);
+    const auto lineAt = [](const std::string &t, std::size_t pos) {
+        const std::size_t begin = t.rfind('\n', pos) + 1;
+        return t.substr(begin, t.find('\n', pos) - begin);
+    };
+    const std::string merged = tempPath("ed.merged.jsonl");
+    const std::string mergedManifest = tempPath("ed.merged.json");
+
+    // alpha: 7 runs x 2 seeds.
+    for (const auto &[from, to] :
+         {std::pair<std::string, std::string>{"\"runs\": 14,",
+                                              "\"runs\": 15,"},
+          {"\"output_format\": \"gtrj\"", "\"output_format\": \"jsonl\""},
+          {"\"instructions\": 2000", "\"instructions\":\t2000"}}) {
+        const std::size_t at = text.find(from);
+        ASSERT_NE(at, std::string::npos) << from << "\n" << text;
+        std::string edited = text;
+        edited.replace(at, from.size(), to);
+        spit(m[1], edited);
+        std::filesystem::remove(merged);
+        std::filesystem::remove(mergedManifest);
+        std::ostringstream diag;
+        EXPECT_FALSE(mergeShards(fakeRegistry(), m, merged, mergedManifest,
+                                 diag));
+        const std::string out = diag.str();
+        EXPECT_NE(out.find("merge:     archived: " + lineAt(edited, at)),
+                  std::string::npos)
+            << out;
+        EXPECT_NE(out.find("merge:     expected: " + lineAt(text, at)),
+                  std::string::npos)
+            << out;
+        EXPECT_FALSE(std::filesystem::exists(merged)) << to;
+        EXPECT_FALSE(std::filesystem::exists(mergedManifest)) << to;
+    }
+    spit(m[1], text);
+    std::ostringstream diag;
+    EXPECT_TRUE(mergeShards(fakeRegistry(), m, merged, mergedManifest, diag))
+        << diag.str();
+}
+
 /** The records alone cannot show that a shard lost its last record;
  *  the plan can. A shard cut at any frame boundary, or torn inside a
  *  frame, is refused until --resume completes it. */

@@ -252,6 +252,81 @@ TEST(SnapshotRoundTrip, GeneratorRejectsForeignProgramShape)
     EXPECT_FALSE(r.ok());
 }
 
+/** Restored values the generator uses as indices — the call-stack
+ *  entries (block indices on a return) and the two ring heads — are
+ *  range-checked, so a corrupt snapshot cannot index out of bounds. */
+TEST(SnapshotRoundTrip, GeneratorRejectsOutOfRangeIndices)
+{
+    const BenchmarkProfile &profile = findBenchmark("gcc");
+    StreamGenerator a(profile, 5);
+    for (int i = 0; i < 100; ++i)
+        a.next();
+    SnapshotWriter w;
+    a.snapshotSave(w);
+
+    // The snapshot as fields: two rngs (four state words and a spare
+    // flag, then the spare double), then varints only.
+    struct RngFields
+    {
+        std::uint64_t words[5];
+        double spare;
+    } rngs[2];
+    std::vector<std::uint64_t> fields;
+    SnapshotReader r(w.bytes());
+    for (RngFields &rng : rngs) {
+        for (std::uint64_t &word : rng.words)
+            word = r.u64();
+        rng.spare = r.f64();
+    }
+    while (r.ok() && !r.atEnd())
+        fields.push_back(r.u64());
+    ASSERT_TRUE(r.atEnd()) << r.error();
+
+    const auto restoreWith = [&](std::size_t at, std::uint64_t value) {
+        std::vector<std::uint64_t> edited = fields;
+        edited.at(at) = value;
+        SnapshotWriter c;
+        for (const RngFields &rng : rngs) {
+            for (std::uint64_t word : rng.words)
+                c.u64(word);
+            c.f64(rng.spare);
+        }
+        for (std::uint64_t field : edited)
+            c.u64(field);
+        StreamGenerator b(profile, 5);
+        SnapshotReader cr(c.bytes());
+        b.snapshotRestore(cr);
+        return cr.ok() ? std::string("ok") : cr.error();
+    };
+
+    // StreamGenerator::snapshotSave() order: 11 fields of the current
+    // instruction, block, op, 16 call-stack entries, top, depth, the
+    // trip counters (count first), then the hot ring (size, lines,
+    // head), the warm ring (likewise) and two line cursors.
+    const std::size_t callStack = 13;
+    const std::size_t n = fields.size();
+    const std::size_t warmHead = n - 3;
+    const std::size_t hotHead = warmHead - profile.warmLines - 2;
+    ASSERT_EQ(fields.at(callStack + 18), profile.codeBlocks);
+    ASSERT_EQ(fields.at(warmHead - profile.warmLines - 1), profile.warmLines);
+    ASSERT_EQ(fields.at(hotHead - profile.hotLines - 1), profile.hotLines);
+
+    for (std::size_t k = 0; k < 16; ++k) {
+        EXPECT_EQ(restoreWith(callStack + k, profile.codeBlocks - 1), "ok");
+        EXPECT_EQ(restoreWith(callStack + k, profile.codeBlocks),
+                  "generator call stack entry out of range");
+    }
+    // Past 2^32 the value would wrap into range through a cast.
+    EXPECT_EQ(restoreWith(callStack, (std::uint64_t(1) << 32) + 1),
+              "generator call stack entry out of range");
+    EXPECT_EQ(restoreWith(hotHead, profile.hotLines - 1), "ok");
+    EXPECT_EQ(restoreWith(hotHead, profile.hotLines),
+              "generator hot ring head out of range");
+    EXPECT_EQ(restoreWith(warmHead, profile.warmLines - 1), "ok");
+    EXPECT_EQ(restoreWith(warmHead, profile.warmLines),
+              "generator warm ring head out of range");
+}
+
 // ---------------------------------------------------------------------
 // Container format: production, determinism, rejection
 // ---------------------------------------------------------------------
