@@ -2,9 +2,9 @@
  * @file
  * Shared helpers for the scenario registrations: figure-header
  * formatting and the geometric-mean tracker for normalized-ratio
- * "average" rows. Run parameters now live in runner::SweepOptions
- * (still overridable via GALSSIM_INSTS / GALSSIM_BENCH, see
- * SweepOptions::fromEnvironment()).
+ * "average" rows. Run parameters live in runner::SweepOptions;
+ * galsbench fills them from its flags and GALSSIM_INSTS /
+ * GALSSIM_BENCH through runner::parseCli().
  */
 
 #ifndef BENCH_BENCH_UTIL_HH

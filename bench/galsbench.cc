@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bench/register_all.hh"
-#include "core/snapshot.hh"
 #include "runner/atomic_file.hh"
 #include "runner/cli.hh"
 #include "runner/engine.hh"
@@ -166,8 +165,6 @@ runMain(const ScenarioRegistry &registry, const CliOptions &cli)
 {
     const SweepOptions &opts = cli.sweep;
     const OutputFormat format = cli.format.value_or(OutputFormat::table);
-    if (!cli.snapshotDir.empty())
-        setSnapshotDir(cli.snapshotDir);
 
     // Plan every grid first: the manifest always describes the
     // canonical full grids (shard manifests differ from the unsharded

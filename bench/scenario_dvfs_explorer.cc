@@ -5,8 +5,8 @@
  * energy / power frontier, with the ideal uniform-voltage-scaling
  * bound for reference — the methodology behind the paper's section 5.2
  * ("we tried to determine which parts of the processor could be slowed
- * down in an application-dependent manner"). The thin
- * examples/dvfs_explorer.cpp main drives this scenario.
+ * down in an application-dependent manner"):
+ * `galsbench --scenario dvfs-explorer`.
  */
 
 #include <cstdio>

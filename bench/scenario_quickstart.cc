@@ -1,8 +1,8 @@
 /**
  * @file
  * Quickstart: run the base (fully synchronous) and GALS processors on
- * one benchmark and print the paper's headline metrics side by side.
- * The thin examples/quickstart.cpp main drives this scenario.
+ * one benchmark and print the paper's headline metrics side by side:
+ * `galsbench --scenario quickstart`.
  */
 
 #include <cstdio>

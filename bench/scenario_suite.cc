@@ -2,8 +2,8 @@
  * @file
  * Full-suite comparison: every requested benchmark on the base and
  * GALS processors, a compact table of everything the paper measures,
- * plus the base processor's energy breakdown. The thin
- * examples/benchmark_suite.cpp main drives this scenario.
+ * plus the base processor's energy breakdown:
+ * `galsbench --scenario suite`.
  */
 
 #include <cstdio>

@@ -11,8 +11,10 @@
  * Usage: multiclock_playground [ns-to-simulate]
  */
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
+#include <limits>
 
 #include "core/channel.hh"
 #include "sim/clock_domain.hh"
@@ -20,11 +22,35 @@
 
 using namespace gals;
 
+namespace
+{
+
+/** @p text as a positive whole number of nanoseconds that fits in
+ *  ticks, or false: "8x", "-1", "" and overflowing values are
+ *  rejected rather than read as a prefix or wrapped. */
+bool
+parseNanoseconds(const char *text, Tick &ns)
+{
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, ns);
+    return ec == std::errc() && ptr == end && ns > 0 &&
+           ns <= std::numeric_limits<Tick>::max() / 1000;
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
-    const Tick horizon =
-        (argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 20) * 1000;
+    Tick ns = 20;
+    if (argc > 2 || (argc == 2 && !parseNanoseconds(argv[1], ns))) {
+        std::fprintf(stderr,
+                     "usage: multiclock_playground [ns-to-simulate]\n"
+                     "  ns-to-simulate: a positive whole number "
+                     "(default 20)\n");
+        return 2;
+    }
+    const Tick horizon = ns * 1000;
 
     EventQueue eq("playground");
 

@@ -1,11 +1,7 @@
 #include "core/snapshot.hh"
 
-#include <cstdio>
-#include <fstream>
-#include <iomanip>
 #include <future>
 #include <mutex>
-#include <sstream>
 #include <unordered_map>
 
 #include "sim/event_queue.hh"
@@ -24,10 +20,9 @@ std::mutex cacheMutex;
 std::unordered_map<std::uint64_t,
                    std::shared_future<std::shared_ptr<const std::string>>>
     snapshotCache;
-std::string snapshotDirPath;
 
 /** A scratch machine built from the canonical warmup config, used to
- *  produce snapshots and to validate untrusted disk bytes. */
+ *  produce snapshots. */
 struct WarmupMachine
 {
     explicit WarmupMachine(const RunConfig &warmCfg)
@@ -50,82 +45,6 @@ struct WarmupMachine
     EventQueue eq;
     Processor proc;
 };
-
-std::string
-readWholeFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return std::string();
-    std::ostringstream os;
-    os << is.rdbuf();
-    return is.good() || is.eof() ? os.str() : std::string();
-}
-
-/** True when @p bytes fully restore into a scratch machine for
- *  @p cfg's warmup stem — the disk-snapshot trust gate. */
-bool
-validateSnapshotBytes(const RunConfig &cfg, const std::string &bytes)
-{
-    if (bytes.empty())
-        return false;
-    WarmupMachine scratch(canonicalWarmupConfig(cfg));
-    std::string err;
-    return restoreWarmMachine(scratch.proc, cfg, bytes, &err);
-}
-
-/** Atomic publish: write to a temp file in the same directory, then
- *  rename over the final name. Concurrent writers (shard workers on
- *  one filesystem) each use a private temp name; the last rename
- *  wins with identical content. Failures are silently ignored — the
- *  directory is a cache, not a store of record. */
-void
-writeSnapshotFile(const std::string &path, const std::string &bytes)
-{
-    std::ostringstream tmp_name;
-    tmp_name << path << ".tmp." << static_cast<const void *>(&bytes);
-    const std::string tmp = tmp_name.str();
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            return;
-        os.write(bytes.data(),
-                 static_cast<std::streamsize>(bytes.size()));
-        if (!os.good()) {
-            os.close();
-            std::remove(tmp.c_str());
-            return;
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        std::remove(tmp.c_str());
-}
-
-std::shared_ptr<const std::string>
-loadOrProduce(const RunConfig &cfg, std::uint64_t key)
-{
-    std::string dir;
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex);
-        dir = snapshotDirPath;
-    }
-
-    if (!dir.empty()) {
-        const std::string path = snapshotPathFor(dir, key);
-        std::string bytes = readWholeFile(path);
-        if (validateSnapshotBytes(cfg, bytes))
-            return std::make_shared<const std::string>(
-                std::move(bytes));
-        // Missing, truncated, stale or foreign: fall through and
-        // re-produce (overwriting whatever is there).
-    }
-
-    auto bytes = std::make_shared<const std::string>(
-        produceWarmupSnapshot(cfg));
-    if (!dir.empty())
-        writeSnapshotFile(snapshotPathFor(dir, key), *bytes);
-    return bytes;
-}
 
 } // namespace
 
@@ -230,31 +149,9 @@ acquireWarmupSnapshot(const RunConfig &cfg)
     }
 
     if (producer)
-        prom.set_value(loadOrProduce(cfg, key));
+        prom.set_value(std::make_shared<const std::string>(
+            produceWarmupSnapshot(cfg)));
     return fut.get();
-}
-
-void
-setSnapshotDir(const std::string &dir)
-{
-    std::lock_guard<std::mutex> lock(cacheMutex);
-    snapshotDirPath = dir;
-}
-
-std::string
-snapshotDir()
-{
-    std::lock_guard<std::mutex> lock(cacheMutex);
-    return snapshotDirPath;
-}
-
-std::string
-snapshotPathFor(const std::string &dir, std::uint64_t key)
-{
-    std::ostringstream os;
-    os << dir << "/snap_" << std::hex << std::setw(16)
-       << std::setfill('0') << key << ".gsnp";
-    return os.str();
 }
 
 void

@@ -36,12 +36,10 @@
  * count share one key and one snapshot.
  *
  * Snapshots are memoized in a process-wide cache (one producer per
- * key, concurrent requesters block on its completion) and,
- * optionally, in a directory (`--snapshot-dir`) shared between
- * shard processes and resumed runs. Disk snapshots are written
- * atomically (temp + rename) and validated by a full test-restore
- * on load; truncated, stale or foreign files are silently ignored
- * and the snapshot is re-produced.
+ * key, concurrent requesters block on its completion) and never
+ * leave the process: each shard or resumed run produces the stems
+ * it needs itself, so snapshot bytes are only ever restored by the
+ * process that made them.
  */
 
 #ifndef CORE_SNAPSHOT_HH
@@ -86,10 +84,8 @@ std::string produceWarmupSnapshot(const RunConfig &cfg);
 
 /**
  * Snapshot bytes for @p cfg's warmup stem: from the in-process
- * cache, else from the snapshot directory (validated), else produced
- * by produceWarmupSnapshot() — and then cached (and written to the
- * directory when one is set). Thread-safe; concurrent calls for one
- * key produce once.
+ * cache, else produced by produceWarmupSnapshot() and cached.
+ * Thread-safe; concurrent calls for one key produce once.
  */
 std::shared_ptr<const std::string> acquireWarmupSnapshot(
     const RunConfig &cfg);
@@ -103,20 +99,6 @@ std::shared_ptr<const std::string> acquireWarmupSnapshot(
  */
 bool restoreWarmMachine(Processor &proc, const RunConfig &cfg,
                         std::string_view bytes, std::string *err);
-
-/**
- * Set (or clear, with "") the directory snapshots are exchanged
- * through. Process-wide; `galsbench --snapshot-dir`. The directory
- * must already exist.
- */
-void setSnapshotDir(const std::string &dir);
-
-/** Current snapshot directory ("" when unset). */
-std::string snapshotDir();
-
-/** Path a given warmup key is stored at under @p dir. */
-std::string snapshotPathFor(const std::string &dir,
-                            std::uint64_t key);
 
 /** Drop every memoized snapshot (tests and benchmark cold legs). */
 void clearSnapshotCache();

@@ -184,15 +184,6 @@ benchmarkName(const CliArg &a)
     return a.text;
 }
 
-std::string
-directory(const CliArg &a)
-{
-    std::error_code ec;
-    if (!std::filesystem::is_directory(a.text, ec))
-        fail(a.flag + (" '" + a.text + "' is not an existing directory"));
-    return a.text;
-}
-
 OutputFormat
 formatValue(const CliArg &a)
 {
@@ -289,11 +280,6 @@ const std::vector<CliFlag> flagTable = {
      "instructions (K < --insts; fabric runs have no warmup split); runs "
      "sharing a warmup stem restore one memoized warm snapshot",
      [](Opts &o, const Arg &a) { o.sweep.warmupInstructions = positive(a); }},
-    {"--snapshot-dir", CliArity::value, "PATH", cliRun,
-     "existing directory where separate processes (--shard runs, a "
-     "resumed run) exchange warm snapshots; never affects the records, "
-     "manifests or hashes",
-     [](Opts &o, const Arg &a) { o.snapshotDir = directory(a); }},
     {"--output", CliArity::value, "PATH", cliRun | cliMerge | cliParse,
      "append every per-run record to a trajectory file whose extension "
      "picks the format: .jsonl/.json (JSON lines), .csv, or .gtrj "

@@ -48,8 +48,6 @@ struct CliOptions
     std::vector<std::string> benchmarks;
     std::string outputPath;
     std::string manifestPath;
-    /** Warm-snapshot exchange directory; never run-defining. */
-    std::string snapshotDir;
     /** Keep the valid record prefix of a .gtrj --output and run only
      *  the rest. */
     bool resume = false;

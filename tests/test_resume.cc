@@ -433,9 +433,10 @@ galsbench(const std::string &dir, const std::string &args)
  *  naming a core it lacks, an interval meter finer than the nominal
  *  clock period, a manifest directory that does not exist, more runs
  *  than maxPlannedRuns, a manifest at the trajectory's path, trajectory
- *  files given to --merge, the retired --engine, --merge-manifest,
- *  dispatch and --resume-skip, an unknown benchmark, and environment
- *  defaults that the flags they stand for would reject. */
+ *  files given to --merge, the retired --engine, --snapshot-dir,
+ *  --merge-manifest, dispatch and --resume-skip, an unknown benchmark,
+ *  and environment defaults that the flags they stand for would
+ *  reject. */
 TEST(CliUsage, UnsupportedSweepsExitTwo)
 {
     if (galsbenchBinary().empty())
@@ -455,6 +456,7 @@ TEST(CliUsage, UnsupportedSweepsExitTwo)
         {"", "--scenario fig05 --manifest /nonexistent/m.json"},
         // Retired flags and modes are unknown arguments.
         {"", "--scenario quickstart --engine calendar"},
+        {"", "--scenario quickstart --warmup-insts 10 --snapshot-dir ."},
         {"", "dispatch --scenario fig05"},
         {"", "--scenario quickstart --resume-skip 3"},
         {"", "--scenario quickstart --bench nosuch"},
@@ -673,15 +675,11 @@ TEST(ResumeExact, FabricSmoke)
                           "--topology ring --insts 1000");
 }
 
-TEST(ResumeExact, WarmSweepSharingASnapshotDir)
+TEST(ResumeExact, WarmSweep)
 {
-    const std::string snapshots = tempPath("exact_warm_snapshots");
-    fs::remove_all(snapshots);
-    fs::create_directories(snapshots);
     expectEveryCutResumes("exact_warm",
                           "--scenario dvfs-explorer --bench gcc "
-                          "--insts 3000 --warmup-insts 2000 "
-                          "--snapshot-dir '" + snapshots + "'");
+                          "--insts 3000 --warmup-insts 2000");
 }
 
 /** A file written by another sweep (another instruction budget) is

@@ -2,16 +2,13 @@
  * @file
  * Warm-state checkpointing tests (core/snapshot.hh): per-unit
  * save/restore round trips, strict rejection of damaged or foreign
- * snapshot bytes, the warmup-key sharing rules, the disk cache's
- * tolerance of stale/partial files, and the headline contract — a
- * memoized warm run is byte-identical to the same sweep run cold, at
- * any job count.
+ * snapshot bytes, the warmup-key sharing rules, and the headline
+ * contract — a memoized warm run is byte-identical to the same sweep
+ * run cold, at any job count.
  */
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "bpred/bpred.hh"
@@ -502,86 +499,4 @@ TEST(WarmSweep, MeasuredRegionCoversOnlyMeasuredInstructions)
     const RunResults r = runOne(cfg);
     EXPECT_EQ(r.committed, cfg.instructions - cfg.warmupInstructions);
     EXPECT_GT(r.ticks, 0u);
-}
-
-// ---------------------------------------------------------------------
-// Disk cache: atomicity, staleness, partial files
-// ---------------------------------------------------------------------
-
-class SnapshotDirTest : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        dir_ = std::filesystem::temp_directory_path() /
-               "galssim_snaptest";
-        std::filesystem::remove_all(dir_);
-        std::filesystem::create_directories(dir_);
-        setSnapshotDir(dir_.string());
-        clearSnapshotCache();
-    }
-
-    void
-    TearDown() override
-    {
-        setSnapshotDir("");
-        clearSnapshotCache();
-        std::filesystem::remove_all(dir_);
-    }
-
-    std::filesystem::path dir_;
-};
-
-TEST_F(SnapshotDirTest, ProducerWritesReusableFile)
-{
-    const RunConfig cfg = warmCfg();
-    const auto bytes = acquireWarmupSnapshot(cfg);
-    ASSERT_TRUE(bytes && !bytes->empty());
-
-    const std::string path =
-        snapshotPathFor(dir_.string(), warmupKeyHash(cfg));
-    ASSERT_TRUE(std::filesystem::exists(path));
-
-    // A fresh process (simulated by clearing the in-memory cache)
-    // loads the same bytes back from disk.
-    clearSnapshotCache();
-    const auto reloaded = acquireWarmupSnapshot(cfg);
-    EXPECT_EQ(*bytes, *reloaded);
-    // No temp files left behind by the atomic writer.
-    for (const auto &e : std::filesystem::directory_iterator(dir_))
-        EXPECT_EQ(e.path().extension(), ".gsnp") << e.path();
-}
-
-TEST_F(SnapshotDirTest, PartialFileIsIgnoredAndRewritten)
-{
-    const RunConfig cfg = warmCfg();
-    const auto bytes = acquireWarmupSnapshot(cfg);
-    const std::string path =
-        snapshotPathFor(dir_.string(), warmupKeyHash(cfg));
-
-    // Simulate a crash mid-write: truncate the file.
-    std::filesystem::resize_file(path,
-                                 std::filesystem::file_size(path) / 2);
-    clearSnapshotCache();
-    const auto again = acquireWarmupSnapshot(cfg);
-    EXPECT_EQ(*bytes, *again);
-    EXPECT_EQ(std::filesystem::file_size(path), bytes->size());
-}
-
-TEST_F(SnapshotDirTest, StaleGarbageFileIsIgnored)
-{
-    const RunConfig cfg = warmCfg();
-    const std::string path =
-        snapshotPathFor(dir_.string(), warmupKeyHash(cfg));
-    {
-        std::ofstream os(path, std::ios::binary);
-        os << "stale bytes from another simulator version";
-    }
-    const auto bytes = acquireWarmupSnapshot(cfg);
-    ASSERT_TRUE(bytes && !bytes->empty());
-
-    Machine m(cfg);
-    std::string err;
-    EXPECT_TRUE(restoreWarmMachine(m.proc, cfg, *bytes, &err)) << err;
 }
