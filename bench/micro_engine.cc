@@ -1,7 +1,8 @@
 /**
  * @file
  * Engine microbenchmarks (google-benchmark): event queue scheduling,
- * schedule/cancel and hold-model churn, clock-domain ticking,
+ * schedule/cancel and hold-model churn (on clock domains, the only
+ * thing the queue schedules), clock-domain ticking,
  * mixed-clock channel traffic, squash churn, and end-to-end
  * simulation rate of one GALS core and of 8- and 64-core fabrics.
  * docs/PERFORMANCE.md records their numbers from:
@@ -28,26 +29,39 @@ using namespace gals;
 namespace
 {
 
-/** Hold-model event: every firing reschedules itself a pseudo-random
- *  increment into the future, keeping the queue population constant. */
-class HoldEvent : public Event
+/** Hold-model clock: every edge sets a pseudo-random period, so its
+ *  next edge lands that increment into the future and the queue
+ *  population stays constant. */
+class HoldClock final : public ClockDomain::Ticker
 {
   public:
-    HoldEvent(EventQueue &eq, Rng &rng) : Event("hold"), eq_(eq),
-                                          rng_(rng)
+    HoldClock(EventQueue &eq, Rng &rng)
+        : domain_(eq, "hold", 1, 1 + (rng.next64() & 2047)), rng_(rng)
     {
-    }
-
-    void
-    process() override
-    {
-        eq_.schedule(this, eq_.now() + 1 + (rng_.next64() & 2047));
+        domain_.addTicker(*this);
+        domain_.start();
     }
 
   private:
-    EventQueue &eq_;
+    void
+    tick() override
+    {
+        domain_.setPeriod(1 + (rng_.next64() & 2047));
+    }
+
+    ClockDomain domain_;
     Rng &rng_;
 };
+
+/** Never-started domains: each fires once per schedule(). */
+std::vector<std::unique_ptr<ClockDomain>>
+makeShots(EventQueue &eq, std::size_t n)
+{
+    std::vector<std::unique_ptr<ClockDomain>> shots;
+    for (std::size_t i = 0; i < n; ++i)
+        shots.push_back(std::make_unique<ClockDomain>(eq, "shot", 1));
+    return shots;
+}
 
 /**
  * Batch schedule + drain: the seed benchmark shape, kept for
@@ -57,9 +71,7 @@ void
 BM_EventQueueScheduleService(benchmark::State &state)
 {
     EventQueue eq("bench");
-    std::vector<std::unique_ptr<CallbackEvent>> events;
-    for (int i = 0; i < 64; ++i)
-        events.push_back(std::make_unique<CallbackEvent>([] {}));
+    auto events = makeShots(eq, 64);
     std::uint64_t t = 1;
     for (auto _ : state) {
         for (auto &ev : events)
@@ -83,12 +95,9 @@ BM_EventQueueHoldChurn(benchmark::State &state)
         static_cast<std::size_t>(state.range(0));
     EventQueue eq("bench");
     Rng rng(0x9e3779b9u);
-    std::vector<std::unique_ptr<HoldEvent>> events;
-    for (std::size_t i = 0; i < population; ++i) {
-        events.push_back(std::make_unique<HoldEvent>(eq, rng));
-        eq.schedule(events.back().get(),
-                    1 + (rng.next64() & 2047));
-    }
+    std::vector<std::unique_ptr<HoldClock>> clocks;
+    for (std::size_t i = 0; i < population; ++i)
+        clocks.push_back(std::make_unique<HoldClock>(eq, rng));
     for (auto _ : state) {
         for (int k = 0; k < 1024; ++k)
             eq.serviceOne();
@@ -99,9 +108,9 @@ BENCHMARK(BM_EventQueueHoldChurn)
     ->Arg(16)->Arg(256)->Arg(4096);
 
 /**
- * Pure schedule/cancel churn: events are rescheduled to scattered
+ * Pure schedule/cancel churn: pending edges are moved to scattered
  * future times without ever firing (the deschedule-heavy pattern of
- * speculative wakeups and DVFS timer moves).
+ * parking and restarting clocks).
  */
 void
 BM_EventQueueScheduleCancel(benchmark::State &state)
@@ -110,15 +119,14 @@ BM_EventQueueScheduleCancel(benchmark::State &state)
         static_cast<std::size_t>(state.range(0));
     EventQueue eq("bench");
     Rng rng(0x2545f491u);
-    std::vector<std::unique_ptr<CallbackEvent>> events;
-    for (std::size_t i = 0; i < population; ++i) {
-        events.push_back(std::make_unique<CallbackEvent>([] {}));
-        eq.schedule(events.back().get(), 1 + (rng.next64() & 4095));
-    }
+    auto events = makeShots(eq, population);
+    for (auto &ev : events)
+        eq.schedule(ev.get(), 1 + (rng.next64() & 4095));
     for (auto _ : state) {
-        for (std::size_t i = 0; i < population; ++i)
-            eq.reschedule(events[i].get(),
-                          1 + (rng.next64() & 4095));
+        for (auto &ev : events) {
+            eq.deschedule(ev.get());
+            eq.schedule(ev.get(), 1 + (rng.next64() & 4095));
+        }
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(population));

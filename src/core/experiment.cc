@@ -298,10 +298,13 @@ runOne(const RunConfig &cfg)
 {
     if (cfg.fabric.active()) {
         // Warmup snapshots are stamped onto single-core runs only
-        // (runner::expandReplicatedRuns); a fabric config carrying
-        // one is a programming error, never silently ignored.
+        // (runner::expandReplicatedRuns), and planSweep refuses an
+        // interval meter on a fabric; a fabric config carrying either
+        // is a programming error, never silently ignored.
         gals_assert(cfg.warmupInstructions == 0,
                     "warmup snapshots are single-core only");
+        gals_assert(cfg.intervalTicks == 0,
+                    "interval meters are single-core only");
         return runSystem(cfg);
     }
 

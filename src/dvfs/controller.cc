@@ -10,7 +10,11 @@ namespace gals
 DynamicDvfsController::DynamicDvfsController(EventQueue &eq,
                                              const TechParams &tech,
                                              const DynamicDvfsConfig &cfg)
-    : eq_(eq), tech_(tech), cfg_(cfg)
+    // Phase == period: the first sample fires one full period after
+    // start().
+    : tech_(tech), cfg_(cfg),
+      sampler_(eq, "dvfs.sampler", cfg.samplePeriod, cfg.samplePeriod,
+               ClockDomain::statsPri)
 {
     gals_assert(!cfg_.steps.empty() && cfg_.steps.front() == 1.0,
                 "DVFS steps must start at 1.0 (nominal)");
@@ -18,11 +22,7 @@ DynamicDvfsController::DynamicDvfsController(EventQueue &eq,
         gals_assert(cfg_.steps[i] > cfg_.steps[i - 1],
                     "DVFS steps must ascend");
     gals_assert(cfg_.loUtil < cfg_.hiUtil, "DVFS thresholds inverted");
-}
-
-DynamicDvfsController::~DynamicDvfsController()
-{
-    stop();
+    sampler_.addTicker(*this);
 }
 
 void
@@ -45,20 +45,14 @@ DynamicDvfsController::manage(ClockDomain &domain,
 void
 DynamicDvfsController::start()
 {
-    if (sampler_)
-        return;
-    sampler_ = std::make_unique<PeriodicEvent>(
-        [this] { sample(); }, cfg_.samplePeriod, "dvfs.sampler",
-        Event::statsPri);
-    eq_.schedule(sampler_.get(), eq_.now() + cfg_.samplePeriod);
+    if (!sampler_.running())
+        sampler_.start();
 }
 
 void
 DynamicDvfsController::stop()
 {
-    if (sampler_ && sampler_->scheduled())
-        eq_.deschedule(sampler_.get());
-    sampler_.reset();
+    sampler_.stop();
 }
 
 void

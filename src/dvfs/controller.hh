@@ -22,8 +22,6 @@
 #ifndef DVFS_CONTROLLER_HH
 #define DVFS_CONTROLLER_HH
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -57,14 +55,18 @@ struct DynamicDvfsConfig
 
 /**
  * Samples utilization and retunes clock domains at run time.
+ *
+ * The sampler is a clock like any other: a ClockDomain of period =
+ * phase = samplePeriod whose edges run at statsPri, after every
+ * clockEdgePri edge of the same tick, with this controller as its
+ * only ticker.
  */
-class DynamicDvfsController
+class DynamicDvfsController : public ClockDomain::Ticker
 {
   public:
     DynamicDvfsController(EventQueue &eq, const TechParams &tech,
                           const DynamicDvfsConfig &cfg =
                               DynamicDvfsConfig());
-    ~DynamicDvfsController();
 
     DynamicDvfsController(const DynamicDvfsController &) = delete;
     DynamicDvfsController &
@@ -111,15 +113,15 @@ class DynamicDvfsController
         double lastUtil = 0.0;
     };
 
+    void tick() final { sample(); }
     void sample();
     void applyStep(Managed &m, unsigned step);
     const Managed *find(const ClockDomain &domain) const;
 
-    EventQueue &eq_;
     TechParams tech_;
     DynamicDvfsConfig cfg_;
     std::vector<Managed> managed_;
-    std::unique_ptr<PeriodicEvent> sampler_;
+    ClockDomain sampler_;
     std::uint64_t adjustments_ = 0;
     std::uint64_t samples_ = 0;
 };

@@ -41,7 +41,7 @@ class System::Link final : public ClockDomain::Ticker
           dom_(eq,
                "fabric.link." + std::to_string(spec.src) + "to" +
                    std::to_string(spec.dst),
-               cfg.proc.nominalPeriod, 0, Event::clockEdgePri + 1),
+               cfg.proc.nominalPeriod, 0, ClockDomain::clockEdgePri + 1),
           in_("fabric.ch." + std::to_string(spec.src) + "to" +
                   std::to_string(spec.dst) + ".in",
               cfg.gals ? ChannelMode::asyncFifo : ChannelMode::syncLatch,

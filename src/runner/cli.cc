@@ -272,8 +272,8 @@ const std::vector<CliFlag> flagTable = {
      [](Opts &o, const Arg &a) { o.sweep.traffics = trafficList(a); }},
     {"--interval-ticks", CliArity::value, "K", cliRun,
      "sample per-interval meters (IPC, per-domain energy, FIFO "
-     "occupancy) every K ticks into an \"intervals\" series per record; "
-     "K >= the nominal clock period (1000 ticks)",
+     "occupancy) every K ticks into an \"intervals\" series per record "
+     "(single-core runs only); K >= the nominal clock period (1000 ticks)",
      [](Opts &o, const Arg &a) { o.sweep.intervalTicks = intervalTicks(a); }},
     {"--warmup-insts", CliArity::value, "K", cliRun,
      "split every single-core run into K warmup and (insts - K) measured "

@@ -107,13 +107,14 @@ expandReplicatedRuns(const Scenario &s, const SweepOptions &opts,
                    std::make_move_iterator(runs.begin()),
                    std::make_move_iterator(runs.end()));
     }
-    // The interval meter applies sweep-wide; stamping here (the one
-    // place every scenario's grid passes through) keeps the option
-    // out of each scenario's makeRuns(). The warmup split is stamped
-    // the same way, but only onto single-core runs: fabric runs do
-    // not support warm snapshots, and leaving their field at 0 keeps
-    // their hashes unchanged instead of silently ignoring the option
-    // mid-run (runOne asserts the combination never reaches it).
+    // The interval meter applies sweep-wide (planSweep refuses it on
+    // a grid with a fabric run); stamping here (the one place every
+    // scenario's grid passes through) keeps the option out of each
+    // scenario's makeRuns(). The warmup split is stamped the same
+    // way, but only onto single-core runs: fabric runs do not support
+    // warm snapshots, and leaving their field at 0 keeps their hashes
+    // unchanged instead of silently ignoring the option mid-run
+    // (runOne asserts the combination never reaches it).
     for (RunConfig &cfg : all) {
         cfg.intervalTicks = opts.intervalTicks;
         if (!cfg.fabric.active())

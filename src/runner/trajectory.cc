@@ -186,7 +186,8 @@ planSweep(const ScenarioRegistry &registry,
         planned += runs.size();
         // Every fabric run must be buildable (a --traffic spec naming
         // a core the fabric lacks would otherwise stop the sweep at
-        // that run), and a fabric has no warm snapshots.
+        // that run), and a fabric has no warm snapshots and no
+        // interval meter.
         for (const RunConfig &cfg : runs) {
             if (!cfg.fabric.active())
                 continue;
@@ -195,9 +196,14 @@ planSweep(const ScenarioRegistry &registry,
                 err = "scenario '" + name + "': " + ferr;
                 return false;
             }
-            if (opts.warmupInstructions > 0) {
-                err = "--warmup-insts applies to single-core runs only; "
-                      "scenario '" + name + "' runs a " +
+            const char *singleCoreFlag =
+                opts.warmupInstructions > 0 ? "--warmup-insts"
+                : opts.intervalTicks > 0    ? "--interval-ticks"
+                                            : nullptr;
+            if (singleCoreFlag != nullptr) {
+                err = std::string(singleCoreFlag) +
+                      " applies to single-core runs only; scenario '" +
+                      name + "' runs a " +
                       std::to_string(cfg.fabric.cores) + "-core fabric";
                 return false;
             }

@@ -16,7 +16,7 @@ ClockDomain::Ticker::~Ticker()
 ClockDomain::ClockDomain(EventQueue &eq, std::string name, Tick period,
                          Tick phase, int edgePriority)
     : eq_(eq), name_(std::move(name)), period_(period), phase_(phase),
-      edgeEvent_(*this, period, name_ + ".edge", edgePriority)
+      priority_(edgePriority)
 {
     gals_assert(period > 0, "clock domain '", name_,
                 "' needs a positive period");
@@ -24,6 +24,8 @@ ClockDomain::ClockDomain(EventQueue &eq, std::string name, Tick period,
 
 ClockDomain::~ClockDomain()
 {
+    if (scheduled())
+        queue_->deschedule(this);
     while (Ticker *t = tickers_.popFront()) {
         t->tickerDomain_ = nullptr;
         if (t->tickerOwned_)
@@ -90,9 +92,7 @@ ClockDomain::start()
 {
     gals_assert(!running_, "clock domain '", name_, "' already running");
     running_ = true;
-    edgeEvent_.resumeRepeat();
-    Tick first = eq_.now() + phase_;
-    eq_.schedule(&edgeEvent_, first);
+    eq_.schedule(this, eq_.now() + phase_);
 }
 
 void
@@ -101,9 +101,8 @@ ClockDomain::stop()
     if (!running_)
         return;
     running_ = false;
-    if (edgeEvent_.scheduled())
-        eq_.deschedule(&edgeEvent_);
-    edgeEvent_.cancelRepeat();
+    if (scheduled())
+        eq_.deschedule(this);
 }
 
 void
@@ -113,8 +112,7 @@ ClockDomain::restartAt(Tick t)
     gals_assert(t >= eq_.now(), "clock domain '", name_,
                 "' restarted in the past");
     running_ = true;
-    edgeEvent_.resumeRepeat();
-    eq_.schedule(&edgeEvent_, nextEdgeAt(t));
+    eq_.schedule(this, nextEdgeAt(t));
 }
 
 void
@@ -123,7 +121,6 @@ ClockDomain::setPeriod(Tick period)
     gals_assert(period > 0, "clock domain '", name_,
                 "' needs a positive period");
     period_ = period;
-    edgeEvent_.period(period);
 }
 
 void

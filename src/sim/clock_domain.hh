@@ -2,12 +2,20 @@
  * @file
  * Clock domains for locally synchronous blocks.
  *
- * A ClockDomain is a periodic event source with a period, a phase
- * offset, and an ordered list of per-edge tickers. Every processor has
- * five domains, one per pipeline region. In the base (fully
- * synchronous) processor they share one period and phase, so they act
- * as a single clock; the GALS processor gives each its own period and a
- * random phase, exactly as in section 4.2 of the paper.
+ * A ClockDomain is a periodic clock with a period, a phase offset,
+ * and an ordered list of per-edge tickers. Every processor has five
+ * domains, one per pipeline region. In the base (fully synchronous)
+ * processor they share one period and phase, so they act as a single
+ * clock; the GALS processor gives each its own period and a random
+ * phase, exactly as in section 4.2 of the paper.
+ *
+ * The paper's engine schedules arbitrary events, but this model only
+ * ever schedules clocks, so the domain is itself the queue entry: it
+ * carries its next edge's (time, priority, seq) key and calendar
+ * link, and the EventQueue calls edge() directly and re-queues the
+ * domain one period later while it is running. Periodic samplers
+ * (the interval meter, the dynamic-DVFS controller) are domains too,
+ * with phase = period and a ticker that takes the sample.
  *
  * The period may be changed at run time (the change takes effect after
  * the current edge), which is the mechanism used for dynamic frequency
@@ -35,6 +43,7 @@
 #ifndef SIM_CLOCK_DOMAIN_HH
 #define SIM_CLOCK_DOMAIN_HH
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <type_traits>
@@ -52,6 +61,13 @@ namespace gals
 class ClockDomain
 {
   public:
+    /** Edge priorities; lower value executes first within a tick. */
+    enum Priority : int
+    {
+        clockEdgePri = 0,    ///< clock-domain edges
+        statsPri = 90,       ///< end-of-interval statistics
+    };
+
     /**
      * One per-edge registration, linked into the domain's sorted
      * intrusive ticker list. Pipeline stages derive from this and
@@ -109,11 +125,11 @@ class ClockDomain
      * @param name     diagnostic name
      * @param period   clock period in ticks (> 0)
      * @param phase    first-edge offset in ticks (< period typically)
-     * @param edgePriority  event priority of every edge; at equal
+     * @param edgePriority  queue priority of every edge; at equal
      *     ticks lower values run first
      */
     ClockDomain(EventQueue &eq, std::string name, Tick period,
-                Tick phase = 0, int edgePriority = Event::clockEdgePri);
+                Tick phase = 0, int edgePriority = clockEdgePri);
     ~ClockDomain();
 
     ClockDomain(const ClockDomain &) = delete;
@@ -165,6 +181,12 @@ class ClockDomain
 
     bool running() const { return running_; }
 
+    /** True while the next edge sits in the queue. */
+    bool scheduled() const { return queue_ != nullptr; }
+
+    /** Queue priority of every edge of this domain. */
+    int priority() const { return priority_; }
+
     /** Current period in ticks. */
     Tick period() const { return period_; }
 
@@ -209,23 +231,8 @@ class ClockDomain
     EventQueue &eventQueue() { return eq_; }
 
   private:
-    /** The domain edge as a typed periodic event: one virtual
-     *  process() straight into edge(), no std::function hop. */
-    class EdgeEvent final : public PeriodicEvent
-    {
-      public:
-        EdgeEvent(ClockDomain &domain, Tick period, std::string name,
-                  int priority)
-            : PeriodicEvent(period, std::move(name), priority),
-              domain_(domain)
-        {
-        }
-
-        void process() override { domain_.edge(); }
-
-      private:
-        ClockDomain &domain_;
-    };
+    friend class EventQueue;
+    friend class IntrusiveList<ClockDomain, EdgeBucketTag>;
 
     using TickerList = IntrusiveList<Ticker>;
 
@@ -253,7 +260,23 @@ class ClockDomain
      *  edge walk once its tick() returns. */
     bool pendingSelfRemove_ = false;
 
-    EdgeEvent edgeEvent_;
+    /** @name Queue key and calendar link
+     * Owned by the EventQueue; when_, seq_ and the link are valid
+     * only while scheduled. */
+    /// @{
+    IntrusiveLink<ClockDomain, EdgeBucketTag> &
+    intrusiveLink(EdgeBucketTag)
+    {
+        return calLink_;
+    }
+
+    int priority_;
+    Tick when_ = 0;
+    std::uint64_t seq_ = 0;     ///< insertion order tie-break
+    EventQueue *queue_ = nullptr;
+    IntrusiveLink<ClockDomain, EdgeBucketTag> calLink_;
+    std::size_t bucket_ = 0;    ///< owning bucket index
+    /// @}
 };
 
 inline Tick
@@ -262,8 +285,8 @@ ClockDomain::nextEdgeAt(Tick t) const
     // Reference edge: the next one committed to the queue if running,
     // otherwise extrapolate from the phase.
     Tick ref;
-    if (edgeEvent_.scheduled())
-        ref = edgeEvent_.when();
+    if (scheduled())
+        ref = when_;
     else if (seenEdge_)
         ref = lastEdge_ + period_;
     else

@@ -4,71 +4,20 @@
 #include <bit>
 #include <utility>
 
+#include "sim/clock_domain.hh"
 #include "sim/logging.hh"
 
 namespace gals
 {
 
-Event::Event(std::string name, int priority)
-    : name_(std::move(name)), priority_(priority)
+bool
+EventQueue::before(const ClockDomain *a, const ClockDomain *b)
 {
-}
-
-Event::Event(std::string name, int priority, bool periodic)
-    : name_(std::move(name)), priority_(priority), periodic_(periodic)
-{
-}
-
-Event::~Event()
-{
-    if (scheduled())
-        queue_->deschedule(this);
-}
-
-CallbackEvent::CallbackEvent(std::function<void()> fn, std::string name,
-                             int priority)
-    : Event(std::move(name), priority), fn_(std::move(fn))
-{
-}
-
-void
-CallbackEvent::process()
-{
-    fn_();
-}
-
-PeriodicEvent::PeriodicEvent(std::function<void()> fn, Tick period,
-                             std::string name, int priority)
-    : Event(std::move(name), priority, true), fn_(std::move(fn)),
-      period_(period)
-{
-    gals_assert(period > 0, "periodic event '", this->name(),
-                "' needs a positive period");
-}
-
-PeriodicEvent::PeriodicEvent(Tick period, std::string name, int priority)
-    : Event(std::move(name), priority, true), period_(period)
-{
-    gals_assert(period > 0, "periodic event '", this->name(),
-                "' needs a positive period");
-}
-
-void
-PeriodicEvent::period(Tick p)
-{
-    gals_assert(p > 0, "periodic event '", name(),
-                "' needs a positive period");
-    period_ = p;
-}
-
-void
-PeriodicEvent::process()
-{
-    // Rescheduling of the next occurrence is handled by the queue
-    // after this returns, so the callback may freely change the
-    // period or cancel the repeat. Typed subclasses override
-    // process() and never touch fn_.
-    fn_();
+    if (a->when_ != b->when_)
+        return a->when_ < b->when_;
+    if (a->priority_ != b->priority_)
+        return a->priority_ < b->priority_;
+    return a->seq_ < b->seq_;
 }
 
 EventQueue::EventQueue(std::string name)
@@ -78,132 +27,124 @@ EventQueue::EventQueue(std::string name)
 
 EventQueue::~EventQueue()
 {
-    // Orphan any still-scheduled events so their destructors do not
+    // Orphan any still-scheduled domains so their destructors do not
     // touch a dead queue.
     for (Bucket &b : buckets_)
-        for (Event *ev = b.head(); ev != nullptr; ev = Bucket::next(ev))
-            ev->queue_ = nullptr;
+        for (ClockDomain *cd = b.head(); cd != nullptr;
+             cd = Bucket::next(cd))
+            cd->queue_ = nullptr;
 }
 
 void
-EventQueue::schedule(Event *ev, Tick when)
+EventQueue::schedule(ClockDomain *cd, Tick when)
 {
-    gals_assert(ev != nullptr, "null event");
-    gals_assert(!ev->scheduled(), "event '", ev->name(),
+    gals_assert(cd != nullptr, "null clock domain");
+    gals_assert(!cd->scheduled(), "clock domain '", cd->name(),
                 "' is already scheduled");
-    gals_assert(when >= now_, "event '", ev->name(),
+    gals_assert(when >= now_, "clock domain '", cd->name(),
                 "' scheduled in the past (", when, " < ", now_, ")");
-    ev->when_ = when;
-    ev->seq_ = nextSeq_++;
-    ev->queue_ = this;
+    cd->when_ = when;
+    cd->seq_ = nextSeq_++;
+    cd->queue_ = this;
     ++size_;
-    calInsert(ev);
+    calInsert(cd);
     if (size_ > calGrowPerBucket * buckets_.size())
         calResize(buckets_.size() * 2);
 }
 
 void
-EventQueue::schedulePeriodicRepeat(PeriodicEvent *ev)
+EventQueue::requeue(ClockDomain *cd)
 {
-    // The pop that just delivered this event vacated its slot, so
+    // The pop that just delivered this edge vacated its slot, so
     // size_ returns to a level the previous grow check admitted —
     // skip the asserts (trivially true here) and the grow check.
-    ev->when_ = now_ + ev->period();
-    ev->seq_ = nextSeq_++;
-    ev->queue_ = this;
+    cd->when_ = now_ + cd->period();
+    cd->seq_ = nextSeq_++;
+    cd->queue_ = this;
     ++size_;
-    calInsert(ev);
+    calInsert(cd);
 }
 
 void
-EventQueue::deschedule(Event *ev)
+EventQueue::deschedule(ClockDomain *cd)
 {
-    gals_assert(ev != nullptr, "null event");
-    gals_assert(ev->queue_ == this, "event '", ev->name(),
+    gals_assert(cd != nullptr, "null clock domain");
+    gals_assert(cd->queue_ == this, "clock domain '", cd->name(),
                 "' is not scheduled on this queue");
-    calRemove(ev);
+    calRemove(cd);
     --size_;
     calMaybeShrink();
-    ev->queue_ = nullptr;
+    cd->queue_ = nullptr;
 }
 
 void
-EventQueue::reschedule(Event *ev, Tick when)
+EventQueue::calInsert(ClockDomain *cd)
 {
-    if (ev->scheduled())
-        deschedule(ev);
-    schedule(ev, when);
-}
-
-void
-EventQueue::calInsert(Event *ev)
-{
-    const std::size_t idx = bucketIndex(ev->when_);
+    const std::size_t idx = bucketIndex(cd->when_);
     Bucket &b = buckets_[idx];
-    ev->bucket_ = idx;
+    cd->bucket_ = idx;
 
     // Keep the bucket sorted by (when, priority, seq). Scan from the
     // tail: clock-edge traffic inserts mostly at or near the end (new
-    // events carry the largest seq, and times move forward).
-    Event *pos = b.tail();
-    const Less less;
-    while (pos != nullptr && less(ev, pos))
+    // edges carry the largest seq, and times move forward).
+    ClockDomain *pos = b.tail();
+    while (pos != nullptr && before(cd, pos))
         pos = Bucket::prev(pos);
-    b.insertAfter(pos, ev);
+    b.insertAfter(pos, cd);
 
-    // A known minimum stays valid; it only changes if the new event
-    // is cheaper. An unknown (nullptr) cache stays unknown — except
-    // for a sole occupant, which is trivially the minimum (the case a
-    // lone periodic clock hits on every reinsert).
+    // A known minimum stays valid; it only changes if the new edge is
+    // cheaper. An unknown (nullptr) cache stays unknown — except for
+    // a sole occupant, which is trivially the minimum (the case a
+    // lone clock hits on every reinsert).
     if (minCache_ != nullptr) {
-        if (less(ev, minCache_))
-            minCache_ = ev;
+        if (before(cd, minCache_))
+            minCache_ = cd;
     } else if (size_ == 1) {
-        minCache_ = ev;
+        minCache_ = cd;
     }
 }
 
 void
-EventQueue::calRemove(Event *ev)
+EventQueue::calRemove(ClockDomain *cd)
 {
-    // Repair the min cache before the links go away: events with
-    // equal when() always share a bucket and buckets are sorted, so
-    // when the minimum is removed and its successor carries the same
-    // time, that successor is the new global minimum — the case that
-    // makes same-tick batches O(1) per pop. A successor at a later
-    // time proves nothing (another bucket may hold an earlier year),
-    // so the cache falls back to "unknown".
-    if (minCache_ == ev) {
-        Event *succ = Bucket::next(ev);
+    // Repair the min cache before the links go away: edges with equal
+    // when() always share a bucket and buckets are sorted, so when
+    // the minimum is removed and its successor carries the same time,
+    // that successor is the new global minimum — the case that makes
+    // same-tick batches O(1) per pop. A successor at a later time
+    // proves nothing (another bucket may hold an earlier year), so
+    // the cache falls back to "unknown".
+    if (minCache_ == cd) {
+        ClockDomain *succ = Bucket::next(cd);
         minCache_ =
-            (succ != nullptr && succ->when_ == ev->when_) ? succ
+            (succ != nullptr && succ->when_ == cd->when_) ? succ
                                                           : nullptr;
     }
-    buckets_[ev->bucket_].unlink(ev);
+    buckets_[cd->bucket_].unlink(cd);
 }
 
-Event *
+ClockDomain *
 EventQueue::calFindMin() const
 {
     // Classic calendar-queue search: walk one wheel revolution
     // starting at the bucket covering now(), accepting the first
     // bucket head that falls inside its current-year window. Bucket
-    // heads are bucket minima, and events with equal when() always
+    // heads are bucket minima, and edges with equal when() always
     // share a bucket, so the first hit is the global minimum.
     const std::size_t n = buckets_.size();
     const std::uint64_t vstart = now_ >> widthLog2_;
     for (std::size_t k = 0; k < n; ++k) {
-        Event *h = buckets_[(vstart + k) & (n - 1)].head();
+        ClockDomain *h = buckets_[(vstart + k) & (n - 1)].head();
         if (h != nullptr && (h->when_ >> widthLog2_) == vstart + k) {
             minCache_ = h;
             return h;
         }
     }
 
-    // Every pending event is more than a full revolution away:
-    // direct search over the bucket minima. Distinct buckets never
-    // tie on when(), so comparing times alone is deterministic.
-    Event *best = nullptr;
+    // Every pending edge is more than a full revolution away: direct
+    // search over the bucket minima. Distinct buckets never tie on
+    // when(), so comparing times alone is deterministic.
+    ClockDomain *best = nullptr;
     for (const Bucket &b : buckets_)
         if (b.head() != nullptr &&
             (best == nullptr || b.head()->when_ < best->when_))
@@ -215,33 +156,34 @@ EventQueue::calFindMin() const
 void
 EventQueue::calResize(std::size_t newBuckets)
 {
-    // Unlink every event into one chain, then re-insert under the new
+    // Unlink every edge into one chain, then re-insert under the new
     // geometry. Pointers stay valid, so the min cache survives.
     Bucket all;
     Tick minWhen = maxTick;
     Tick maxWhen = 0;
     for (Bucket &b : buckets_) {
-        for (Event *ev = b.head(); ev != nullptr; ev = Bucket::next(ev)) {
-            minWhen = std::min(minWhen, ev->when_);
-            maxWhen = std::max(maxWhen, ev->when_);
+        for (ClockDomain *cd = b.head(); cd != nullptr;
+             cd = Bucket::next(cd)) {
+            minWhen = std::min(minWhen, cd->when_);
+            maxWhen = std::max(maxWhen, cd->when_);
         }
         all.splice(b);
     }
 
     buckets_ = std::vector<Bucket>(newBuckets);
 
-    // New width: the average inter-event gap (span / population)
-    // rounded down to a power of two >= 1 tick, targeting ~1 event
-    // per bucket-year while keeping the bucket index a shift+mask.
+    // New width: the average inter-edge gap (span / population)
+    // rounded down to a power of two >= 1 tick, targeting ~1 edge per
+    // bucket-year while keeping the bucket index a shift+mask.
     if (size_ > 1 && maxWhen > minWhen) {
         const Tick gap =
             std::max<Tick>(1, (maxWhen - minWhen) / size_);
         widthLog2_ = std::bit_width(gap) - 1;
     }
 
-    Event *saveMin = minCache_;
-    while (Event *ev = all.popFront())
-        calInsert(ev);
+    ClockDomain *saveMin = minCache_;
+    while (ClockDomain *cd = all.popFront())
+        calInsert(cd);
     minCache_ = saveMin;
 }
 
@@ -254,81 +196,75 @@ EventQueue::calMaybeShrink()
 }
 
 void
-EventQueue::removeMin(Event *ev)
+EventQueue::removeMin(ClockDomain *cd)
 {
-    calRemove(ev);
+    calRemove(cd);
     --size_;
     calMaybeShrink();
 }
 
-Event *
+ClockDomain *
 EventQueue::popMin()
 {
-    Event *ev = peekMin();
-    if (ev != nullptr)
-        removeMin(ev);
-    return ev;
+    ClockDomain *cd = peekMin();
+    if (cd != nullptr)
+        removeMin(cd);
+    return cd;
 }
 
 Tick
 EventQueue::nextEventTime() const
 {
-    const Event *ev = peekMin();
-    return ev != nullptr ? ev->when_ : maxTick;
+    const ClockDomain *cd = peekMin();
+    return cd != nullptr ? cd->when_ : maxTick;
 }
 
 void
-EventQueue::serviceEvent(Event *ev)
+EventQueue::serviceEvent(ClockDomain *cd)
 {
-    gals_assert(ev->when_ >= now_, "event queue went backwards");
-    now_ = ev->when_;
-    ev->queue_ = nullptr;
+    gals_assert(cd->when_ >= now_, "event queue went backwards");
+    now_ = cd->when_;
+    cd->queue_ = nullptr;
     ++processed_;
 
-    // Periodic events reschedule themselves after their callback,
-    // unless the callback rescheduled them explicitly or cancelled
-    // the repeat. The flag was latched at construction, so no RTTI
-    // probe sits on the dispatch path.
-    const bool periodic = ev->periodic_;
-    ev->process();
-    if (periodic && !ev->scheduled()) {
-        auto *per = static_cast<PeriodicEvent *>(ev);
-        if (per->repeatingNow())
-            schedulePeriodicRepeat(per);
-    }
+    // The domain repeats after its edge unless a ticker stopped it
+    // or rescheduled it (restartAt) during the edge.
+    cd->edge();
+    if (cd->running_ && !cd->scheduled())
+        requeue(cd);
 }
 
 bool
 EventQueue::serviceOne()
 {
-    Event *ev = popMin();
-    if (ev == nullptr)
+    ClockDomain *cd = popMin();
+    if (cd == nullptr)
         return false;
-    serviceEvent(ev);
+    serviceEvent(cd);
     return true;
 }
 
 std::uint64_t
-EventQueue::serviceBatch(Event *first)
+EventQueue::serviceBatch(ClockDomain *first)
 {
     // Drain the whole (when, priority) tie in one pop run: the min
     // cache is repaired in O(1) while same-tick successors remain
     // (see calRemove), so only the final pop of a batch pays a wheel
-    // scan. Events scheduled by a callback at the same (when,
-    // priority) carry larger seqs, sort behind the pending tie, and
-    // are picked up by this same loop — element-wise identical to
-    // servicing one event at a time.
+    // scan. Edges scheduled by a ticker at the same (when, priority)
+    // carry larger seqs, sort behind the pending tie, and are picked
+    // up by this same loop — element-wise identical to servicing one
+    // edge at a time.
     const Tick when = first->when_;
     const int pri = first->priority_;
-    Event *ev = first;
+    ClockDomain *cd = first;
     std::uint64_t n = 0;
     do {
-        removeMin(ev);
-        serviceEvent(ev);
+        removeMin(cd);
+        serviceEvent(cd);
         ++n;
-        ev = peekMin();
-    } while (ev != nullptr && ev->when_ == when &&
-             ev->priority_ == pri);
+        cd = peekMin();
+    } while (cd != nullptr && cd->when_ == when &&
+             cd->priority_ == pri);
     return n;
 }
 
@@ -336,9 +272,9 @@ std::uint64_t
 EventQueue::runUntil(Tick until)
 {
     std::uint64_t n = 0;
-    for (Event *ev = peekMin();
-         ev != nullptr && ev->when_ <= until; ev = peekMin())
-        n += serviceBatch(ev);
+    for (ClockDomain *cd = peekMin();
+         cd != nullptr && cd->when_ <= until; cd = peekMin())
+        n += serviceBatch(cd);
     if (now_ < until)
         now_ = until;
     return n;
@@ -348,8 +284,8 @@ std::uint64_t
 EventQueue::runAll()
 {
     std::uint64_t n = 0;
-    for (Event *ev = peekMin(); ev != nullptr; ev = peekMin())
-        n += serviceBatch(ev);
+    for (ClockDomain *cd = peekMin(); cd != nullptr; cd = peekMin())
+        n += serviceBatch(cd);
     return n;
 }
 

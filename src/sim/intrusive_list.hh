@@ -5,7 +5,8 @@
  *
  * Two subsystems keep objects on allocation-free linked lists whose
  * links are embedded in the objects themselves: calendar-queue bucket
- * chains (Event) and clock-domain ticker lists (ClockDomain::Ticker).
+ * chains (ClockDomain) and clock-domain ticker lists
+ * (ClockDomain::Ticker).
  * This header is their single implementation of the pointer surgery.
  *
  * A node type T embeds one IntrusiveLink<T, Tag> per list it can sit

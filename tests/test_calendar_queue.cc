@@ -2,11 +2,13 @@
  * @file
  * EventQueue pop order: the calendar queue against a reference oracle.
  *
- * The queue must pop events in (time, priority, insertion-seq) order
- * for any schedule/deschedule/reschedule/service history, including
- * same-tick (priority, seq) ties and runUntil boundary hits. The
- * churn test drives the queue and a std::set oracle with one
- * deterministic op stream and compares the full pop logs. The clock-
+ * The queue must pop edges in (time, priority, insertion-seq) order
+ * for any schedule/deschedule/service history, including same-tick
+ * (priority, seq) ties and runUntil boundary hits. The churn test
+ * drives the queue and a std::set oracle with one deterministic op
+ * stream and compares the full pop logs; its one-shot events are
+ * never-started clock domains with a logging ticker, which fire once
+ * per schedule and are not re-queued. The clock-
  * domain and channel tests pin FNV-1a digests of their pop logs,
  * captured while a std::set backend still ran beside the calendar
  * and agreed with it. The rest pins the calendar's own machinery
@@ -35,6 +37,27 @@ namespace
 
 /** One (event id, fire time) pop record. */
 using PopLog = std::vector<std::pair<int, Tick>>;
+
+/** A never-started domain whose one ticker logs (id, now) to @p log:
+ *  scheduled by hand, it fires once per schedule. */
+std::unique_ptr<ClockDomain>
+loggingShot(EventQueue &eq, PopLog &log, int id, std::string name,
+            int priority)
+{
+    auto cd = std::make_unique<ClockDomain>(eq, std::move(name), 1, 0,
+                                            priority);
+    cd->addTicker([&log, &eq, id] { log.emplace_back(id, eq.now()); });
+    return cd;
+}
+
+/** Deschedule @p cd if it is pending, then schedule it at @p when. */
+void
+reschedule(EventQueue &eq, ClockDomain &cd, Tick when)
+{
+    if (cd.scheduled())
+        eq.deschedule(&cd);
+    eq.schedule(&cd, when);
+}
 
 /** FNV-1a over a pop log, each field as 8 little-endian bytes. */
 std::uint64_t
@@ -125,7 +148,7 @@ class SetOracle
 };
 
 /**
- * A queue plus N recording events, the oracle, and a deterministic
+ * A queue plus N recording one-shots, the oracle, and a deterministic
  * churn driver that applies every op to both. Any divergence from the
  * oracle's order shows up as a pop-log mismatch.
  */
@@ -135,24 +158,24 @@ struct ChurnHarness
     SetOracle oracle;
     Rng rng;
     PopLog log;
-    std::vector<std::unique_ptr<CallbackEvent>> events;
+    std::vector<std::unique_ptr<ClockDomain>> events;
 
     ChurnHarness(int nEvents, std::uint64_t seed) : rng(seed)
     {
         for (int i = 0; i < nEvents; ++i) {
             // Three priority classes create same-tick priority ties;
             // same-priority same-tick schedules fall back to seq.
-            events.push_back(std::make_unique<CallbackEvent>(
-                [this, i] { log.emplace_back(i, eq.now()); },
-                "ev" + std::to_string(i), (i % 3) * 40));
+            events.push_back(loggingShot(eq, log, i,
+                                         "ev" + std::to_string(i),
+                                         (i % 3) * 40));
         }
     }
 
     void
     reschedule(int id, Tick when)
     {
-        CallbackEvent &ev = *events[id];
-        eq.reschedule(&ev, when);
+        ClockDomain &ev = *events[id];
+        ::reschedule(eq, ev, when);
         oracle.reschedule(id, ev.priority(), when);
     }
 
@@ -233,11 +256,10 @@ TEST(EventOrder, SameTickTieBreaksIdentical)
     // Everything lands on one tick: order must be (priority, seq).
     EventQueue eq("ties");
     PopLog log;
-    std::vector<std::unique_ptr<CallbackEvent>> evs;
+    std::vector<std::unique_ptr<ClockDomain>> evs;
     for (int i = 0; i < 16; ++i)
-        evs.push_back(std::make_unique<CallbackEvent>(
-            [&log, &eq, i] { log.emplace_back(i, eq.now()); },
-            "t" + std::to_string(i), (15 - i) % 4));
+        evs.push_back(loggingShot(eq, log, i, "t" + std::to_string(i),
+                                  (15 - i) % 4));
     for (auto &ev : evs)
         eq.schedule(ev.get(), 777);
     eq.runAll();
@@ -253,28 +275,34 @@ TEST(EventOrder, SameTickTieBreaksIdentical)
 TEST(EventOrder, PeriodicClockTrafficIdentical)
 {
     // GALS-shaped traffic: five mismatched periodic clocks plus churny
-    // one-shots over many edges.
+    // one-shots over many edges. Once `stopping` is set, each clock
+    // stops itself in its next edge, which fires and is not re-queued.
     auto run = [] {
         EventQueue eq("clocks");
         PopLog log;
-        std::vector<std::unique_ptr<PeriodicEvent>> clocks;
+        bool stopping = false;
+        std::vector<std::unique_ptr<ClockDomain>> clocks;
         const Tick periods[] = {1000, 1300, 2500, 997, 1111};
-        for (int i = 0; i < 5; ++i)
-            clocks.push_back(std::make_unique<PeriodicEvent>(
-                [&log, &eq, i] { log.emplace_back(i, eq.now()); },
-                periods[i], "clk" + std::to_string(i)));
-        for (int i = 0; i < 5; ++i)
-            eq.schedule(clocks[i].get(), 100 * i);
-        CallbackEvent oneShot([&log, &eq] { log.emplace_back(99,
-                                                             eq.now()); },
-                              "shot", Event::statsPri);
+        for (int i = 0; i < 5; ++i) {
+            clocks.push_back(std::make_unique<ClockDomain>(
+                eq, "clk" + std::to_string(i), periods[i], 100 * i));
+            ClockDomain *c = clocks.back().get();
+            c->addTicker([&log, &eq, &stopping, i, c] {
+                log.emplace_back(i, eq.now());
+                if (stopping)
+                    c->stop();
+            });
+        }
+        for (auto &c : clocks)
+            c->start();
+        auto oneShot =
+            loggingShot(eq, log, 99, "shot", ClockDomain::statsPri);
         for (Tick t = 0; t < 400000; t += 50000) {
             eq.runUntil(t + 49999);
-            eq.reschedule(&oneShot, eq.now() + 500);
+            reschedule(eq, *oneShot, eq.now() + 500);
         }
         eq.runUntil(500000);
-        for (auto &c : clocks)
-            c->cancelRepeat();
+        stopping = true;
         eq.runAll();
         return log;
     };
@@ -285,38 +313,41 @@ TEST(EventOrder, PeriodicClockTrafficIdentical)
 
 TEST(EventOrder, SameTickBatchDrainIdentical)
 {
-    // Edge batching: five equal-period, equal-phase periodic events at
-    // the clock-edge priority all tie at every edge, so the calendar
+    // Edge batching: five equal-period, equal-phase clocks at the
+    // clock-edge priority all tie at every edge, so the calendar
     // services each edge's run in one pop. Order within a batch must
-    // remain (priority, seq), and events scheduled *during* a batch
-    // at the same (when, priority) must be drained by that same
-    // batch, in insertion order.
+    // remain (priority, seq), and edges scheduled *during* a batch at
+    // the same (when, priority) must be drained by that same batch,
+    // in insertion order.
     auto run = [] {
         EventQueue eq("batch");
         PopLog log;
-        std::vector<std::unique_ptr<PeriodicEvent>> clocks;
-        std::vector<std::unique_ptr<CallbackEvent>> echoes;
+        bool stopping = false;
+        std::vector<std::unique_ptr<ClockDomain>> clocks;
+        std::vector<std::unique_ptr<ClockDomain>> echoes;
         for (int i = 0; i < 5; ++i) {
-            echoes.push_back(std::make_unique<CallbackEvent>(
-                [&log, &eq, i] { log.emplace_back(100 + i, eq.now()); },
-                "echo" + std::to_string(i), Event::clockEdgePri));
-            CallbackEvent *echo = echoes.back().get();
-            clocks.push_back(std::make_unique<PeriodicEvent>(
-                [&log, &eq, i, echo] {
-                    log.emplace_back(i, eq.now());
-                    // Same (when, priority) as the batch being
-                    // drained: must fire within this batch, after
-                    // the pending tie (larger seq).
-                    if (i == 2 && !echo->scheduled())
-                        eq.schedule(echo, eq.now());
-                },
-                1000, "clk" + std::to_string(i), Event::clockEdgePri));
+            echoes.push_back(loggingShot(eq, log, 100 + i,
+                                         "echo" + std::to_string(i),
+                                         ClockDomain::clockEdgePri));
+            ClockDomain *echo = echoes.back().get();
+            clocks.push_back(std::make_unique<ClockDomain>(
+                eq, "clk" + std::to_string(i), 1000));
+            ClockDomain *c = clocks.back().get();
+            c->addTicker([&log, &eq, &stopping, i, c, echo] {
+                log.emplace_back(i, eq.now());
+                // Same (when, priority) as the batch being drained:
+                // must fire within this batch, after the pending tie
+                // (larger seq).
+                if (i == 2 && !echo->scheduled())
+                    eq.schedule(echo, eq.now());
+                if (stopping)
+                    c->stop();
+            });
         }
         for (auto &c : clocks)
-            eq.schedule(c.get(), 0);
+            c->start();
         eq.runUntil(20000);
-        for (auto &c : clocks)
-            c->cancelRepeat();
+        stopping = true;
         eq.runAll();
         return log;
     };
@@ -475,10 +506,10 @@ TEST(CalendarQueue, ResizeGrowsAndShrinksWithPopulation)
     EventQueue eq("resize");
     EXPECT_EQ(eq.calendarBuckets(), EventQueue::calInitialBuckets);
 
-    std::vector<std::unique_ptr<CallbackEvent>> evs;
+    std::vector<std::unique_ptr<ClockDomain>> evs;
     Rng rng(7);
     for (int i = 0; i < 5000; ++i) {
-        evs.push_back(std::make_unique<CallbackEvent>([] {}));
+        evs.push_back(std::make_unique<ClockDomain>(eq, "ev", 1));
         // Widely varying gaps: clustered ticks and distant outliers.
         const Tick when = (i % 7 == 0) ? rng.range(1, 100)
                                        : rng.range(1, 50'000'000);
@@ -497,12 +528,13 @@ TEST(CalendarQueue, ResizeGrowsAndShrinksWithPopulation)
 TEST(CalendarQueue, ResizedQueueStillPopsSorted)
 {
     EventQueue eq("sorted");
-    std::vector<std::unique_ptr<CallbackEvent>> evs;
+    std::vector<std::unique_ptr<ClockDomain>> evs;
     std::vector<Tick> popped;
     Rng rng(11);
     for (int i = 0; i < 3000; ++i) {
-        evs.push_back(std::make_unique<CallbackEvent>(
-            [&popped, &eq] { popped.push_back(eq.now()); }));
+        evs.push_back(std::make_unique<ClockDomain>(eq, "ev", 1));
+        evs.back()->addTicker(
+            [&popped, &eq] { popped.push_back(eq.now()); });
         eq.schedule(evs.back().get(), rng.range(0, 10'000'000));
     }
     eq.runAll();
@@ -510,16 +542,16 @@ TEST(CalendarQueue, ResizedQueueStillPopsSorted)
     EXPECT_TRUE(std::is_sorted(popped.begin(), popped.end()));
 }
 
-TEST(CalendarQueue, EventDestructorDeschedulesAcrossResize)
+TEST(CalendarQueue, DomainDestructorDeschedulesAcrossResize)
 {
-    // Destroying still-scheduled events must stay safe while the
+    // Destroying still-scheduled domains must stay safe while the
     // wheel is far from its initial geometry.
     EventQueue eq("dtor");
     {
-        std::vector<std::unique_ptr<CallbackEvent>> evs;
+        std::vector<std::unique_ptr<ClockDomain>> evs;
         Rng rng(3);
         for (int i = 0; i < 200; ++i) {
-            evs.push_back(std::make_unique<CallbackEvent>([] {}));
+            evs.push_back(std::make_unique<ClockDomain>(eq, "ev", 1));
             eq.schedule(evs.back().get(), rng.range(1, 1'000'000));
         }
         // evs destructs here, one deschedule (and shrink) at a time.

@@ -199,7 +199,7 @@ TEST(ClockDomain, HigherEdgePriorityRunsAfterSameTickEdges)
     // default-priority edge at the same tick, even when it was
     // (re)started first and carries the older insertion seq.
     EventQueue eq;
-    ClockDomain late(eq, "late", 1000, 0, Event::clockEdgePri + 1);
+    ClockDomain late(eq, "late", 1000, 0, ClockDomain::clockEdgePri + 1);
     ClockDomain a(eq, "a", 1000);
     ClockDomain b(eq, "b", 500);
     std::string log;

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the dynamic DVFS controller: utilization tracking, step
- * walking in both directions, voltage coupling, and an end-to-end run
- * where an idle FP domain glides to a deep slowdown on integer code.
+ * walking in both directions, voltage coupling, the sampler's timing
+ * against the edges it measures, and an end-to-end run where an idle
+ * FP domain glides to a deep slowdown on integer code.
  */
 
 #include <gtest/gtest.h>
@@ -121,6 +122,61 @@ TEST(DvfsController, StopFreezesSettings)
     ctrl.stop();
     f.eq.runUntil(2000 * 1000);
     EXPECT_EQ(ctrl.stepOf(f.domain), step);
+}
+
+TEST(DvfsController, SamplesEveryPeriodFromStart)
+{
+    // The first sample lands exactly one samplePeriod after start(),
+    // not on the sampler's first multiple of the period since time 0,
+    // and later samples follow one period apart. lastUtil stays 0.0
+    // until a sample has run.
+    FakeLoad f(1.0);
+    DynamicDvfsConfig cfg;
+    cfg.samplePeriod = 10 * 1000;
+    DynamicDvfsController ctrl(f.eq, defaultTech(), cfg);
+    ctrl.manage(f.domain, &f.work, 1.0);
+    f.domain.start();
+    f.eq.runUntil(3500);
+    ctrl.start();
+
+    f.eq.runUntil(3500 + cfg.samplePeriod - 1);
+    EXPECT_EQ(ctrl.utilizationOf(f.domain), 0.0);
+    f.eq.runUntil(3500 + cfg.samplePeriod);
+    EXPECT_EQ(ctrl.utilizationOf(f.domain), 1.0);
+
+    f.perCycle = 0.0; // the next sample reads an idle domain
+    f.eq.runUntil(3500 + 2 * cfg.samplePeriod - 1);
+    EXPECT_EQ(ctrl.utilizationOf(f.domain), 1.0);
+    f.eq.runUntil(3500 + 2 * cfg.samplePeriod);
+    EXPECT_EQ(ctrl.utilizationOf(f.domain), 0.0);
+}
+
+TEST(DvfsController, SampleAtSharedTickSeesThatTicksEdge)
+{
+    // The sampler runs at statsPri, after every clockEdgePri edge of
+    // its tick. It is started before the domain, so it precedes the
+    // domain's edges in insertion order: only the priority can put
+    // the edge at the shared tick first. That edge is the sole unit
+    // of work, so the sample reads 1 unit over 11 cycles (edges 0 to
+    // samplePeriod inclusive), where an earlier sample would read 0
+    // over 10.
+    EventQueue eq;
+    ClockDomain dom(eq, "dom", 1000);
+    DynamicDvfsConfig cfg;
+    cfg.samplePeriod = 10 * 1000;
+    std::uint64_t work = 0;
+    dom.addTicker([&] {
+        if (eq.now() == cfg.samplePeriod)
+            ++work;
+    });
+    DynamicDvfsController ctrl(eq, defaultTech(), cfg);
+    ctrl.manage(dom, &work, 1.0);
+    ctrl.start();
+    dom.start();
+
+    eq.runUntil(cfg.samplePeriod);
+    EXPECT_EQ(dom.cycle(), 11u);
+    EXPECT_DOUBLE_EQ(ctrl.utilizationOf(dom), 1.0 / 11.0);
 }
 
 TEST(DvfsController, EndToEndIdleFpSlowsOnIntegerCode)

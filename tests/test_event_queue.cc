@@ -1,17 +1,39 @@
 /**
  * @file
  * Unit tests for the event-driven simulation engine (paper section
- * 4.2): ordering, priorities, periodic events and the Figure 4
- * three-clock example.
+ * 4.2): ordering, priorities, the repeat rule and the Figure 4
+ * three-clock example. One-shot edges are never-started clock
+ * domains scheduled by hand: each fires once per schedule() and is
+ * not re-queued.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "sim/clock_domain.hh"
 #include "sim/event_queue.hh"
 
 using namespace gals;
+
+namespace
+{
+
+/** A never-started domain whose one ticker runs @p fn. */
+std::unique_ptr<ClockDomain>
+shot(EventQueue &eq, std::function<void()> fn, std::string name = "shot",
+     int priority = ClockDomain::clockEdgePri)
+{
+    auto cd = std::make_unique<ClockDomain>(eq, std::move(name), 1, 0,
+                                            priority);
+    cd->addTicker(std::move(fn));
+    return cd;
+}
+
+} // namespace
 
 TEST(EventQueue, StartsAtTimeZero)
 {
@@ -31,12 +53,12 @@ TEST(EventQueue, ExecutesInTimeOrder)
 {
     EventQueue eq;
     std::vector<int> order;
-    CallbackEvent a([&] { order.push_back(1); }, "a");
-    CallbackEvent b([&] { order.push_back(2); }, "b");
-    CallbackEvent c([&] { order.push_back(3); }, "c");
-    eq.schedule(&c, 30);
-    eq.schedule(&a, 10);
-    eq.schedule(&b, 20);
+    auto a = shot(eq, [&] { order.push_back(1); }, "a");
+    auto b = shot(eq, [&] { order.push_back(2); }, "b");
+    auto c = shot(eq, [&] { order.push_back(3); }, "c");
+    eq.schedule(c.get(), 30);
+    eq.schedule(a.get(), 10);
+    eq.schedule(b.get(), 20);
     eq.runAll();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(eq.now(), 30u);
@@ -46,10 +68,10 @@ TEST(EventQueue, SameTimePriorityBreaksTie)
 {
     EventQueue eq;
     std::vector<int> order;
-    CallbackEvent lo([&] { order.push_back(1); }, "lo", 10);
-    CallbackEvent hi([&] { order.push_back(2); }, "hi", 90);
-    eq.schedule(&hi, 5);
-    eq.schedule(&lo, 5);
+    auto lo = shot(eq, [&] { order.push_back(1); }, "lo", 10);
+    auto hi = shot(eq, [&] { order.push_back(2); }, "hi", 90);
+    eq.schedule(hi.get(), 5);
+    eq.schedule(lo.get(), 5);
     eq.runAll();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
@@ -58,12 +80,12 @@ TEST(EventQueue, SameTimeSamePriorityInsertionOrder)
 {
     EventQueue eq;
     std::vector<int> order;
-    CallbackEvent a([&] { order.push_back(1); }, "a");
-    CallbackEvent b([&] { order.push_back(2); }, "b");
-    CallbackEvent c([&] { order.push_back(3); }, "c");
-    eq.schedule(&a, 7);
-    eq.schedule(&b, 7);
-    eq.schedule(&c, 7);
+    auto a = shot(eq, [&] { order.push_back(1); }, "a");
+    auto b = shot(eq, [&] { order.push_back(2); }, "b");
+    auto c = shot(eq, [&] { order.push_back(3); }, "c");
+    eq.schedule(a.get(), 7);
+    eq.schedule(b.get(), 7);
+    eq.schedule(c.get(), 7);
     eq.runAll();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -72,8 +94,8 @@ TEST(EventQueue, NowAdvancesToEventTime)
 {
     EventQueue eq;
     Tick seen = 0;
-    CallbackEvent a([&] { seen = eq.now(); }, "a");
-    eq.schedule(&a, 42);
+    auto a = shot(eq, [&] { seen = eq.now(); }, "a");
+    eq.schedule(a.get(), 42);
     eq.serviceOne();
     EXPECT_EQ(seen, 42u);
 }
@@ -82,36 +104,56 @@ TEST(EventQueue, DescheduleRemovesEvent)
 {
     EventQueue eq;
     bool ran = false;
-    CallbackEvent a([&] { ran = true; }, "a");
-    eq.schedule(&a, 10);
-    EXPECT_TRUE(a.scheduled());
-    eq.deschedule(&a);
-    EXPECT_FALSE(a.scheduled());
+    auto a = shot(eq, [&] { ran = true; }, "a");
+    eq.schedule(a.get(), 10);
+    EXPECT_TRUE(a->scheduled());
+    eq.deschedule(a.get());
+    EXPECT_FALSE(a->scheduled());
     eq.runAll();
     EXPECT_FALSE(ran);
 }
 
-TEST(EventQueue, RescheduleMovesEvent)
+TEST(EventQueue, UnstartedDomainFiresOnce)
 {
+    // The repeat rule: a domain that is not running fires the edge it
+    // was scheduled for and leaves the queue.
     EventQueue eq;
-    Tick seen = 0;
-    CallbackEvent a([&] { seen = eq.now(); }, "a");
-    eq.schedule(&a, 10);
-    eq.reschedule(&a, 99);
-    eq.runAll();
-    EXPECT_EQ(seen, 99u);
+    int count = 0;
+    auto a = shot(eq, [&] { ++count; }, "a");
+    eq.schedule(a.get(), 10);
+    eq.runUntil(1000);
+    EXPECT_EQ(count, 1);
+    EXPECT_EQ(a->cycle(), 1u);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, StopInOwnEdgeEndsRepeat)
+{
+    // A running domain that stops itself mid-edge fires that edge and
+    // is not re-queued.
+    EventQueue eq;
+    ClockDomain cd(eq, "p", 10);
+    int count = 0;
+    cd.addTicker([&] {
+        if (++count == 3)
+            cd.stop();
+    });
+    cd.start();
+    eq.runUntil(1000);
+    EXPECT_EQ(count, 3);
+    EXPECT_TRUE(eq.empty());
 }
 
 TEST(EventQueue, RunUntilStopsAtBoundary)
 {
     EventQueue eq;
     int count = 0;
-    CallbackEvent a([&] { ++count; }, "a");
-    CallbackEvent b([&] { ++count; }, "b");
-    CallbackEvent c([&] { ++count; }, "c");
-    eq.schedule(&a, 10);
-    eq.schedule(&b, 20);
-    eq.schedule(&c, 30);
+    auto a = shot(eq, [&] { ++count; }, "a");
+    auto b = shot(eq, [&] { ++count; }, "b");
+    auto c = shot(eq, [&] { ++count; }, "c");
+    eq.schedule(a.get(), 10);
+    eq.schedule(b.get(), 20);
+    eq.schedule(c.get(), 30);
     const auto n = eq.runUntil(20);
     EXPECT_EQ(n, 2u);
     EXPECT_EQ(count, 2);
@@ -130,77 +172,31 @@ TEST(EventQueue, NextEventTime)
 {
     EventQueue eq;
     EXPECT_EQ(eq.nextEventTime(), maxTick);
-    CallbackEvent a([] {}, "a");
-    eq.schedule(&a, 123);
+    auto a = shot(eq, [] {}, "a");
+    eq.schedule(a.get(), 123);
     EXPECT_EQ(eq.nextEventTime(), 123u);
 }
 
 TEST(EventQueue, ProcessedCount)
 {
     EventQueue eq;
-    CallbackEvent a([] {}, "a");
-    CallbackEvent b([] {}, "b");
-    eq.schedule(&a, 1);
-    eq.schedule(&b, 2);
+    auto a = shot(eq, [] {}, "a");
+    auto b = shot(eq, [] {}, "b");
+    eq.schedule(a.get(), 1);
+    eq.schedule(b.get(), 2);
     eq.runAll();
     EXPECT_EQ(eq.processedCount(), 2u);
 }
 
-TEST(EventQueue, EventDestructorDeschedules)
+TEST(EventQueue, DomainDestructorDeschedules)
 {
     EventQueue eq;
     {
-        CallbackEvent a([] {}, "a");
-        eq.schedule(&a, 10);
+        ClockDomain a(eq, "a", 10);
+        a.start();
+        EXPECT_FALSE(eq.empty());
     }
     EXPECT_TRUE(eq.empty());
-}
-
-TEST(PeriodicEvent, RepeatsWithPeriod)
-{
-    EventQueue eq;
-    std::vector<Tick> times;
-    PeriodicEvent p([&] { times.push_back(eq.now()); }, 10, "p");
-    eq.schedule(&p, 5);
-    eq.runUntil(45);
-    EXPECT_EQ(times, (std::vector<Tick>{5, 15, 25, 35, 45}));
-}
-
-TEST(PeriodicEvent, CancelRepeatStops)
-{
-    EventQueue eq;
-    int count = 0;
-    PeriodicEvent p(
-        [&] {
-            ++count;
-            if (count == 3)
-                p.cancelRepeat();
-        },
-        10, "p");
-    eq.schedule(&p, 0);
-    eq.runUntil(1000);
-    EXPECT_EQ(count, 3);
-    EXPECT_TRUE(eq.empty());
-}
-
-TEST(PeriodicEvent, PeriodChangeTakesEffectNextCycle)
-{
-    EventQueue eq;
-    std::vector<Tick> times;
-    PeriodicEvent p(
-        [&] {
-            times.push_back(eq.now());
-            if (times.size() == 2)
-                p.period(50);
-        },
-        10, "p");
-    eq.schedule(&p, 0);
-    eq.runUntil(200);
-    ASSERT_GE(times.size(), 4u);
-    EXPECT_EQ(times[0], 0u);
-    EXPECT_EQ(times[1], 10u);
-    EXPECT_EQ(times[2], 60u);  // 10 + 50
-    EXPECT_EQ(times[3], 110u);
 }
 
 /**
@@ -208,26 +204,26 @@ TEST(PeriodicEvent, PeriodChangeTakesEffectNextCycle)
  * 2.5 ns and phases 0.5, 1.0 and 0.0 ns. Reproduced at picosecond
  * resolution; checks the interleaving over the first 8 ns.
  */
-TEST(PeriodicEvent, PaperFigure4ThreeClockExample)
+TEST(EventQueue, PaperFigure4ThreeClockExample)
 {
     EventQueue eq;
     std::vector<std::pair<int, Tick>> fires;
-    PeriodicEvent clk1([&] { fires.emplace_back(1, eq.now()); }, 2000,
-                       "clk1");
-    PeriodicEvent clk2([&] { fires.emplace_back(2, eq.now()); }, 3000,
-                       "clk2");
-    PeriodicEvent clk3([&] { fires.emplace_back(3, eq.now()); }, 2500,
-                       "clk3");
-    eq.schedule(&clk1, 500);
-    eq.schedule(&clk2, 1000);
-    eq.schedule(&clk3, 0);
+    ClockDomain clk1(eq, "clk1", 2000, 500);
+    ClockDomain clk2(eq, "clk2", 3000, 1000);
+    ClockDomain clk3(eq, "clk3", 2500, 0);
+    clk1.addTicker([&] { fires.emplace_back(1, eq.now()); });
+    clk2.addTicker([&] { fires.emplace_back(2, eq.now()); });
+    clk3.addTicker([&] { fires.emplace_back(3, eq.now()); });
+    clk1.start();
+    clk2.start();
+    clk3.start();
     eq.runUntil(8000);
 
     // Expected edges within [0, 8] ns:
     // clk1: 0.5 2.5 4.5 6.5   clk2: 1 4 7   clk3: 0 2.5 5 7.5
-    // At t = 2.5 ns both clk1 and clk3 fire; clk3 rescheduled itself
+    // At t = 2.5 ns both clk1 and clk3 fire; clk3 re-queued itself
     // first (it fired at t = 0, before clk1's t = 0.5 edge), so it
-    // executes first — ties resolve by reschedule order.
+    // executes first — ties resolve by re-queue order.
     std::vector<std::pair<int, Tick>> expect = {
         {3, 0},    {1, 500},  {2, 1000}, {3, 2500}, {1, 2500},
         {2, 4000}, {1, 4500}, {3, 5000}, {1, 6500}, {2, 7000},
@@ -243,11 +239,11 @@ TEST(PeriodicEvent, PaperFigure4ThreeClockExample)
 TEST(EventQueue, ManyEventsStressOrdering)
 {
     EventQueue eq;
-    std::vector<std::unique_ptr<CallbackEvent>> events;
+    std::vector<std::unique_ptr<ClockDomain>> events;
     Tick last = 0;
     bool monotonic = true;
     for (int i = 0; i < 1000; ++i) {
-        events.push_back(std::make_unique<CallbackEvent>([&] {
+        events.push_back(shot(eq, [&] {
             if (eq.now() < last)
                 monotonic = false;
             last = eq.now();

@@ -165,8 +165,8 @@ TEST(IntrusiveList, SpliceAppendsAndEmptiesSource)
 TEST(IntrusiveList, TwoTagsIndependentMembership)
 {
     // One node on two lists at once through distinct tags — the
-    // pattern that lets an Event sit in a calendar bucket while other
-    // links remain free for future use.
+    // pattern that lets a ClockDomain sit in a calendar bucket while
+    // other links remain free for future use.
     Node a(1), b(2), c(3);
     ListA la;
     ListB lb;

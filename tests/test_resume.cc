@@ -453,6 +453,10 @@ TEST(CliUsage, UnsupportedSweepsExitTwo)
         {"", "--all --traffic hotspot:99"},
         {"", "--scenario fig05 --insts 3000 --interval-ticks 1"},
         {"", "--scenario fig05 --insts 3000 --interval-ticks 999"},
+        // A fabric run has no interval meter.
+        {"", "--scenario fabric_smoke --insts 500 --interval-ticks 5000"},
+        {"", "--scenario fig05 --scenario fabric_smoke --insts 500 "
+             "--interval-ticks 5000"},
         {"", "--scenario fig05 --manifest /nonexistent/m.json"},
         // Retired flags and modes are unknown arguments.
         {"", "--scenario quickstart --engine calendar"},
