@@ -7,7 +7,6 @@
 #include "dvfs/controller.hh"
 #include "fabric/system.hh"
 #include "sim/logging.hh"
-#include "sim/meter.hh"
 
 namespace gals
 {
@@ -83,38 +82,44 @@ struct CanonicalHash
 };
 
 /**
- * The `--interval-ticks` sampler: every K ticks, record the
- * interval's committed count / IPC, the per-domain energy delta and
- * the instantaneous inter-domain FIFO occupancy. Read-only over the
- * processor, so the headline metrics of a metered run equal the
- * unmetered ones.
+ * The `--interval-ticks` sampler: a clock of period = phase = K, so
+ * that its first edge fires one full interval after start() and
+ * sample i covers (i*K, (i+1)*K]. Each edge records the interval's
+ * committed count / IPC, the per-domain energy delta and the
+ * instantaneous inter-domain FIFO occupancy. Its edges run no model
+ * code, so the headline metrics of a metered run equal the unmetered
+ * ones, and they order in the event queue like every other clock's,
+ * so the series is byte-identical across `--jobs`.
  */
-class RunMeter final : public PeriodicMeter
+class RunMeter final : public ClockDomain::Ticker
 {
   public:
     RunMeter(EventQueue &eq, Processor &proc, Tick intervalTicks)
-        : PeriodicMeter(eq, "meter", intervalTicks), proc_(proc)
+        : proc_(proc), clock_(eq, "meter", intervalTicks, intervalTicks)
     {
+        clock_.addTicker(*this);
     }
+
+    void start() { clock_.start(); }
+    void stop() { clock_.stop(); }
 
     std::vector<IntervalSample> takeSamples()
     {
         return std::move(samples_);
     }
 
-  protected:
     void
-    sampleInterval(std::uint64_t, Tick now) override
+    tick() override
     {
         IntervalSample s;
-        s.tick = now;
+        s.tick = clock_.lastEdge();
 
         const std::uint64_t committed =
             proc_.decodeUnit().commitStats().committed;
         s.committed = committed - lastCommitted_;
         lastCommitted_ = committed;
         const double cycles =
-            static_cast<double>(intervalTicks()) /
+            static_cast<double>(clock_.period()) /
             static_cast<double>(proc_.config().nominalPeriod);
         s.ipc = cycles > 0.0 ? s.committed / cycles : 0.0;
 
@@ -146,6 +151,7 @@ class RunMeter final : public PeriodicMeter
 
   private:
     Processor &proc_;
+    ClockDomain clock_;
     std::uint64_t lastCommitted_ = 0;
     std::array<double, numDomains> lastEnergyNj_{};
     std::vector<IntervalSample> samples_;
@@ -230,11 +236,32 @@ runConfigHash(const std::vector<RunConfig> &cfgs)
     return hash.h;
 }
 
+void
+deriveRates(RunResults &r, const CommitStats &cs, std::uint64_t dirCorrect,
+            std::uint64_t dirWrong, Tick nominalPeriod)
+{
+    const double period = double(nominalPeriod);
+    const double committed = double(r.committed);
+    r.timeSec = tickToSeconds(r.ticks);
+    const double cycles = double(r.ticks) / period;
+    r.ipcNominal = cycles > 0.0 ? committed / cycles : 0.0;
+    r.avgPowerW = r.timeSec > 0.0 ? r.energyJ / r.timeSec : 0.0;
+    if (r.committed > 0) {
+        r.avgSlipCycles = cs.slipSumTicks / committed / period;
+        r.avgFifoSlipCycles = cs.fifoSlipSumTicks / committed / period;
+    }
+    r.misspecFraction =
+        r.fetched ? double(r.wrongPathFetched) / double(r.fetched) : 0.0;
+    r.mispredictsPerKCommitted =
+        r.committed ? 1000.0 * double(cs.committedMispredicts) / committed
+                    : 0.0;
+    const std::uint64_t dirTotal = dirCorrect + dirWrong;
+    r.dirAccuracy = dirTotal ? double(dirCorrect) / double(dirTotal) : 1.0;
+}
+
 RunResults
 extractRunResults(Processor &proc, const RunConfig &cfg)
 {
-    const ProcessorConfig &pc = proc.config();
-
     RunResults r;
     r.benchmark = cfg.benchmark;
     r.gals = cfg.gals;
@@ -244,40 +271,16 @@ extractRunResults(Processor &proc, const RunConfig &cfg)
     r.fetched = proc.fetch().fetched();
     r.wrongPathFetched = proc.fetch().wrongPathFetched();
     r.ticks = proc.runTicks();
-    r.timeSec = tickToSeconds(r.ticks);
-    const double nominal_cycles =
-        static_cast<double>(r.ticks) /
-        static_cast<double>(pc.nominalPeriod);
-    r.ipcNominal = nominal_cycles > 0.0 ? r.committed / nominal_cycles
-                                        : 0.0;
-
-    const double energy_nj = proc.finalizeEnergyNj();
-    r.energyJ = energy_nj * 1e-9;
-    r.avgPowerW = r.timeSec > 0.0 ? r.energyJ / r.timeSec : 0.0;
+    r.energyJ = proc.finalizeEnergyNj() * 1e-9;
     for (unsigned i = 0; i < numUnits; ++i) {
         const Unit u = static_cast<Unit>(i);
         r.unitEnergyNj[unitName(u)] = proc.energy().unitEnergyNj(u);
     }
     r.fifoEvents = proc.fifoEvents();
 
-    const double period = static_cast<double>(pc.nominalPeriod);
-    if (cs.committed > 0) {
-        r.avgSlipCycles =
-            cs.slipSumTicks / double(cs.committed) / period;
-        r.avgFifoSlipCycles =
-            cs.fifoSlipSumTicks / double(cs.committed) / period;
-    }
-
-    r.misspecFraction =
-        r.fetched ? double(r.wrongPathFetched) / double(r.fetched) : 0.0;
-    r.mispredictsPerKCommitted =
-        r.committed ? 1000.0 * double(cs.committedMispredicts) /
-                          double(r.committed)
-                    : 0.0;
     const BranchUnit &bu = proc.fetch().branchUnit();
-    const std::uint64_t dir_total = bu.dirCorrect() + bu.dirWrong();
-    r.dirAccuracy =
-        dir_total ? double(bu.dirCorrect()) / double(dir_total) : 1.0;
+    deriveRates(r, cs, bu.dirCorrect(), bu.dirWrong(),
+                proc.config().nominalPeriod);
 
     r.avgRobOcc = proc.decodeUnit().avgRobOccupancy();
     r.avgIntRenames = proc.decodeUnit().avgIntRenames();

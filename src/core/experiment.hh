@@ -231,6 +231,17 @@ std::uint64_t runConfigHash(const std::vector<RunConfig> &cfgs);
 RunResults runOne(const RunConfig &cfg);
 
 /**
+ * Derive the rate metrics of @p r (time, IPC, power, slip, FIFO
+ * slip, misspeculation, mispredicts per 1k, direction accuracy) from
+ * its counts, the slip and mispredict sums of @p cs and the branch
+ * direction counts. A single-core run and a fabric's aggregate (whose
+ * @p cs sums its cores') both derive their rates here.
+ */
+void deriveRates(RunResults &r, const CommitStats &cs,
+                 std::uint64_t dirCorrect, std::uint64_t dirWrong,
+                 Tick nominalPeriod);
+
+/**
  * Harvest every RunResults metric from a finished Processor. Shared
  * by the single-core path and fabric::System (which extracts one per
  * core and aggregates). @p cfg supplies the labels and the nominal

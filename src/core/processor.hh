@@ -157,7 +157,6 @@ class Processor
     CacheHierarchy &caches() { return hier_; }
     const StreamGenerator &workload() const { return gen_; }
     EnergyAccount &energy() { return energy_; }
-    const PowerModel &powerModel() const { return powerModel_; }
     ClockDomain &domain(DomainId d)
     {
         return *domains_[domainIndex(d)];

@@ -54,11 +54,6 @@ class Scoreboard
         return seenEpoch_[reg] >= epoch;
     }
 
-    unsigned numRegs() const
-    {
-        return static_cast<unsigned>(seenEpoch_.size());
-    }
-
   private:
     std::vector<std::uint32_t> seenEpoch_;
 };

@@ -428,11 +428,9 @@ System::aggregate()
     const double period =
         static_cast<double>(cfg_.proc.nominalPeriod);
 
-    double slip_ticks = 0.0;
-    double fifo_slip_ticks = 0.0;
-    std::uint64_t mispredicts = 0;
-    std::uint64_t dir_correct = 0;
-    std::uint64_t dir_wrong = 0;
+    CommitStats sums;
+    std::uint64_t dirCorrect = 0;
+    std::uint64_t dirWrong = 0;
 
     for (unsigned c = 0; c < cores(); ++c) {
         Processor &p = *procs_[c];
@@ -457,12 +455,12 @@ System::aggregate()
         agg.l2MissRate += r.l2MissRate;
 
         const CommitStats &cs = p.decodeUnit().commitStats();
-        slip_ticks += cs.slipSumTicks;
-        fifo_slip_ticks += cs.fifoSlipSumTicks;
-        mispredicts += cs.committedMispredicts;
+        sums.slipSumTicks += cs.slipSumTicks;
+        sums.fifoSlipSumTicks += cs.fifoSlipSumTicks;
+        sums.committedMispredicts += cs.committedMispredicts;
         const BranchUnit &bu = p.fetch().branchUnit();
-        dir_correct += bu.dirCorrect();
-        dir_wrong += bu.dirWrong();
+        dirCorrect += bu.dirCorrect();
+        dirWrong += bu.dirWrong();
 
         const Nic &nic = *nics_[c];
         CoreResults cr;
@@ -504,33 +502,7 @@ System::aggregate()
     agg.l2MissRate /= n;
 
     agg.ticks = eq_.now();
-    agg.timeSec = tickToSeconds(agg.ticks);
-    const double cycles = static_cast<double>(agg.ticks) / period;
-    agg.ipcNominal =
-        cycles > 0.0 ? static_cast<double>(agg.committed) / cycles : 0.0;
-    agg.avgPowerW =
-        agg.timeSec > 0.0 ? agg.energyJ / agg.timeSec : 0.0;
-
-    if (agg.committed > 0) {
-        agg.avgSlipCycles =
-            slip_ticks / static_cast<double>(agg.committed) / period;
-        agg.avgFifoSlipCycles =
-            fifo_slip_ticks / static_cast<double>(agg.committed) /
-            period;
-    }
-    agg.misspecFraction =
-        agg.fetched ? static_cast<double>(agg.wrongPathFetched) /
-                          static_cast<double>(agg.fetched)
-                    : 0.0;
-    agg.mispredictsPerKCommitted =
-        agg.committed ? 1000.0 * static_cast<double>(mispredicts) /
-                            static_cast<double>(agg.committed)
-                      : 0.0;
-    const std::uint64_t dir_total = dir_correct + dir_wrong;
-    agg.dirAccuracy =
-        dir_total ? static_cast<double>(dir_correct) /
-                        static_cast<double>(dir_total)
-                  : 1.0;
+    deriveRates(agg, sums, dirCorrect, dirWrong, cfg_.proc.nominalPeriod);
 
     return agg;
 }

@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "power/power_model.hh"
+#include "runner/record.hh"
 #include "runner/reporter.hh"
-#include "runner/stats.hh"
 #include "sim/bytecodec.hh"
 #include "sim/logging.hh"
 
@@ -17,31 +17,9 @@ namespace gals::runner::gtrj
 namespace
 {
 
-/** Optional-block bits of the per-record flags byte. A reader that
- *  predates a bit rejects records carrying it (see flagKnownMask in
- *  decodePayload), so adding a bit extends the format without
- *  touching the bytes of any record not using it. */
-enum : unsigned char
-{
-    flagGals = 1u << 0,
-    flagDynamicDvfs = 1u << 1,
-    flagFabric = 1u << 2,
-    flagPerCore = 1u << 3,
-    flagIntervals = 1u << 4,
-    flagWarmup = 1u << 5,
-    flagKnownMask = (1u << 6) - 1,
-};
-
 /** A frame longer than this is a torn length prefix, not a record:
  *  real records are a few hundred bytes. */
 constexpr std::uint64_t maxPayloadLen = 1ull << 30;
-
-/** The fewest payload bytes a per-core entry (6 varints, 3 doubles)
- *  and an interval sample (3 varints, 1 + numDomains doubles) take: a
- *  block count the remaining bytes cannot hold is rejected before it
- *  sizes an allocation. */
-constexpr std::size_t minCoreBytes = 6 + 3 * 8;
-constexpr std::size_t minIntervalBytes = 3 + (1 + numDomains) * 8;
 
 /**
  * The power-model unit names in std::map iteration (sorted) order:
@@ -70,6 +48,245 @@ using codec::appendString;
 using codec::readF64;
 using codec::readString;
 
+/** The gtrj writer of a record (runner/record.hh): varints for
+ *  integers and counts, raw bits for doubles, the gated blocks and
+ *  the two booleans in the flags byte. */
+class FrameWriter
+{
+  public:
+    explicit FrameWriter(std::string &out) : out_(out) {}
+
+    unsigned
+    blocks(unsigned present)
+    {
+        flagsAt_ = out_.size();
+        out_.push_back(static_cast<char>(present));
+        return present;
+    }
+
+    void
+    flag(const char *, unsigned bit, bool b)
+    {
+        if (b)
+            out_[flagsAt_] = static_cast<char>(out_[flagsAt_] | bit);
+    }
+
+    template <std::integral T>
+    void field(const char *, T v) { appendVarint(out_, v); }
+    void field(const char *, double v) { appendF64(out_, v); }
+    void field(const char *, const std::string &s) { appendString(out_, s); }
+    void field(const char *, TopologyKind k)
+    {
+        appendString(out_, topologyKindName(k));
+    }
+    void field(const char *, std::uint64_t stored, std::uint64_t)
+    {
+        appendVarint(out_, stored);
+    }
+
+    bool replicas(const char *) { return false; }
+    void columns(const char *, std::size_t n) { appendVarint(out_, n); }
+
+    void
+    metric(const MetricAccessor &acc, std::size_t, const RunResults &r)
+    {
+        if (acc.integral)
+            appendVarint(out_, acc.getU(r));
+        else
+            appendF64(out_, acc.get(r));
+    }
+
+    /** Positional unit energies: every run reports the full
+     *  power-model unit set, so the sorted names are implied, not
+     *  repeated. */
+    void
+    energies(const char *, const std::map<std::string, double> &nj)
+    {
+        const auto &names = canonicalUnitNames();
+        gals_assert(nj.size() == names.size(), "gtrj: run reports ",
+                    nj.size(), " unit energies, expected ", names.size());
+        appendVarint(out_, nj.size());
+        auto name = names.begin();
+        for (const auto &[unit, v] : nj) {
+            gals_assert(unit == *name, "gtrj: unit '", unit,
+                        "' out of canonical order (expected '", *name,
+                        "')");
+            ++name;
+            appendF64(out_, v);
+        }
+    }
+
+    void
+    energies(const char *, const PerDomain<double> &nj)
+    {
+        for (const double v : nj)
+            appendF64(out_, v);
+    }
+
+    template <class E>
+    void
+    list(const char *, const std::vector<E> &entries)
+    {
+        appendVarint(out_, entries.size());
+        for (const E &e : entries)
+            walkEntry(*this, e);
+    }
+
+  private:
+    std::string &out_;
+    std::size_t flagsAt_ = 0;
+};
+
+/** The fewest payload bytes an entry of a block takes: a blank entry
+ *  encodes every varint in one byte and every double in eight. */
+template <class E>
+std::size_t
+minEntryBytes()
+{
+    static const std::size_t bytes = [] {
+        std::string out;
+        FrameWriter writer(out);
+        const E blank{};
+        walkEntry(writer, blank);
+        return out.size();
+    }();
+    return bytes;
+}
+
+/** The gtrj reader of a record. Errors are sticky: the first
+ *  truncated or invalid field sets @ref err, and the reader keeps
+ *  walking bounded by the payload, sizing nothing by what it reads. */
+class FrameReader
+{
+  public:
+    explicit FrameReader(std::string_view payload) : in_(payload) {}
+
+    std::string err;
+    unsigned flags = 0;
+
+    bool ok() const { return err.empty(); }
+    std::size_t left() const { return in_.size() - pos_; }
+
+    void
+    fail(std::string why)
+    {
+        if (ok())
+            err = std::move(why);
+    }
+
+    unsigned
+    blocks(unsigned)
+    {
+        check(pos_ < in_.size());
+        flags = ok() ? static_cast<unsigned char>(in_[pos_++]) : 0;
+        if (flags & ~flagKnownMask)
+            fail("gtrj record with unknown flag bits");
+        return flags;
+    }
+
+    void flag(const char *, unsigned bit, bool &b) { b = flags & bit; }
+
+    template <std::integral T>
+    void
+    field(const char *, T &v)
+    {
+        std::uint64_t x = 0;
+        check(readVarint(in_, pos_, x));
+        v = static_cast<T>(x);
+    }
+
+    void field(const char *, double &v) { check(readF64(in_, pos_, v)); }
+    void field(const char *, std::string &s)
+    {
+        check(readString(in_, pos_, s));
+    }
+
+    void
+    field(const char *name, TopologyKind &k)
+    {
+        std::string s;
+        field(name, s);
+        if (ok() && !parseTopologyKind(s, k))
+            fail("gtrj record with unknown topology '" + s + "'");
+    }
+
+    void field(const char *name, std::uint64_t &stored, std::uint64_t)
+    {
+        field(name, stored);
+    }
+
+    bool replicas(const char *) { return false; }
+
+    void
+    columns(const char *what, std::size_t n)
+    {
+        std::uint64_t count = 0;
+        field(what, count);
+        if (ok() && count != n)
+            fail("gtrj record with " + std::to_string(count) + " " + what +
+                 ", expected " + std::to_string(n));
+    }
+
+    void
+    metric(const MetricAccessor &acc, std::size_t, RunResults &r)
+    {
+        std::uint64_t u = 0;
+        double d = 0.0;
+        if (acc.integral) {
+            field(acc.name, u);
+            acc.setU(r, u);
+        } else {
+            field(acc.name, d);
+            acc.set(r, d);
+        }
+    }
+
+    void
+    energies(const char *, std::map<std::string, double> &nj)
+    {
+        const auto &names = canonicalUnitNames();
+        columns("unit energies", names.size());
+        if (ok())
+            for (const std::string &unit : names)
+                field(unit.c_str(), nj[unit]);
+    }
+
+    void
+    energies(const char *name, PerDomain<double> &nj)
+    {
+        for (double &v : nj)
+            field(name, v);
+    }
+
+    /** A count the remaining bytes cannot hold is refused before it
+     *  sizes an allocation. */
+    template <class E>
+    void
+    list(const char *name, std::vector<E> &entries)
+    {
+        std::uint64_t n = 0;
+        field(name, n);
+        check(n <= left() / minEntryBytes<E>());
+        if (!ok())
+            return;
+        entries.resize(static_cast<std::size_t>(n));
+        for (E &e : entries)
+            walkEntry(*this, e);
+    }
+
+  private:
+    /** A read past the payload's end, or a count it cannot hold. */
+    void
+    check(bool fits)
+    {
+        if (!fits)
+            fail("truncated gtrj record payload");
+    }
+
+    std::string_view in_;
+    std::size_t pos_ = 0;
+};
+
 } // namespace
 
 const std::string &
@@ -83,112 +300,14 @@ fileHeader()
     return header;
 }
 
-void
-appendVarint(std::string &out, std::uint64_t v)
-{
-    codec::appendVarint(out, v);
-}
-
-bool
-readVarint(std::string_view buf, std::size_t &pos, std::uint64_t &v)
-{
-    return codec::readVarint(buf, pos, v);
-}
-
 std::string
 encodeRecord(const std::string &scenario, std::uint64_t index,
              const RunConfig &cfg, const RunResults &r)
 {
     std::string p;
     p.reserve(512);
-
-    appendString(p, scenario);
-    appendVarint(p, index);
-    appendString(p, r.benchmark);
-
-    unsigned char flags = 0;
-    if (r.gals)
-        flags |= flagGals;
-    if (cfg.dynamicDvfs)
-        flags |= flagDynamicDvfs;
-    if (cfg.fabric.active())
-        flags |= flagFabric;
-    if (!r.cores.empty())
-        flags |= flagPerCore;
-    if (cfg.intervalTicks > 0)
-        flags |= flagIntervals;
-    if (cfg.warmupInstructions > 0)
-        flags |= flagWarmup;
-    p.push_back(static_cast<char>(flags));
-
-    appendVarint(p, cfg.instructions);
-    appendVarint(p, cfg.seed);
-    // The raw phase seed, not the resolved one: the follows-workload
-    // sentinel must survive the round trip so a decoded record
-    // resolves (and prints) exactly like the native run's config.
-    appendVarint(p, cfg.phaseSeed);
-
-    if (flags & flagWarmup)
-        appendVarint(p, cfg.warmupInstructions);
-
-    if (flags & flagFabric) {
-        appendVarint(p, cfg.fabric.cores);
-        appendString(p, topologyKindName(cfg.fabric.topology));
-        appendString(p, cfg.fabric.traffic);
-    }
-
-    const auto &accessors = metricAccessors();
-    appendVarint(p, accessors.size());
-    for (const MetricAccessor &acc : accessors) {
-        if (acc.integral)
-            appendVarint(p, acc.getU(r));
-        else
-            appendF64(p, acc.get(r));
-    }
-
-    // Positional unit energies: every run reports the full power-model
-    // unit set, so the sorted names are implied, not repeated.
-    const auto &unitNames = canonicalUnitNames();
-    gals_assert(r.unitEnergyNj.size() == unitNames.size(),
-                "gtrj: run reports ", r.unitEnergyNj.size(),
-                " unit energies, expected ", unitNames.size());
-    appendVarint(p, r.unitEnergyNj.size());
-    std::size_t u = 0;
-    for (const auto &[unit, nj] : r.unitEnergyNj) {
-        gals_assert(unit == unitNames[u], "gtrj: unit '", unit,
-                    "' out of canonical order (expected '",
-                    unitNames[u], "')");
-        ++u;
-        appendF64(p, nj);
-    }
-
-    if (flags & flagPerCore) {
-        appendVarint(p, r.cores.size());
-        for (const CoreResults &cr : r.cores) {
-            appendVarint(p, cr.core);
-            appendVarint(p, cr.committed);
-            appendF64(p, cr.ipcNominal);
-            appendF64(p, cr.energyJ);
-            appendVarint(p, cr.fifoEvents);
-            appendVarint(p, cr.msgsSent);
-            appendVarint(p, cr.msgsReceived);
-            appendVarint(p, cr.remoteStallCycles);
-            appendF64(p, cr.avgRemoteLatencyCycles);
-        }
-    }
-
-    if (flags & flagIntervals) {
-        appendVarint(p, cfg.intervalTicks);
-        appendVarint(p, r.intervals.size());
-        for (const IntervalSample &s : r.intervals) {
-            appendVarint(p, s.tick);
-            appendVarint(p, s.committed);
-            appendF64(p, s.ipc);
-            for (double nj : s.energyNj)
-                appendF64(p, nj);
-            appendVarint(p, s.fifoOcc);
-        }
-    }
+    FrameWriter writer(p);
+    walkRecord(writer, scenario, index, cfg, r);
 
     std::string frame;
     frame.reserve(p.size() + 4);
@@ -248,155 +367,23 @@ decodePayload(std::string_view payload, DecodedRecord &out,
               std::string &err)
 {
     out = DecodedRecord();
-    std::size_t pos = 0;
-    err = "truncated gtrj record payload";
-
-    if (!readString(payload, pos, out.scenario))
-        return false;
-    if (!readVarint(payload, pos, out.index))
-        return false;
-    if (!readString(payload, pos, out.cfg.benchmark))
-        return false;
-    out.results.benchmark = out.cfg.benchmark;
-
-    if (pos >= payload.size())
-        return false;
-    const unsigned char flags =
-        static_cast<unsigned char>(payload[pos++]);
-    if (flags & ~flagKnownMask) {
-        err = "gtrj record with unknown flag bits";
-        return false;
-    }
-    out.cfg.gals = flags & flagGals;
-    out.results.gals = out.cfg.gals;
-    out.cfg.dynamicDvfs = flags & flagDynamicDvfs;
-
-    if (!readVarint(payload, pos, out.cfg.instructions))
-        return false;
-    if (!readVarint(payload, pos, out.cfg.seed))
-        return false;
-    if (!readVarint(payload, pos, out.cfg.phaseSeed))
-        return false;
-
-    if (flags & flagWarmup) {
-        if (!readVarint(payload, pos, out.cfg.warmupInstructions) ||
-            out.cfg.warmupInstructions == 0) {
-            err = "gtrj record with invalid warmup instruction count";
-            return false;
-        }
-    }
-
-    if (flags & flagFabric) {
-        std::uint64_t cores = 0;
-        std::string topology;
-        if (!readVarint(payload, pos, cores) ||
-            !readString(payload, pos, topology) ||
-            !readString(payload, pos, out.cfg.fabric.traffic))
-            return false;
-        out.cfg.fabric.cores = static_cast<unsigned>(cores);
-        if (!parseTopologyKind(topology, out.cfg.fabric.topology)) {
-            err = "gtrj record with unknown topology '" + topology +
-                  "'";
-            return false;
-        }
-    }
-
-    const auto &accessors = metricAccessors();
-    std::uint64_t metricCount = 0;
-    if (!readVarint(payload, pos, metricCount))
-        return false;
-    if (metricCount != accessors.size()) {
-        err = "gtrj record with " + std::to_string(metricCount) +
-              " metric columns, expected " +
-              std::to_string(accessors.size());
-        return false;
-    }
-    for (const MetricAccessor &acc : accessors) {
-        if (acc.integral) {
-            std::uint64_t v = 0;
-            if (!readVarint(payload, pos, v))
-                return false;
-            acc.setU(out.results, v);
-        } else {
-            double v = 0.0;
-            if (!readF64(payload, pos, v))
-                return false;
-            acc.set(out.results, v);
-        }
-    }
-
-    const auto &unitNames = canonicalUnitNames();
-    std::uint64_t unitCount = 0;
-    if (!readVarint(payload, pos, unitCount))
-        return false;
-    if (unitCount != unitNames.size()) {
-        err = "gtrj record with " + std::to_string(unitCount) +
-              " unit energies, expected " +
-              std::to_string(unitNames.size());
-        return false;
-    }
-    for (const std::string &unit : unitNames) {
-        double nj = 0.0;
-        if (!readF64(payload, pos, nj))
-            return false;
-        out.results.unitEnergyNj[unit] = nj;
-    }
-
-    if (flags & flagPerCore) {
-        std::uint64_t n = 0;
-        if (!readVarint(payload, pos, n) ||
-            n > (payload.size() - pos) / minCoreBytes)
-            return false;
-        out.results.cores.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n; ++i) {
-            CoreResults cr;
-            std::uint64_t core = 0;
-            if (!readVarint(payload, pos, core) ||
-                !readVarint(payload, pos, cr.committed) ||
-                !readF64(payload, pos, cr.ipcNominal) ||
-                !readF64(payload, pos, cr.energyJ) ||
-                !readVarint(payload, pos, cr.fifoEvents) ||
-                !readVarint(payload, pos, cr.msgsSent) ||
-                !readVarint(payload, pos, cr.msgsReceived) ||
-                !readVarint(payload, pos, cr.remoteStallCycles) ||
-                !readF64(payload, pos, cr.avgRemoteLatencyCycles))
-                return false;
-            cr.core = static_cast<unsigned>(core);
-            out.results.cores.push_back(cr);
-        }
-    }
-
-    if (flags & flagIntervals) {
-        std::uint64_t n = 0;
-        if (!readVarint(payload, pos, out.cfg.intervalTicks) ||
-            out.cfg.intervalTicks == 0 ||
-            !readVarint(payload, pos, n) ||
-            n > (payload.size() - pos) / minIntervalBytes)
-            return false;
-        out.results.intervals.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n; ++i) {
-            IntervalSample s;
-            if (!readVarint(payload, pos, s.tick) ||
-                !readVarint(payload, pos, s.committed) ||
-                !readF64(payload, pos, s.ipc))
-                return false;
-            for (double &nj : s.energyNj)
-                if (!readF64(payload, pos, nj))
-                    return false;
-            if (!readVarint(payload, pos, s.fifoOcc))
-                return false;
-            out.results.intervals.push_back(s);
-        }
-    }
-
-    if (pos != payload.size()) {
-        err = "gtrj record with " +
-              std::to_string(payload.size() - pos) +
-              " trailing payload bytes";
-        return false;
-    }
-    err.clear();
-    return true;
+    FrameReader in(payload);
+    walkRecord(in, out.scenario, out.index, out.cfg, out.results);
+    // A record keeps its benchmark and base/GALS bit once, in the
+    // results.
+    out.cfg.benchmark = out.results.benchmark;
+    out.cfg.gals = out.results.gals;
+    // The writer sets a gate bit exactly when its block is present: a
+    // bit over a zero warmup or interval length, one core or an empty
+    // per-core block is no record it wrote.
+    if (recordBlocks(out.cfg, out.results) !=
+        (in.flags & ~(flagGals | flagDynamicDvfs)))
+        in.fail("gtrj record whose flags disagree with its blocks");
+    if (in.left() != 0)
+        in.fail("gtrj record with " + std::to_string(in.left()) +
+                " trailing payload bytes");
+    err = in.err;
+    return in.ok();
 }
 
 std::size_t
@@ -416,31 +403,37 @@ countFrames(std::string_view buf)
 namespace
 {
 
-/** Shared frame walk of the two converters: calls @p emit per
- *  decoded record, in file order. */
-template <typename Emit>
+/** Render every record of @p buf as JSON lines, or as CSV with the
+ *  header taken from the first record (an empty file has no record to
+ *  take the energy_nj.* column set from). */
 bool
-convert(std::string_view buf, std::string &err, Emit &&emit)
+render(std::string_view buf, std::string &out, std::string &err, bool csv)
 {
     std::size_t pos = 0;
     if (!readHeader(buf, pos, err))
         return false;
+    std::ostringstream os;
     std::string_view payload;
-    std::size_t n = 0;
-    for (;;) {
+    for (std::size_t n = 0;; ++n) {
         const FrameStatus st = nextFrame(buf, pos, payload, err);
-        if (st == FrameStatus::eof)
-            return true;
         if (st == FrameStatus::torn)
             return false;
+        if (st == FrameStatus::eof)
+            break;
         DecodedRecord rec;
         if (!decodePayload(payload, rec, err)) {
             err = "record " + std::to_string(n) + ": " + err;
             return false;
         }
-        emit(rec);
-        ++n;
+        if (csv && n == 0)
+            writeCsvHeader(os, rec.results);
+        const std::vector<std::size_t> index{
+            static_cast<std::size_t>(rec.index)};
+        (csv ? writeCsvRows : writeJsonLines)(os, rec.scenario, {rec.cfg},
+                                              {rec.results}, &index);
     }
+    out = os.str();
+    return true;
 }
 
 } // namespace
@@ -448,41 +441,13 @@ convert(std::string_view buf, std::string &err, Emit &&emit)
 bool
 toJsonLines(std::string_view buf, std::string &out, std::string &err)
 {
-    std::ostringstream os;
-    if (!convert(buf, err, [&os](const DecodedRecord &rec) {
-            const std::vector<RunConfig> cfgs{rec.cfg};
-            const std::vector<RunResults> results{rec.results};
-            const std::vector<std::size_t> indices{
-                static_cast<std::size_t>(rec.index)};
-            writeJsonLines(os, rec.scenario, cfgs, results, &indices);
-        }))
-        return false;
-    out = os.str();
-    return true;
+    return render(buf, out, err, false);
 }
 
 bool
 toCsv(std::string_view buf, std::string &out, std::string &err)
 {
-    std::ostringstream os;
-    bool wroteHeader = false;
-    if (!convert(buf, err, [&os, &wroteHeader](
-                               const DecodedRecord &rec) {
-            // Header from the first record: an empty grid has no
-            // record to take the energy_nj.* column set from.
-            if (!wroteHeader) {
-                writeCsvHeader(os, rec.results);
-                wroteHeader = true;
-            }
-            const std::vector<RunConfig> cfgs{rec.cfg};
-            const std::vector<RunResults> results{rec.results};
-            const std::vector<std::size_t> indices{
-                static_cast<std::size_t>(rec.index)};
-            writeCsvRows(os, rec.scenario, cfgs, results, &indices);
-        }))
-        return false;
-    out = os.str();
-    return true;
+    return render(buf, out, err, true);
 }
 
 } // namespace gals::runner::gtrj

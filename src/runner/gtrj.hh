@@ -17,25 +17,28 @@
  *   file   := "GTRJ" varint(formatVersion) frame*
  *   frame  := varint(payloadLen) payload
  *
- * The payload field order is fixed by @ref formatVersion (see
- * encodeRecord() in gtrj.cc); integral metric columns and block
- * counts are varints, metric doubles are 8-byte bit patterns, and the
- * unit-energy block stores values positionally against the sorted
- * power-model unit-name list rather than repeating the names per
- * record. Optional blocks (fabric axes, per-core results, interval
- * samples) are gated by a flags byte.
+ * The payload is the walk of the record schema (walkRecord() in
+ * runner/record.hh), so its field order is the text records' order.
+ * Integral metric columns and block counts are varints, doubles are
+ * 8-byte bit patterns, and the unit-energy block stores values
+ * positionally against the sorted power-model unit-name list rather
+ * than repeating the names per record. A flags byte holds the gals
+ * and dynamic_dvfs booleans and gates the optional blocks (warmup,
+ * fabric axes, per-core results, interval samples).
  *
- * Versioning rules: any change to the payload field order, the
- * meaning of an existing flags-byte bit, the metric column list, or
- * the power-model unit set bumps @ref formatVersion (readers reject
- * unknown versions), and ships with a galssimVersion() bump since
- * the records describe simulator output. The one additive path that
- * does NOT bump the version is claiming a previously-unused flag bit
- * for a new gated block (the fabric/interval/warmup pattern): every
- * record not using the bit keeps its exact bytes, and older readers
- * reject records that do carry it via the known-bits mask — a clean
- * refusal, never a misparse. There is no in-band skipping; the
- * format optimizes for exactness, not forward compatibility.
+ * Versioning rules: a field is added, moved or removed in one place,
+ * the record schema (runner/record.hh). Any change to the payload
+ * field order, the meaning of an existing flags-byte bit, the metric
+ * column list, or the power-model unit set bumps @ref formatVersion
+ * (readers reject unknown versions), and ships with a
+ * galssimVersion() bump since the records describe simulator output.
+ * The one additive path that does NOT bump the version is claiming a
+ * previously-unused flag bit for a new gated block (the
+ * fabric/interval/warmup pattern): every record not using the bit
+ * keeps its exact bytes, and older readers reject records that do
+ * carry it via the known-bits mask — a clean refusal, never a
+ * misparse. There is no in-band skipping; the format optimizes for
+ * exactness, not forward compatibility.
  *
  * Frames are self-delimiting and encoded statelessly (no
  * inter-record compression), so a shard's frames are byte-identical
@@ -57,6 +60,7 @@
 #include <string_view>
 
 #include "core/experiment.hh"
+#include "sim/bytecodec.hh"
 
 namespace gals::runner::gtrj
 {
@@ -70,13 +74,9 @@ inline constexpr char magic[4] = {'G', 'T', 'R', 'J'};
 /** The file header bytes: magic + varint(formatVersion). */
 const std::string &fileHeader();
 
-/** Append the LEB128 varint encoding of @p v to @p out. */
-void appendVarint(std::string &out, std::uint64_t v);
-
-/** Decode a varint at @p pos, advancing it; false when @p buf ends
- *  mid-varint or the encoding exceeds 10 bytes. */
-bool readVarint(std::string_view buf, std::size_t &pos,
-                std::uint64_t &v);
+/** The LEB128 varints of every integer in a frame. */
+using codec::appendVarint;
+using codec::readVarint;
 
 /** One record decoded from a frame: enough config + results to
  *  regenerate the exact JSON-lines/CSV record bytes. */

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <ostream>
 
+#include "runner/record.hh"
 #include "runner/scenario.hh"
 #include "runner/stats.hh"
 #include "sim/logging.hh"
@@ -48,46 +49,19 @@ csvNum(double v)
     return std::isfinite(v) ? num(v) : std::string();
 }
 
-/** One metric rendered for a per-run record: integral columns print
- *  their exact uint64 value, doubles round-trip exact with
- *  non-finite mapped per format. */
-std::string
-metricValue(const MetricAccessor &acc, const RunResults &r, bool json)
-{
-    if (acc.integral)
-        return num(acc.getU(r));
-    const double v = acc.get(r);
-    return json ? jsonNum(v) : csvNum(v);
-}
-
+/** Append the JSON string literal for @p s (see jsonQuote()). */
 void
-checkSizes(const std::vector<RunConfig> &cfgs,
-           const std::vector<RunResults> &results,
-           const std::vector<std::size_t> *indices)
+appendJsonQuoted(std::string &out, std::string_view s)
 {
-    gals_assert(cfgs.size() == results.size(),
-                "reporter: ", cfgs.size(), " configs vs ",
-                results.size(), " results");
-    gals_assert(!indices || indices->size() == results.size(),
-                "reporter: ", indices->size(), " indices vs ",
-                results.size(), " results");
-}
-
-std::size_t
-recordIndex(const std::vector<std::size_t> *indices, std::size_t i)
-{
-    return indices ? (*indices)[i] : i;
-}
-
-} // namespace
-
-std::string
-jsonQuote(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
+    // Copy the run that needs no escape in one append: record keys
+    // and most values are plain.
+    std::size_t plain = 0;
+    while (plain < s.size() && s[plain] != '"' && s[plain] != '\\' &&
+           static_cast<unsigned char>(s[plain]) >= 0x20)
+        ++plain;
     out += '"';
-    for (char c : s) {
+    out += s.substr(0, plain);
+    for (char c : s.substr(plain)) {
         switch (c) {
           case '"':
             out += "\\\"";
@@ -117,14 +91,233 @@ jsonQuote(const std::string &s)
         }
     }
     out += '"';
+}
+
+/**
+ * The text views of a record (runner/record.hh): a JSON line, a CSV
+ * header or a CSV row. The summary of grid point @p grid of
+ * @p summary, when given, shows the replica count for the seeds and a
+ * mean plus `_ci95` per metric.
+ */
+class TextView
+{
+  public:
+    enum class Form { json, csvHeader, csvRow };
+
+    TextView(std::ostream &os, Form form,
+             const ReplicaSummary *summary = nullptr, std::size_t grid = 0)
+        : os_(os), form_(form), json_(form == Form::json),
+          summary_(summary), grid_(grid)
+    {
+    }
+
+    void
+    record(const std::string &scenario, std::size_t index,
+           const RunConfig &c, const RunResults &r)
+    {
+        line_.clear();
+        first_ = true;
+        if (json_)
+            open("", "{");
+        walkRecord(*this, scenario, index, c, r);
+        line_ += json_ ? "}\n" : "\n";
+        os_ << line_;
+    }
+
+    /** Only a per-run JSON line shows the gated blocks. */
+    unsigned
+    blocks(unsigned present) const
+    {
+        return json_ && !summary_ ? present : 0;
+    }
+
+    void
+    flag(const char *name, unsigned, bool b)
+    {
+        put(name, json_ ? (b ? "true" : "false") : (b ? "1" : "0"));
+    }
+
+    template <std::integral T>
+    void
+    field(std::string_view name, T v)
+    {
+        put(name, num(std::uint64_t(v)));
+    }
+
+    void field(std::string_view name, double v)
+    {
+        put(name, json_ ? jsonNum(v) : csvNum(v));
+    }
+    void field(std::string_view name, const std::string &s)
+    {
+        put(name, json_ ? jsonQuote(s) : csvField(s));
+    }
+    void field(std::string_view name, TopologyKind k)
+    {
+        field(name, std::string(topologyKindName(k)));
+    }
+    void field(std::string_view name, std::uint64_t, std::uint64_t shown)
+    {
+        field(name, shown);
+    }
+
+    bool
+    replicas(const char *name)
+    {
+        if (summary_)
+            field(name, summary_->replicas);
+        return summary_ != nullptr;
+    }
+
+    void columns(const char *, std::size_t) {}
+
+    /** Integral columns print their exact uint64 value, so counters
+     *  above 2^53 are not rounded through double. */
+    void
+    metric(const MetricAccessor &acc, std::size_t m, const RunResults &r)
+    {
+        if (summary_) {
+            const MetricSummary &s = summary_->metrics[grid_][m];
+            field(acc.name, s.mean);
+            field(std::string(acc.name) + "_ci95", s.ci95);
+        } else if (acc.integral) {
+            field(acc.name, acc.getU(r));
+        } else {
+            field(acc.name, acc.get(r));
+        }
+    }
+
+    /** A JSON object keyed by unit, or energy_nj.<unit> CSV
+     *  columns. */
+    void
+    energies(const char *name, const std::map<std::string, double> &nj)
+    {
+        if (json_)
+            open(name, "{");
+        for (const auto &[unit, v] : nj)
+            field(json_ ? unit : name + ("." + unit), v);
+        if (json_)
+            close("}");
+    }
+
+    void
+    energies(const char *name, const PerDomain<double> &nj)
+    {
+        open(name, "{");
+        for (unsigned d = 0; d < numDomains; ++d)
+            field(domainName(static_cast<DomainId>(d)), nj[d]);
+        close("}");
+    }
+
+    template <class E>
+    void
+    list(const char *name, const std::vector<E> &entries)
+    {
+        open(name, "[");
+        for (const E &e : entries) {
+            open("", "{");
+            walkEntry(*this, e);
+            close("}");
+        }
+        close("]");
+    }
+
+  private:
+    /** The next field: a separator, then its column name in a CSV
+     *  header, else its value, keyed in JSON unless it is an array
+     *  entry (no @p name). */
+    void
+    put(std::string_view name, std::string_view value)
+    {
+        if (!first_)
+            line_ += ',';
+        first_ = false;
+        if (form_ == Form::csvHeader) {
+            line_ += csvField(name);
+            return;
+        }
+        if (json_ && !name.empty()) {
+            appendJsonQuoted(line_, name);
+            line_ += ':';
+        }
+        line_ += value;
+    }
+
+    /** A nested JSON object or array: no separator before its first
+     *  field. */
+    void
+    open(std::string_view name, const char *bracket)
+    {
+        put(name, bracket);
+        first_ = true;
+    }
+
+    void
+    close(const char *bracket)
+    {
+        line_ += bracket;
+        first_ = false;
+    }
+
+    std::ostream &os_;
+    const Form form_;
+    const bool json_;
+    const ReplicaSummary *const summary_;
+    const std::size_t grid_;
+    std::string line_;
+    bool first_ = true;
+};
+
+/** One record per run in @p form. @p indices, when given, are the
+ *  runs' canonical indices (see writeJsonLines()). */
+void
+writeRecords(std::ostream &os, TextView::Form form,
+             const std::string &scenario, const std::vector<RunConfig> &cfgs,
+             const std::vector<RunResults> &results,
+             const std::vector<std::size_t> *indices)
+{
+    gals_assert(cfgs.size() == results.size(), "reporter: ", cfgs.size(),
+                " configs vs ", results.size(), " results");
+    gals_assert(!indices || indices->size() == results.size(),
+                "reporter: ", indices->size(), " indices vs ",
+                results.size(), " results");
+    TextView view(os, form);
+    for (std::size_t i = 0; i < results.size(); ++i)
+        view.record(scenario, indices ? (*indices)[i] : i, cfgs[i],
+                    results[i]);
+}
+
+/** One summary record per grid point in @p form. */
+void
+writeSummary(std::ostream &os, TextView::Form form,
+             const std::string &scenario,
+             const std::vector<RunConfig> &gridCfgs,
+             const ReplicaSummary &summary)
+{
+    gals_assert(gridCfgs.size() == summary.gridSize,
+                "summary reporter: ", gridCfgs.size(),
+                " grid configs vs grid size ", summary.gridSize);
+    for (std::size_t g = 0; g < summary.gridSize; ++g)
+        TextView(os, form, &summary, g)
+            .record(scenario, g, gridCfgs[g], summary.mean[g]);
+}
+
+} // namespace
+
+std::string
+jsonQuote(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    appendJsonQuoted(out, s);
     return out;
 }
 
 std::string
-csvField(const std::string &s)
+csvField(std::string_view s)
 {
-    if (s.find_first_of(",\"\n\r") == std::string::npos)
-        return s;
+    if (s.find_first_of(",\"\n\r") == std::string_view::npos)
+        return std::string(s);
     std::string out;
     out.reserve(s.size() + 2);
     out += '"';
@@ -143,98 +336,14 @@ writeJsonLines(std::ostream &os, const std::string &scenario,
                const std::vector<RunResults> &results,
                const std::vector<std::size_t> *indices)
 {
-    checkSizes(cfgs, results, indices);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const RunConfig &c = cfgs[i];
-        const RunResults &r = results[i];
-        os << "{\"scenario\":" << jsonQuote(scenario)
-           << ",\"index\":" << recordIndex(indices, i)
-           << ",\"benchmark\":" << jsonQuote(r.benchmark)
-           << ",\"gals\":" << (r.gals ? "true" : "false")
-           << ",\"dynamic_dvfs\":" << (c.dynamicDvfs ? "true" : "false")
-           << ",\"instructions\":" << num(c.instructions)
-           << ",\"seed\":" << num(c.seed)
-           << ",\"phase_seed\":" << num(effectivePhaseSeed(c));
-        // Warmup split only when one was requested: pre-warmup
-        // records keep their exact bytes.
-        if (c.warmupInstructions > 0)
-            os << ",\"warmup_insts\":" << num(c.warmupInstructions);
-        // Fabric axes only for fabric runs: pre-fabric records (and
-        // N=1 fabric-scenario records) keep their exact bytes.
-        if (c.fabric.active())
-            os << ",\"cores\":" << c.fabric.cores << ",\"topology\":"
-               << jsonQuote(topologyKindName(c.fabric.topology))
-               << ",\"traffic\":" << jsonQuote(c.fabric.traffic);
-        for (const MetricAccessor &acc : metricAccessors())
-            os << ",\"" << acc.name
-               << "\":" << metricValue(acc, r, true);
-        os << ",\"energy_nj\":{";
-        bool first = true;
-        for (const auto &[unit, nj] : r.unitEnergyNj) {
-            if (!first)
-                os << ",";
-            first = false;
-            os << jsonQuote(unit) << ":" << jsonNum(nj);
-        }
-        os << "}";
-        if (!r.cores.empty()) {
-            os << ",\"per_core\":[";
-            for (std::size_t k = 0; k < r.cores.size(); ++k) {
-                const CoreResults &cr = r.cores[k];
-                if (k)
-                    os << ",";
-                os << "{\"core\":" << cr.core << ",\"committed\":"
-                   << num(cr.committed) << ",\"ipc_nominal\":"
-                   << jsonNum(cr.ipcNominal) << ",\"energy_j\":"
-                   << jsonNum(cr.energyJ) << ",\"fifo_events\":"
-                   << num(cr.fifoEvents) << ",\"msgs_sent\":"
-                   << num(cr.msgsSent) << ",\"msgs_received\":"
-                   << num(cr.msgsReceived)
-                   << ",\"remote_stall_cycles\":"
-                   << num(cr.remoteStallCycles)
-                   << ",\"avg_remote_latency_cycles\":"
-                   << jsonNum(cr.avgRemoteLatencyCycles) << "}";
-            }
-            os << "]";
-        }
-        // Interval-meter series, gated on the config so the array is
-        // present (possibly empty, e.g. fabric runs) exactly when the
-        // meter was requested; unmetered records keep their exact
-        // bytes.
-        if (c.intervalTicks > 0) {
-            os << ",\"interval_ticks\":" << num(c.intervalTicks)
-               << ",\"intervals\":[";
-            for (std::size_t k = 0; k < r.intervals.size(); ++k) {
-                const IntervalSample &s = r.intervals[k];
-                if (k)
-                    os << ",";
-                os << "{\"tick\":" << num(s.tick)
-                   << ",\"committed\":" << num(s.committed)
-                   << ",\"ipc\":" << jsonNum(s.ipc)
-                   << ",\"energy_nj\":{";
-                for (unsigned d = 0; d < numDomains; ++d)
-                    os << (d ? "," : "")
-                       << jsonQuote(
-                              domainName(static_cast<DomainId>(d)))
-                       << ":" << jsonNum(s.energyNj[d]);
-                os << "},\"fifo_occ\":" << num(s.fifoOcc) << "}";
-            }
-            os << "]";
-        }
-        os << "}\n";
-    }
+    writeRecords(os, TextView::Form::json, scenario, cfgs, results, indices);
 }
 
 void
 writeCsvHeader(std::ostream &os, const RunResults &sample)
 {
-    os << "scenario,index,benchmark,gals,dynamic_dvfs,instructions,"
-          "seed,phase_seed";
-    for (const MetricAccessor &acc : metricAccessors())
-        os << "," << acc.name;
-    for (const auto &[unit, nj] : sample.unitEnergyNj)
-        os << "," << csvField("energy_nj." + unit);
-    os << "\n";
+    TextView(os, TextView::Form::csvHeader)
+        .record(std::string(), 0, RunConfig(), sample);
 }
 
 void
@@ -243,22 +352,8 @@ writeCsvRows(std::ostream &os, const std::string &scenario,
              const std::vector<RunResults> &results,
              const std::vector<std::size_t> *indices)
 {
-    checkSizes(cfgs, results, indices);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const RunConfig &c = cfgs[i];
-        const RunResults &r = results[i];
-        os << csvField(scenario) << "," << recordIndex(indices, i)
-           << ","
-           << csvField(r.benchmark) << "," << (r.gals ? 1 : 0) << ","
-           << (c.dynamicDvfs ? 1 : 0) << "," << num(c.instructions)
-           << "," << num(c.seed) << ","
-           << num(effectivePhaseSeed(c));
-        for (const MetricAccessor &acc : metricAccessors())
-            os << "," << metricValue(acc, r, false);
-        for (const auto &[unit, nj] : r.unitEnergyNj)
-            os << "," << csvNum(nj);
-        os << "\n";
-    }
+    writeRecords(os, TextView::Form::csvRow, scenario, cfgs, results,
+                 indices);
 }
 
 void
@@ -266,7 +361,6 @@ writeCsv(std::ostream &os, const std::string &scenario,
          const std::vector<RunConfig> &cfgs,
          const std::vector<RunResults> &results)
 {
-    checkSizes(cfgs, results, nullptr);
     // Unit-energy columns from the first record; every run reports
     // the same unit set (the Unit enum).
     writeCsvHeader(os, results.empty() ? RunResults() : results.front());
@@ -278,36 +372,7 @@ writeJsonLinesSummary(std::ostream &os, const std::string &scenario,
                       const std::vector<RunConfig> &gridCfgs,
                       const ReplicaSummary &summary)
 {
-    gals_assert(gridCfgs.size() == summary.gridSize,
-                "summary reporter: ", gridCfgs.size(),
-                " grid configs vs grid size ", summary.gridSize);
-    const auto &accessors = metricAccessors();
-    for (std::size_t g = 0; g < summary.gridSize; ++g) {
-        const RunConfig &c = gridCfgs[g];
-        const RunResults &r = summary.mean[g];
-        os << "{\"scenario\":" << jsonQuote(scenario)
-           << ",\"index\":" << g
-           << ",\"benchmark\":" << jsonQuote(r.benchmark)
-           << ",\"gals\":" << (r.gals ? "true" : "false")
-           << ",\"dynamic_dvfs\":" << (c.dynamicDvfs ? "true" : "false")
-           << ",\"instructions\":" << num(c.instructions)
-           << ",\"replicas\":" << summary.replicas;
-        for (std::size_t m = 0; m < accessors.size(); ++m) {
-            const MetricSummary &s = summary.metrics[g][m];
-            os << ",\"" << accessors[m].name
-               << "\":" << jsonNum(s.mean) << ",\""
-               << accessors[m].name << "_ci95\":" << jsonNum(s.ci95);
-        }
-        os << ",\"energy_nj\":{";
-        bool first = true;
-        for (const auto &[unit, nj] : r.unitEnergyNj) {
-            if (!first)
-                os << ",";
-            first = false;
-            os << jsonQuote(unit) << ":" << jsonNum(nj);
-        }
-        os << "}}\n";
-    }
+    writeSummary(os, TextView::Form::json, scenario, gridCfgs, summary);
 }
 
 void
@@ -315,35 +380,12 @@ writeCsvSummary(std::ostream &os, const std::string &scenario,
                 const std::vector<RunConfig> &gridCfgs,
                 const ReplicaSummary &summary)
 {
-    gals_assert(gridCfgs.size() == summary.gridSize,
-                "summary reporter: ", gridCfgs.size(),
-                " grid configs vs grid size ", summary.gridSize);
-    const auto &accessors = metricAccessors();
-
-    os << "scenario,index,benchmark,gals,dynamic_dvfs,instructions,"
-          "replicas";
-    for (const MetricAccessor &acc : accessors)
-        os << "," << acc.name << "," << acc.name << "_ci95";
-    if (!summary.mean.empty())
-        for (const auto &[unit, nj] : summary.mean.front().unitEnergyNj)
-            os << "," << csvField("energy_nj." + unit);
-    os << "\n";
-
-    for (std::size_t g = 0; g < summary.gridSize; ++g) {
-        const RunConfig &c = gridCfgs[g];
-        const RunResults &r = summary.mean[g];
-        os << csvField(scenario) << "," << g << ","
-           << csvField(r.benchmark) << "," << (r.gals ? 1 : 0) << ","
-           << (c.dynamicDvfs ? 1 : 0) << "," << num(c.instructions)
-           << "," << summary.replicas;
-        for (std::size_t m = 0; m < accessors.size(); ++m) {
-            const MetricSummary &s = summary.metrics[g][m];
-            os << "," << csvNum(s.mean) << "," << csvNum(s.ci95);
-        }
-        for (const auto &[unit, nj] : r.unitEnergyNj)
-            os << "," << csvNum(nj);
-        os << "\n";
-    }
+    // Column names from the first grid point, whose unit set is every
+    // point's (summarizeReplicas() refuses an empty grid).
+    gals_assert(summary.gridSize > 0, "summary reporter: empty grid");
+    TextView(os, TextView::Form::csvHeader, &summary)
+        .record(std::string(), 0, RunConfig(), summary.mean.front());
+    writeSummary(os, TextView::Form::csvRow, scenario, gridCfgs, summary);
 }
 
 void

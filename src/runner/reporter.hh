@@ -9,6 +9,9 @@
  * serial and parallel runs of the same grid produce byte-identical
  * output.
  *
+ * Every writer here is a view of the record schema
+ * (runner/record.hh), which lists the fields and their order.
+ *
  * The records are strict: string fields are JSON-escaped /
  * RFC-4180-quoted, and non-finite doubles render as JSON `null`
  * (empty in CSV) rather than the bare `nan`/`inf` every parser
@@ -26,6 +29,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -55,11 +59,11 @@ enum class OutputFormat
 
 /** JSON string literal for @p s, including the surrounding quotes:
  *  escapes `"`, `\` and control characters. */
-std::string jsonQuote(const std::string &s);
+std::string jsonQuote(std::string_view s);
 
 /** RFC-4180 CSV field: quoted (with internal quotes doubled) when
  *  @p s contains a comma, quote or newline; verbatim otherwise. */
-std::string csvField(const std::string &s);
+std::string csvField(std::string_view s);
 
 /// @}
 

@@ -12,8 +12,8 @@
  * trajectory file (runner/trajectory.hh).
  *
  * The canonical metric column list lives here too (MetricAccessor):
- * it is the single source of truth for the column names and order
- * used by the JSON-lines/CSV reporters and the aggregation below.
+ * the record schema (runner/record.hh) walks it for every record view,
+ * and the aggregation below reduces it.
  */
 
 #ifndef RUNNER_STATS_HH

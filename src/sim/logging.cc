@@ -7,8 +7,6 @@ namespace gals
 namespace logging_detail
 {
 
-std::atomic<unsigned long> warnCount{0};
-
 void
 panicImpl(const char *file, int line, const std::string &msg)
 {
@@ -21,19 +19,6 @@ fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s [%s:%d]\n", msg.c_str(), file, line);
     std::exit(1);
-}
-
-void
-warnImpl(const std::string &msg)
-{
-    ++warnCount;
-    std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    std::fprintf(stdout, "info: %s\n", msg.c_str());
 }
 
 } // namespace logging_detail

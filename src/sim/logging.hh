@@ -8,14 +8,11 @@
  * fatal()  - the simulation cannot continue because of a user error
  *            (bad configuration, invalid arguments); exits with an
  *            error code.
- * warn()   - something is modelled approximately; the run continues.
- * inform() - plain status output.
  */
 
 #ifndef SIM_LOGGING_HH
 #define SIM_LOGGING_HH
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -41,12 +38,6 @@ concat(Args &&...args)
                             const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
-void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
-
-/** Count of warn() calls, exposed for tests; atomic because runs may
- *  warn concurrently under the parallel ExperimentEngine. */
-extern std::atomic<unsigned long> warnCount;
 
 } // namespace logging_detail
 
@@ -57,14 +48,6 @@ extern std::atomic<unsigned long> warnCount;
 #define gals_fatal(...)                                                  \
     ::gals::logging_detail::fatalImpl(                                   \
         __FILE__, __LINE__, ::gals::logging_detail::concat(__VA_ARGS__))
-
-#define gals_warn(...)                                                   \
-    ::gals::logging_detail::warnImpl(                                    \
-        ::gals::logging_detail::concat(__VA_ARGS__))
-
-#define gals_inform(...)                                                 \
-    ::gals::logging_detail::informImpl(                                  \
-        ::gals::logging_detail::concat(__VA_ARGS__))
 
 /** Assert a simulator invariant; compiled in all build types. */
 #define gals_assert(cond, ...)                                           \

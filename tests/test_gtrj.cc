@@ -27,6 +27,7 @@
 #include "core/experiment.hh"
 #include "power/power_model.hh"
 #include "runner/gtrj.hh"
+#include "runner/record.hh"
 #include "runner/reporter.hh"
 #include "runner/stats.hh"
 #include "runner/trajectory.hh"
@@ -350,6 +351,284 @@ TEST(GtrjRecord, RejectsTrailingBytesAndUnknownFlags)
     mangled[p] = static_cast<char>(0x80);
     EXPECT_FALSE(gtrj::decodePayload(mangled, dec, err));
     EXPECT_NE(err.find("flag"), std::string::npos) << err;
+}
+
+/** The writer sets a gate bit exactly when its block is present, so a
+ *  frame with a gate bit over a zero warmup or interval length, a
+ *  single core or an empty per-core block is refused, not rendered
+ *  as a record without the block. */
+TEST(GtrjRecord, RejectsGateBitsTheirBlocksDoNotMatch)
+{
+    const auto payloadOf = [](const RunConfig &cfg, const RunResults &r) {
+        const std::string frame = gtrj::encodeRecord("s", 0, cfg, r);
+        std::size_t pos = 0;
+        std::uint64_t len = 0;
+        EXPECT_TRUE(gtrj::readVarint(frame, pos, len));
+        return frame.substr(pos);
+    };
+    // Offsets of the flags byte and of the first field after the
+    // seeds (the warmup or fabric block).
+    const auto layout = [](const std::string &p) {
+        std::size_t pos = 0;
+        std::uint64_t n = 0;
+        EXPECT_TRUE(gtrj::readVarint(p, pos, n)); // scenario
+        pos += n;
+        EXPECT_TRUE(gtrj::readVarint(p, pos, n)); // index
+        EXPECT_TRUE(gtrj::readVarint(p, pos, n)); // benchmark
+        pos += n;
+        const std::size_t flags = pos++;
+        for (int i = 0; i < 3; ++i) // instructions, seed, phase seed
+            EXPECT_TRUE(gtrj::readVarint(p, pos, n));
+        return std::pair<std::size_t, std::size_t>(flags, pos);
+    };
+    const auto refused = [](const std::string &payload) {
+        gtrj::DecodedRecord dec;
+        std::string err;
+        const bool ok = gtrj::decodePayload(payload, dec, err);
+        EXPECT_FALSE(err.empty() && !ok);
+        return !ok;
+    };
+
+    RunConfig warm = sampleConfig(0);
+    warm.warmupInstructions = 1; // one varint byte
+    std::string p = payloadOf(warm, sampleResults(0));
+    ASSERT_FALSE(refused(p));
+    p[layout(p).second] = 0;
+    EXPECT_TRUE(refused(p)) << "zero warmup";
+
+    RunConfig fabric = sampleConfig(0);
+    fabric.fabric.cores = 2;
+    p = payloadOf(fabric, sampleResults(0));
+    ASSERT_FALSE(refused(p));
+    p[layout(p).second] = 1;
+    EXPECT_TRUE(refused(p)) << "fabric bit over one core";
+
+    RunConfig metered = sampleConfig(0);
+    metered.intervalTicks = 100; // one varint byte, then a zero count
+    p = payloadOf(metered, sampleResults(0));
+    ASSERT_FALSE(refused(p));
+    p[p.size() - 2] = 0;
+    EXPECT_TRUE(refused(p)) << "zero interval length";
+
+    // An empty per-core block behind a set per-core bit.
+    p = payloadOf(sampleConfig(0), sampleResults(0));
+    p[layout(p).first] |= flagPerCore;
+    p.push_back('\0');
+    EXPECT_TRUE(refused(p)) << "empty per-core block";
+}
+
+// ---------------------------------------------------------------
+// Golden record: the column order of every view, pinned
+// ---------------------------------------------------------------
+
+namespace
+{
+
+/** A record carrying every gated block at once: warmup, fabric axes
+ *  with per-core results, interval samples and dynamic DVFS, with
+ *  NaN and +-inf in metric, unit-energy, per-core and interval
+ *  cells. No simulation produces it; every view must still render
+ *  it. */
+RunConfig
+goldenConfig()
+{
+    RunConfig c;
+    c.benchmark = "gcc";
+    c.instructions = 5000;
+    c.gals = true;
+    c.dynamicDvfs = true;
+    c.seed = 3;
+    c.phaseSeed = 11;
+    c.warmupInstructions = 1000;
+    c.fabric.cores = 2;
+    c.fabric.topology = TopologyKind::ring;
+    c.fabric.traffic = "uniform";
+    c.intervalTicks = 2500;
+    return c;
+}
+
+RunResults
+goldenResults()
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    RunResults r;
+    r.benchmark = "gcc";
+    r.gals = true;
+    // Every metric column gets a distinct value; three of them are
+    // non-finite.
+    std::size_t m = 0;
+    for (const MetricAccessor &acc : metricAccessors()) {
+        ++m;
+        if (acc.integral)
+            acc.setU(r, 100 * m + (std::uint64_t(1) << (3 * m)));
+        else
+            acc.set(r, double(m) / 8.0 + 0.1);
+    }
+    r.ipcNominal = nan;
+    r.avgPowerW = inf;
+    r.avgSlipCycles = -inf;
+    r.unitEnergyNj = fullUnitEnergies(0.5);
+    r.unitEnergyNj[unitName(static_cast<Unit>(1))] = -inf;
+    for (unsigned k = 0; k < 2; ++k) {
+        CoreResults cr;
+        cr.core = k;
+        cr.committed = 2500 + k;
+        cr.ipcNominal = k ? nan : 0.75;
+        cr.energyJ = 1.5e-9 * double(k + 1);
+        cr.fifoEvents = 40 + k;
+        cr.msgsSent = 7 * k;
+        cr.msgsReceived = 9 - k;
+        cr.remoteStallCycles = 300 + k;
+        cr.avgRemoteLatencyCycles = k ? 12.25 : inf;
+        r.cores.push_back(cr);
+    }
+    for (unsigned i = 1; i <= 2; ++i) {
+        IntervalSample s;
+        s.tick = 2500 * i;
+        s.committed = 600 + i;
+        s.ipc = i == 2 ? -inf : 0.24;
+        for (unsigned d = 0; d < numDomains; ++d)
+            s.energyNj[d] = d == 1 && i == 1 ? nan : 0.5 * d + i;
+        s.fifoOcc = 3 * i;
+        r.intervals.push_back(s);
+    }
+    return r;
+}
+
+/** A scenario name that JSON must escape and CSV must quote. */
+const std::string goldenScenario = "gold,en \"rec\"";
+
+std::string
+hexOf(std::string_view bytes)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string out;
+    for (const char c : bytes) {
+        const unsigned char b = static_cast<unsigned char>(c);
+        out += digits[b >> 4];
+        out += digits[b & 15];
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(GoldenRecord, JsonLineIsPinned)
+{
+    std::ostringstream os;
+    const std::vector<std::size_t> indices = {17};
+    writeJsonLines(os, goldenScenario, {goldenConfig()}, {goldenResults()},
+                   &indices);
+    EXPECT_EQ(os.str(),
+              "{\"scenario\":\"gold,en \\\"rec\\\"\",\"index\":17,\"benchmark\":\"gc"
+              "c\",\"gals\":true,\"dynamic_dvfs\":true,\"instructions\":5000,\""
+              "seed\":3,\"phase_seed\":11,\"warmup_insts\":1000,\"cores\":2,\"t"
+              "opology\":\"ring\",\"traffic\":\"uniform\",\"committed\":108,\"fet"
+              "ched\":264,\"wrong_path_fetched\":812,\"ticks\":4496,\"time_se"
+              "c\":0.72499999999999998,\"ipc_nominal\":null,\"energy_j\":0.9"
+              "7499999999999998,\"avg_power_w\":null,\"fifo_events\":134218"
+              "628,\"avg_slip_cycles\":null,\"avg_fifo_slip_cycles\":1.4750"
+              "000000000001,\"misspec_fraction\":1.6000000000000001,\"misp"
+              "redicts_per_k\":1.7250000000000001,\"dir_accuracy\":1.85000"
+              "00000000001,\"avg_rob_occ\":1.9750000000000001,\"avg_int_re"
+              "names\":2.1000000000000001,\"avg_fp_renames\":2.22500000000"
+              "00001,\"int_iq_occ\":2.3500000000000001,\"fp_iq_occ\":2.4750"
+              "000000000001,\"mem_iq_occ\":2.6000000000000001,\"il1_miss_r"
+              "ate\":2.7250000000000001,\"dl1_miss_rate\":2.85000000000000"
+              "01,\"l2_miss_rate\":2.9750000000000001,\"energy_nj\":{\"async"
+              "_fifos\":6,\"branch_pred\":2.25,\"dcache\":5.25,\"decode_clock"
+              "\":1,\"decode_logic\":2.5,\"fetch_clock\":null,\"fp_alus\":5,\"f"
+              "p_clock\":1.5,\"fp_issue_q\":4,\"global_clock\":0.5,\"icache\":"
+              "2,\"int_alus\":4.75,\"int_clock\":1.25,\"int_issue_q\":3.75,\"l"
+              "2_cache\":5.5,\"lsq\":4.5,\"mem_clock\":1.75,\"mem_issue_q\":4."
+              "25,\"regfile_fp\":3.5,\"regfile_int\":3.25,\"rename_table\":2."
+              "75,\"result_bus\":5.75,\"rob\":3},\"per_core\":[{\"core\":0,\"com"
+              "mitted\":2500,\"ipc_nominal\":0.75,\"energy_j\":1.5e-09,\"fifo"
+              "_events\":40,\"msgs_sent\":0,\"msgs_received\":9,\"remote_stal"
+              "l_cycles\":300,\"avg_remote_latency_cycles\":null},{\"core\":"
+              "1,\"committed\":2501,\"ipc_nominal\":null,\"energy_j\":3e-09,\""
+              "fifo_events\":41,\"msgs_sent\":7,\"msgs_received\":8,\"remote_"
+              "stall_cycles\":301,\"avg_remote_latency_cycles\":12.25}],\"i"
+              "nterval_ticks\":2500,\"intervals\":[{\"tick\":2500,\"committed"
+              "\":601,\"ipc\":0.23999999999999999,\"energy_nj\":{\"fetch\":1,\""
+              "decode\":null,\"int\":2,\"fp\":2.5,\"mem\":3},\"fifo_occ\":3},{\"t"
+              "ick\":5000,\"committed\":602,\"ipc\":null,\"energy_nj\":{\"fetch"
+              "\":2,\"decode\":2.5,\"int\":3,\"fp\":3.5,\"mem\":4},\"fifo_occ\":6}"
+              "]}\n");
+}
+
+TEST(GoldenRecord, CsvHeaderAndRowArePinned)
+{
+    std::ostringstream os;
+    writeCsv(os, goldenScenario, {goldenConfig()}, {goldenResults()});
+    EXPECT_EQ(os.str(),
+              "scenario,index,benchmark,gals,dynamic_dvfs,instructions,"
+              "seed,phase_seed,committed,fetched,wrong_path_fetched,tic"
+              "ks,time_sec,ipc_nominal,energy_j,avg_power_w,fifo_events"
+              ",avg_slip_cycles,avg_fifo_slip_cycles,misspec_fraction,m"
+              "ispredicts_per_k,dir_accuracy,avg_rob_occ,avg_int_rename"
+              "s,avg_fp_renames,int_iq_occ,fp_iq_occ,mem_iq_occ,il1_mis"
+              "s_rate,dl1_miss_rate,l2_miss_rate,energy_nj.async_fifos,"
+              "energy_nj.branch_pred,energy_nj.dcache,energy_nj.decode_"
+              "clock,energy_nj.decode_logic,energy_nj.fetch_clock,energ"
+              "y_nj.fp_alus,energy_nj.fp_clock,energy_nj.fp_issue_q,ene"
+              "rgy_nj.global_clock,energy_nj.icache,energy_nj.int_alus,"
+              "energy_nj.int_clock,energy_nj.int_issue_q,energy_nj.l2_c"
+              "ache,energy_nj.lsq,energy_nj.mem_clock,energy_nj.mem_iss"
+              "ue_q,energy_nj.regfile_fp,energy_nj.regfile_int,energy_n"
+              "j.rename_table,energy_nj.result_bus,energy_nj.rob\n"
+              "\"gold,en \"\"rec\"\"\",0,gcc,1,1,5000,3,11,108,264,812,4496,0"
+              ".72499999999999998,,0.97499999999999998,,134218628,,1.47"
+              "50000000000001,1.6000000000000001,1.7250000000000001,1.8"
+              "500000000000001,1.9750000000000001,2.1000000000000001,2."
+              "2250000000000001,2.3500000000000001,2.4750000000000001,2"
+              ".6000000000000001,2.7250000000000001,2.8500000000000001,"
+              "2.9750000000000001,6,2.25,5.25,1,2.5,,5,1.5,4,0.5,2,4.75"
+              ",1.25,3.75,5.5,4.5,1.75,4.25,3.5,3.25,2.75,5.75,3\n");
+}
+
+TEST(GoldenRecord, GtrjFrameIsPinnedAndDecodesToTheSameViews)
+{
+    const RunConfig cfg = goldenConfig();
+    const RunResults r = goldenResults();
+    const std::string frame =
+        gtrj::encodeRecord(goldenScenario, 17, cfg, r);
+    EXPECT_EQ(hexOf(frame),
+              "ab040d676f6c642c656e20227265632211036763633f8827030be807"
+              "020472696e6707756e69666f726d176c8802ac069023333333333333"
+              "e73f000000000000f87f333333333333ef3f000000000000f07f8487"
+              "8040000000000000f0ff9a9999999999f73f9a9999999999f93f9a99"
+              "99999999fb3f9a9999999999fd3f9a9999999999ff3fcdcccccccccc"
+              "0040cdcccccccccc0140cdcccccccccc0240cdcccccccccc0340cdcc"
+              "cccccccc0440cdcccccccccc0540cdcccccccccc0640cdcccccccccc"
+              "07401700000000000018400000000000000240000000000000154000"
+              "0000000000f03f0000000000000440000000000000f0ff0000000000"
+              "001440000000000000f83f0000000000001040000000000000e03f00"
+              "000000000000400000000000001340000000000000f43f0000000000"
+              "000e4000000000000016400000000000001240000000000000fc3f00"
+              "000000000011400000000000000c400000000000000a400000000000"
+              "000640000000000000174000000000000008400200c4130000000000"
+              "00e83fdf413adc11c5193e280009ac02000000000000f07f01c51300"
+              "0000000000f87fdf413adc11c5293e290708ad020000000000802840"
+              "c41302c413d904b81e85eb51b8ce3f000000000000f03f0000000000"
+              "00f87f00000000000000400000000000000440000000000000084003"
+              "8827da04000000000000f0ff00000000000000400000000000000440"
+              "00000000000008400000000000000c40000000000000104006");
+
+    // The decoded record renders the native record's text bytes.
+    std::string json, csv, err;
+    ASSERT_TRUE(gtrj::toJsonLines(gtrj::fileHeader() + frame, json, err))
+        << err;
+    std::ostringstream native;
+    const std::vector<std::size_t> indices = {17};
+    writeJsonLines(native, goldenScenario, {cfg}, {r}, &indices);
+    EXPECT_EQ(json, native.str());
+    ASSERT_TRUE(gtrj::toCsv(gtrj::fileHeader() + frame, csv, err)) << err;
+    native.str("");
+    writeCsvHeader(native, r);
+    writeCsvRows(native, goldenScenario, {cfg}, {r}, &indices);
+    EXPECT_EQ(csv, native.str());
 }
 
 // ---------------------------------------------------------------

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the interval meter (sim/meter.hh + the runOne()
- * `--interval-ticks` wiring).
+ * Tests for the interval meter (the runOne() `--interval-ticks`
+ * sampler).
  *
  * Two contracts matter. First, the meter is read-only: a metered run
  * must reproduce the unmetered run's headline metrics exactly, with
@@ -21,8 +21,6 @@
 #include "core/experiment.hh"
 #include "runner/engine.hh"
 #include "runner/gtrj.hh"
-#include "sim/event_queue.hh"
-#include "sim/meter.hh"
 
 using namespace gals;
 using namespace gals::runner;
@@ -54,41 +52,20 @@ framesOf(const std::vector<RunConfig> &cfgs,
     return buf;
 }
 
-class CountingMeter final : public PeriodicMeter
-{
-  public:
-    CountingMeter(EventQueue &eq, Tick k) : PeriodicMeter(eq, "m", k)
-    {
-    }
-    std::vector<Tick> sampleTicks;
-
-  protected:
-    void
-    sampleInterval(std::uint64_t index, Tick now) override
-    {
-        EXPECT_EQ(index, sampleTicks.size());
-        sampleTicks.push_back(now);
-    }
-};
-
 } // namespace
 
-TEST(PeriodicMeter, FirstSampleLandsOneFullIntervalAfterStart)
+TEST(RunMeter, FirstSampleLandsOneFullIntervalAfterStart)
 {
-    EventQueue eq;
-    CountingMeter meter(eq, 1000);
-    EXPECT_EQ(meter.intervalTicks(), Tick(1000));
-    meter.start();
-    eq.runUntil(3500);
-    // No sample at tick 0: the first interval must elapse first.
-    EXPECT_EQ(meter.sampleTicks,
-              (std::vector<Tick>{1000, 2000, 3000}));
-    EXPECT_EQ(meter.samples(), 3u);
-
-    // stop() deschedules: no further edges fire.
-    meter.stop();
-    eq.runUntil(9000);
-    EXPECT_EQ(meter.samples(), 3u);
+    RunConfig cfg = meteredConfig(0, /*gals=*/false);
+    cfg.intervalTicks = 1000;
+    const RunResults r = runOne(cfg);
+    // No sample at tick 0: the first interval must elapse first, and
+    // every later sample lands one interval after the one before.
+    ASSERT_GE(r.intervals.size(), 3u);
+    for (std::size_t i = 0; i < r.intervals.size(); ++i)
+        EXPECT_EQ(r.intervals[i].tick, Tick(1000) * (i + 1)) << i;
+    // The meter stops with the run: no sample lands after its end.
+    EXPECT_EQ(r.intervals.size(), r.ticks / 1000);
 }
 
 TEST(RunMeter, MeterIsReadOnlyAndSamplesAreConsistent)

@@ -485,6 +485,108 @@ TEST(Stats, SummaryReportersEmitCiColumnsAndParse)
     EXPECT_EQ(rows, gridSize); // one aggregated row per grid point
 }
 
+/** The replica summaries of a 2-replica, 2-point grid, pinned byte
+ *  for byte: the seed columns give way to `replicas`, each metric to
+ *  a mean and a `_ci95` half-width, and a NaN replica makes its
+ *  metric's mean and CI null (empty in CSV). */
+TEST(Stats, SummaryRecordsArePinned)
+{
+    std::vector<RunConfig> gridCfgs(2);
+    gridCfgs[0].instructions = 4000;
+    gridCfgs[1] = gridCfgs[0];
+    gridCfgs[1].gals = true;
+    gridCfgs[1].dynamicDvfs = true;
+    std::vector<RunResults> all;
+    for (std::size_t rep = 0; rep < 2; ++rep) {
+        for (std::size_t g = 0; g < 2; ++g) {
+            RunResults res = awkwardResults();
+            res.gals = g == 1;
+            res.committed = 1000 + 10 * rep + g;
+            res.ipcNominal = 0.5 + 0.25 * double(rep) + double(g);
+            res.misspecFraction =
+                rep ? std::numeric_limits<double>::quiet_NaN() : 0.125;
+            res.mispredictsPerKCommitted = 2.0 * double(g + 1);
+            res.unitEnergyNj = {{"alu", 1.5 + double(rep)},
+                                {"we\"ird,unit", double(g)}};
+            all.push_back(res);
+        }
+    }
+    const ReplicaSummary summary = summarizeReplicas(2, all);
+
+    std::ostringstream json;
+    writeJsonLinesSummary(json, "tra,j", gridCfgs, summary);
+    EXPECT_EQ(json.str(),
+              "{\"scenario\":\"tra,j\",\"index\":0,\"benchmark\":\"ad,pcm\\\"x\",\"g"
+              "als\":false,\"dynamic_dvfs\":false,\"instructions\":4000,\"rep"
+              "licas\":2,\"committed\":1005,\"committed_ci95\":63.5309999999"
+              "99999,\"fetched\":1500,\"fetched_ci95\":0,\"wrong_path_fetche"
+              "d\":500,\"wrong_path_fetched_ci95\":0,\"ticks\":4000,\"ticks_c"
+              "i95\":0,\"time_sec\":0.5,\"time_sec_ci95\":0,\"ipc_nominal\":0."
+              "625,\"ipc_nominal_ci95\":1.5882749999999999,\"energy_j\":2,\""
+              "energy_j_ci95\":0,\"avg_power_w\":4,\"avg_power_w_ci95\":0,\"f"
+              "ifo_events\":12,\"fifo_events_ci95\":0,\"avg_slip_cycles\":1."
+              "5,\"avg_slip_cycles_ci95\":0,\"avg_fifo_slip_cycles\":0.5,\"a"
+              "vg_fifo_slip_cycles_ci95\":0,\"misspec_fraction\":null,\"mis"
+              "spec_fraction_ci95\":null,\"mispredicts_per_k\":2,\"mispredi"
+              "cts_per_k_ci95\":0,\"dir_accuracy\":0.75,\"dir_accuracy_ci95"
+              "\":0,\"avg_rob_occ\":8,\"avg_rob_occ_ci95\":0,\"avg_int_rename"
+              "s\":4,\"avg_int_renames_ci95\":0,\"avg_fp_renames\":2,\"avg_fp"
+              "_renames_ci95\":0,\"int_iq_occ\":1,\"int_iq_occ_ci95\":0,\"fp_"
+              "iq_occ\":0.5,\"fp_iq_occ_ci95\":0,\"mem_iq_occ\":0.25,\"mem_iq"
+              "_occ_ci95\":0,\"il1_miss_rate\":0.125,\"il1_miss_rate_ci95\":"
+              "0,\"dl1_miss_rate\":0.0625,\"dl1_miss_rate_ci95\":0,\"l2_miss"
+              "_rate\":0.03125,\"l2_miss_rate_ci95\":0,\"energy_nj\":{\"alu\":"
+              "2,\"we\\\"ird,unit\":0}}\n"
+              "{\"scenario\":\"tra,j\",\"index\":1,\"benchmark\":\"ad,pcm\\\"x\",\"g"
+              "als\":true,\"dynamic_dvfs\":true,\"instructions\":4000,\"repli"
+              "cas\":2,\"committed\":1006,\"committed_ci95\":63.530999999999"
+              "999,\"fetched\":1500,\"fetched_ci95\":0,\"wrong_path_fetched\""
+              ":500,\"wrong_path_fetched_ci95\":0,\"ticks\":4000,\"ticks_ci9"
+              "5\":0,\"time_sec\":0.5,\"time_sec_ci95\":0,\"ipc_nominal\":1.62"
+              "5,\"ipc_nominal_ci95\":1.5882749999999999,\"energy_j\":2,\"en"
+              "ergy_j_ci95\":0,\"avg_power_w\":4,\"avg_power_w_ci95\":0,\"fif"
+              "o_events\":12,\"fifo_events_ci95\":0,\"avg_slip_cycles\":1.5,"
+              "\"avg_slip_cycles_ci95\":0,\"avg_fifo_slip_cycles\":0.5,\"avg"
+              "_fifo_slip_cycles_ci95\":0,\"misspec_fraction\":null,\"missp"
+              "ec_fraction_ci95\":null,\"mispredicts_per_k\":4,\"mispredict"
+              "s_per_k_ci95\":0,\"dir_accuracy\":0.75,\"dir_accuracy_ci95\":"
+              "0,\"avg_rob_occ\":8,\"avg_rob_occ_ci95\":0,\"avg_int_renames\""
+              ":4,\"avg_int_renames_ci95\":0,\"avg_fp_renames\":2,\"avg_fp_r"
+              "enames_ci95\":0,\"int_iq_occ\":1,\"int_iq_occ_ci95\":0,\"fp_iq"
+              "_occ\":0.5,\"fp_iq_occ_ci95\":0,\"mem_iq_occ\":0.25,\"mem_iq_o"
+              "cc_ci95\":0,\"il1_miss_rate\":0.125,\"il1_miss_rate_ci95\":0,"
+              "\"dl1_miss_rate\":0.0625,\"dl1_miss_rate_ci95\":0,\"l2_miss_r"
+              "ate\":0.03125,\"l2_miss_rate_ci95\":0,\"energy_nj\":{\"alu\":2,"
+              "\"we\\\"ird,unit\":1}}\n");
+
+    std::ostringstream csv;
+    writeCsvSummary(csv, "tra,j", gridCfgs, summary);
+    EXPECT_EQ(csv.str(),
+              "scenario,index,benchmark,gals,dynamic_dvfs,instructions,"
+              "replicas,committed,committed_ci95,fetched,fetched_ci95,w"
+              "rong_path_fetched,wrong_path_fetched_ci95,ticks,ticks_ci"
+              "95,time_sec,time_sec_ci95,ipc_nominal,ipc_nominal_ci95,e"
+              "nergy_j,energy_j_ci95,avg_power_w,avg_power_w_ci95,fifo_"
+              "events,fifo_events_ci95,avg_slip_cycles,avg_slip_cycles_"
+              "ci95,avg_fifo_slip_cycles,avg_fifo_slip_cycles_ci95,miss"
+              "pec_fraction,misspec_fraction_ci95,mispredicts_per_k,mis"
+              "predicts_per_k_ci95,dir_accuracy,dir_accuracy_ci95,avg_r"
+              "ob_occ,avg_rob_occ_ci95,avg_int_renames,avg_int_renames_"
+              "ci95,avg_fp_renames,avg_fp_renames_ci95,int_iq_occ,int_i"
+              "q_occ_ci95,fp_iq_occ,fp_iq_occ_ci95,mem_iq_occ,mem_iq_oc"
+              "c_ci95,il1_miss_rate,il1_miss_rate_ci95,dl1_miss_rate,dl"
+              "1_miss_rate_ci95,l2_miss_rate,l2_miss_rate_ci95,energy_n"
+              "j.alu,\"energy_nj.we\"\"ird,unit\"\n"
+              "\"tra,j\",0,\"ad,pcm\"\"x\",0,0,4000,2,1005,63.530999999999999"
+              ",1500,0,500,0,4000,0,0.5,0,0.625,1.5882749999999999,2,0,"
+              "4,0,12,0,1.5,0,0.5,0,,,2,0,0.75,0,8,0,4,0,2,0,1,0,0.5,0,"
+              "0.25,0,0.125,0,0.0625,0,0.03125,0,2,0\n"
+              "\"tra,j\",1,\"ad,pcm\"\"x\",1,1,4000,2,1006,63.530999999999999"
+              ",1500,0,500,0,4000,0,0.5,0,1.625,1.5882749999999999,2,0,"
+              "4,0,12,0,1.5,0,0.5,0,,,4,0,0.75,0,8,0,4,0,2,0,1,0,0.5,0,"
+              "0.25,0,0.125,0,0.0625,0,0.03125,0,2,1\n");
+}
+
 TEST(SweepOptions, SeedListSemantics)
 {
     SweepOptions opts;
